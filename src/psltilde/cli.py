@@ -15,7 +15,6 @@ from . import jsonio
 from .audit import audit_rep, check_restrictions
 from .constructors import BuildRequest, build_rep, sample
 from .cover import cover_classify
-from .curves import enumerate_scc
 from .errors import PslTildeError
 from .mobius import classify_psl
 from .selftest import run_selftest
@@ -105,13 +104,10 @@ def _cmd_audit(args) -> int:
 def _cmd_sample(args) -> int:
     req = BuildRequest(args.genus, args.punctures, args.euler,
                        _parse_signs(args.signs), args.seed)
-    reps, summary = sample(req, args.count, depth=args.depth,
-                           margin=args.margin)
+    _, reports, summary = sample(req, args.count, depth=args.depth,
+                                 margin=args.margin)
     rows = [jsonio.AUDIT_CSV_HEADER]
-    curves = enumerate_scc(req.surface(), args.depth)
-    for rep in reps:
-        report = audit_rep(rep, args.depth, args.margin, curves=curves)
-        rows.append(jsonio.audit_report_csv_row(report))
+    rows += [jsonio.audit_report_csv_row(report) for report in reports]
     if args.csv:
         jsonio.atomic_write(args.csv, "\n".join(rows) + "\n")
     _write_json(args.output, summary)
@@ -129,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=("computations in the universal cover of PSL(2,R): "
                      "representation construction, invariants, and "
                      "hyperbolicity audits"))
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count (accepted for interface "
-                        "compatibility; execution is serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a representation with "
@@ -189,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     try:
         return args.fn(args)
     except (PslTildeError, ValueError, OSError, KeyError) as exc:

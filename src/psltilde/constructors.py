@@ -24,6 +24,7 @@ from .cover import (
     ParPlus,
     Z,
     cover_classify,
+    cover_commutator,
     cover_conj,
     cover_equal,
     cover_inv,
@@ -32,7 +33,9 @@ from .cover import (
     lift_in_class,
     sl_trace,
     special_lift,
+    with_base,
 )
+from .dd import unit_product
 from .errors import (
     BoundaryElliptic,
     IndexRoundingUnstable,
@@ -148,13 +151,8 @@ def _class_flip(cls: CoverClass) -> CoverClass:
 def _conj_dd(g: ProjectiveMatrix, x: CoverElement) -> CoverElement:
     """Cover conjugation with the base computed in compensated arithmetic;
     the deck index comes from the float chain."""
-    from .cover import with_base
-    from .dd import DDMatrix
-
     rough = cover_conj(CoverElement(g, 0), x)
-    gd = DDMatrix(g.rep.entries())
-    prod = (gd @ DDMatrix(x.base.rep.entries()) @ gd.inv_unit()).renormalized()
-    return with_base(rough, normalize(Matrix2(*prod.to_floats())))
+    return with_base(rough, unit_product(g.rep, x.base.rep, g.rep.inv()))
 
 
 def _pair_size(x: ProjectiveMatrix, y: ProjectiveMatrix,
@@ -479,20 +477,6 @@ def _commutator(x: CoverElement, y: CoverElement) -> CoverElement:
     return cover_mul(cover_mul(x, y), cover_mul(cover_inv(x), cover_inv(y)))
 
 
-def _commutator_dd(x: CoverElement, y: CoverElement) -> CoverElement:
-    """Commutator with the base recomputed in compensated arithmetic (the
-    float chain keeps the deck index, whose guards tolerate far more noise
-    than entrywise base comparisons do)."""
-    from .cover import with_base
-    from .dd import DDMatrix
-
-    rough = _commutator(x, y)
-    a = DDMatrix(x.base.rep.entries())
-    b = DDMatrix(y.base.rep.entries())
-    comm = (a @ b @ a.inv_unit() @ b.inv_unit()).renormalized()
-    return with_base(rough, normalize(Matrix2(*comm.to_floats())))
-
-
 def fricke_commutator_trace(x: float, y: float, z: float) -> float:
     """Trace of the matrix commutator of any pair with traces (x, y, z)."""
     return x * x + y * y + z * z - x * y * z - 2.0
@@ -506,8 +490,6 @@ def solve_commutator(target: CoverElement, rng: random.Random | None = None
     if tcls not in COMMUTATOR_IMAGE:
         raise TargetOutsideImage(f"{tcls} is outside the commutator image")
     if tcls == Center(0):
-        from .cover import identity_cover
-
         ident = identity_cover()
         return ident, ident
     kappa = sl_trace(target)
@@ -543,7 +525,7 @@ def solve_commutator(target: CoverElement, rng: random.Random | None = None
     g = conjugator(comm.base, target.base)
     x, y = _conj_dd(g, x), _conj_dd(g, y)
     x, y = _balance_on_centralizer(x, y, target, rng)
-    comm = _commutator_dd(x, y)
+    comm = cover_commutator(x, y)
     if not cover_equal(comm, target, PRODUCT_TOL):
         raise SelfVerificationError(
             f"commutator off target by {comm.base.rep.maxdiff(target.base.rep):.3e}")
@@ -658,6 +640,22 @@ def _extremal_recursive(surf: SurfacePresentation,
     return rep.conjugate(gmove)
 
 
+def _glue_handles(surf: SurfacePresentation, x: ProjectiveMatrix,
+                  y: ProjectiveMatrix, rng: random.Random | None
+                  ) -> Representation:
+    """One-punctured genus-g representation from a pants with boundaries
+    x^-1, y^-1: an extremal one-holed torus bounded by x^-1 carries the first
+    handle, an extremal genus-(g-1) piece bounded by y^-1 the others."""
+    g = surf.genus
+    sub1 = _extremal_recursive(SurfacePresentation(1, 1), x.inv(), rng)
+    sub2 = _extremal_recursive(SurfacePresentation(g - 1, 1), y.inv(), rng)
+    images = {"a1": sub1.images["a1"], "b1": sub1.images["b1"]}
+    for j in range(1, g):
+        images[surf.a(j + 1)] = sub2.images[sub2.surface.a(j)]
+        images[surf.b(j + 1)] = sub2.images[sub2.surface.b(j)]
+    return Representation(surf, images)
+
+
 def _extremal_core(surf: SurfacePresentation,
                    boundary: ProjectiveMatrix,
                    rng: random.Random | None) -> Representation:
@@ -679,13 +677,7 @@ def _extremal_core(surf: SurfacePresentation,
         return Representation(surf, images)
     # p == 1, g >= 2: peel a pants with two hyperbolic boundaries
     x, y = solve_product(FactorKind.HYP0, FactorKind.HYP0, target, rng)
-    sub1 = _extremal_recursive(SurfacePresentation(1, 1), x.base.inv(), rng)
-    sub2 = _extremal_recursive(SurfacePresentation(g - 1, 1), y.base.inv(), rng)
-    images = {"a1": sub1.images["a1"], "b1": sub1.images["b1"]}
-    for j in range(1, g):
-        images[surf.a(j + 1)] = sub2.images[sub2.surface.a(j)]
-        images[surf.b(j + 1)] = sub2.images[sub2.surface.b(j)]
-    return Representation(surf, images)
+    return _glue_handles(surf, x.base, y.base, rng)
 
 
 def _component_builder(surf: SurfacePresentation, n: int, last_sign: int,
@@ -734,13 +726,7 @@ def _type_preserving_extremal(surf: SurfacePresentation,
     ct = special_lift(random_parabolic(rng, 1))
     target = cover_mul(Z, cover_inv(ct))
     x, y = _solve_hyp_hyp_extended(target, rng)
-    sub1 = _extremal_recursive(SurfacePresentation(1, 1), x.base.inv(), rng)
-    sub2 = _extremal_recursive(SurfacePresentation(g - 1, 1), y.base.inv(), rng)
-    images = {"a1": sub1.images["a1"], "b1": sub1.images["b1"]}
-    for j in range(1, g):
-        images[surf.a(j + 1)] = sub2.images[sub2.surface.a(j)]
-        images[surf.b(j + 1)] = sub2.images[sub2.surface.b(j)]
-    return Representation(surf, images)
+    return _glue_handles(surf, x.base, y.base, rng)
 
 
 def _counterexample_negative_last(surf: SurfacePresentation,
@@ -762,13 +748,7 @@ def _counterexample_negative_last(surf: SurfacePresentation,
     ct = special_lift(random_parabolic(rng, -1))
     target = cover_inv(ct)
     x, y = solve_product(FactorKind.HYP0, FactorKind.HYP0, target, rng)
-    sub1 = _extremal_recursive(SurfacePresentation(1, 1), x.base.inv(), rng)
-    sub2 = _extremal_recursive(SurfacePresentation(g - 1, 1), y.base.inv(), rng)
-    images = {"a1": sub1.images["a1"], "b1": sub1.images["b1"]}
-    for j in range(1, g):
-        images[surf.a(j + 1)] = sub2.images[sub2.surface.a(j)]
-        images[surf.b(j + 1)] = sub2.images[sub2.surface.b(j)]
-    return Representation(surf, images)
+    return _glue_handles(surf, x.base, y.base, rng)
 
 
 def _braid_images(surf: SurfacePresentation, i: int) -> dict[str, CurveWord]:
@@ -927,12 +907,13 @@ def build_negative_control() -> Representation:
 def sample(req: BuildRequest, count: int, depth: int = 4,
            margin: float = 1e-6):
     """count independent builds with counter-derived seeds, each audited on
-    the enumerated curves at the given depth; returns (reps, summary)."""
+    the enumerated curves at the given depth; returns (reps, reports,
+    summary), with reports[i] the AuditReport of reps[i]."""
     from .audit import audit_rep
     from .curves import enumerate_scc
 
     _check_feasible(req)
-    reps = []
+    reps, reports = [], []
     passes = 0
     curves = None
     for i in range(count):
@@ -943,6 +924,7 @@ def sample(req: BuildRequest, count: int, depth: int = 4,
         if curves is None:
             curves = enumerate_scc(rep.surface, depth)
         report = audit_rep(rep, depth, margin, curves=curves)
+        reports.append(report)
         if not report.violations:
             passes += 1
     summary = {
@@ -952,4 +934,4 @@ def sample(req: BuildRequest, count: int, depth: int = 4,
         "depth": depth,
         "curves": len(curves) if curves is not None else 0,
     }
-    return reps, summary
+    return reps, reports, summary

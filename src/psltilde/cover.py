@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dd import unit_product
 from .errors import (
     DegenerateRange,
     EllipticHasNoHyp0Lift,
@@ -175,6 +176,17 @@ def with_base(x: CoverElement, base: ProjectiveMatrix) -> CoverElement:
         raise IndexRoundingUnstable(
             f"base replacement shifted the homeomorphism by {raw - k:.3f} pi")
     return CoverElement(base, k)
+
+
+def cover_commutator(x: CoverElement, y: CoverElement) -> CoverElement:
+    """Commutator x y x^-1 y^-1. The deck index comes from the float cover
+    chain, whose guards tolerate far more noise than entrywise base
+    comparisons do; the base is recomputed in compensated arithmetic, because
+    commutator intermediates are exactly the cancellation-heavy products
+    that leak float noise."""
+    rough = cover_mul(cover_mul(x, y), cover_mul(cover_inv(x), cover_inv(y)))
+    a, b = x.base.rep, y.base.rep
+    return with_base(rough, unit_product(a, b, a.inv(), b.inv()))
 
 
 def _displacement_extrema(p: ProjectiveMatrix, k: int) -> tuple[float, float]:

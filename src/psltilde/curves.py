@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .surface import SurfacePresentation
+from .surface import SurfacePresentation, _expand_last
 from .words import (
     CurveWord,
     canonical_form,
@@ -39,12 +39,6 @@ SEPARATING = CurveClassification("separating")
 NONSEPARATING = CurveClassification("nonseparating")
 
 
-def _expand_c_last(surf: SurfacePresentation, w: CurveWord) -> CurveWord:
-    images = {g: word(g) for g in surf.free_generators()}
-    images[surf.c(surf.punctures)] = surf.last_peripheral_word()
-    return substitute(w, images)
-
-
 def _peripheral_canonicals(surf: SurfacePresentation) -> dict:
     return {
         canonical_form(surf.peripheral_word(i)): i
@@ -56,7 +50,7 @@ def classify_curve(w: CurveWord, surf: SurfacePresentation) -> CurveClassificati
     """Peripheral(i) iff conjugate to c_i^+-1 in the free group; otherwise
     separating iff every a/b exponent sum vanishes (null-homologous in the
     capped closed surface). The caller vouches that w is a simple class."""
-    w = _expand_c_last(surf, w)
+    w = _expand_last(surf, w)
     canon = canonical_form(w)
     hit = _peripheral_canonicals(surf).get(canon)
     if hit is not None:
@@ -77,9 +71,6 @@ class McgAuto:
 
     def apply(self, w: CurveWord) -> CurveWord:
         return substitute(w, self.images)
-
-    def apply_inverse(self, w: CurveWord) -> CurveWord:
-        return substitute(w, self.inverse_images)
 
     def inverse(self) -> "McgAuto":
         return McgAuto(f"{self.name}^-1", self.inverse_images, self.images)
@@ -204,7 +195,7 @@ def scc_seeds(surf: SurfacePresentation) -> list[CurveWord]:
     out = []
     seen = set()
     for s in seeds:
-        s = _expand_c_last(surf, s)
+        s = _expand_last(surf, s)
         canon = canonical_form(s)
         if not canon or canon.letters in seen:
             continue

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .mobius import Matrix2, ProjectiveMatrix, normalize, normalize_unit
+
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 
@@ -74,11 +76,6 @@ class DDMatrix:
                 out.extend(_dd_add(p1[0], p1[1], p2[0], p2[1]))
         return DDMatrix(tuple(out))
 
-    def inv_unit(self) -> "DDMatrix":
-        """Inverse assuming determinant 1 (adjugate)."""
-        a = self.e
-        return DDMatrix((a[6], a[7], -a[2], -a[3], -a[4], -a[5], a[0], a[1]))
-
     def det(self) -> float:
         a = self.e
         p1 = _dd_mul(a[0], a[1], a[6], a[7])
@@ -104,3 +101,19 @@ class DDMatrix:
     def to_floats(self) -> tuple[float, float, float, float]:
         a = self.e
         return (a[0] + a[1], a[2] + a[3], a[4] + a[5], a[6] + a[7])
+
+
+def unit_product(*factors: Matrix2) -> ProjectiveMatrix:
+    """Left-to-right product of unit-determinant factors, accumulated in
+    double-double and returned as its canonical PSL(2,R) representative.
+
+    Past entries of 1e4 the determinant is still exactly 1, but float
+    cancellation makes it unmeasurable (error ~ entries^2 * 2^-53), so the
+    product is taken as is; below that it is rescaled to determinant 1."""
+    acc = DDMatrix(factors[0].entries()) if factors else DDMatrix.identity()
+    for m in factors[1:]:
+        acc = acc @ DDMatrix(m.entries())
+    entries = acc.to_floats()
+    if max(abs(v) for v in entries) > 1e4:
+        return normalize_unit(Matrix2(*entries))
+    return normalize(Matrix2(*acc.renormalized().to_floats()))

@@ -243,23 +243,6 @@ def _hyperbolic_frame(p: ProjectiveMatrix) -> Matrix2:
     return f.scale(1.0 / math.sqrt(det))
 
 
-def _elliptic_fixed_point(p: ProjectiveMatrix) -> complex:
-    """Fixed point in the upper half-plane of the Moebius action."""
-    m = p.rep
-    # c z^2 + (d - a) z - b = 0; elliptic forces c != 0
-    tr = m.trace()
-    im = math.sqrt(4.0 - tr * tr) / (2.0 * abs(m.c))
-    re = (m.a - m.d) / (2.0 * m.c)
-    return complex(re, im)
-
-
-def _halfplane_transport(z: complex) -> Matrix2:
-    """Unit-determinant matrix sending i to z (a shear-scale pair)."""
-    y = z.imag
-    r = math.sqrt(y)
-    return Matrix2(r, z.real / r, 0.0, 1.0 / r)
-
-
 def _intertwiner_null_basis(p: Matrix2, q: Matrix2) -> list[tuple[float, ...]]:
     """Two-dimensional null space of G -> G p - q G (vectorized 4x4 system)
     for conjugate or anti-conjugate pairs; empty when the traces genuinely

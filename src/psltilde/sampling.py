@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 
-from .cover import CoverElement, lift_in_class, special_lift, Ell
+from .cover import CoverElement, special_lift
 from .mobius import Matrix2, ProjectiveMatrix, normalize, rotation
 
 
@@ -58,8 +58,3 @@ def random_hyp0(rng: random.Random, tmin: float = 2.05,
 def random_par0(rng: random.Random, sign: int = 1) -> CoverElement:
     return special_lift(random_parabolic(rng, sign), "closure_hyp0")
 
-
-def random_ell1(rng: random.Random, sign: int = 1) -> CoverElement:
-    """Random element of Ell(1) (sign=+1) or Ell(-1) (sign=-1)."""
-    p = random_elliptic(rng)
-    return lift_in_class(p, Ell(1 if sign > 0 else -1))

@@ -20,6 +20,7 @@ from .cover import (
     sl_projection,
     z_power,
 )
+from .constructors import COMMUTATOR_IMAGE
 from .errors import DegenerateRange
 from .mobius import PslType, classify_psl
 from .sampling import (
@@ -30,11 +31,6 @@ from .sampling import (
     random_par0,
     random_parabolic,
 )
-
-COMMUTATOR_IMAGE = frozenset({
-    Hyp(-1), ParPlus(-1), Ell(-1), ParPlus(0), ParMinus(0), Center(0),
-    Hyp(0), Ell(1), ParMinus(1), Hyp(1),
-})
 
 
 def _sgn(x: float) -> int:

@@ -16,10 +16,11 @@ from enum import Enum
 from .cover import (
     CoverElement,
     central_index,
-    cover_inv,
+    cover_commutator,
     cover_mul,
     special_lift,
 )
+from .dd import unit_product
 from .errors import (
     BoundaryElliptic,
     NotHP,
@@ -39,7 +40,6 @@ from .mobius import (
 from .words import CurveWord, EMPTY_WORD, word
 
 EULER_BASE_TOL = 1e-8
-RENORM_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -122,48 +122,30 @@ class Representation:
     def conjugate(self, g: ProjectiveMatrix) -> "Representation":
         # compensated products: builders chain conjugations, and plain float
         # sandwiches would accumulate genuine image error at tolerance scale
-        from .dd import DDMatrix
-
-        gd = DDMatrix(g.rep.entries())
-        gi = gd.inv_unit()
-        out = {}
-        for k, m in self.images.items():
-            prod = (gd @ DDMatrix(m.rep.entries()) @ gi).renormalized()
-            out[k] = normalize(Matrix2(*prod.to_floats()))
-        return Representation(self.surface, out)
+        gi = g.rep.inv()
+        return Representation(self.surface, {
+            k: unit_product(g.rep, m.rep, gi) for k, m in self.images.items()})
 
 
 def eval_word(rep: Representation, w: CurveWord) -> ProjectiveMatrix:
     """Left-to-right product of generator images, accumulated in compensated
-    (double-double) arithmetic with periodic determinant renormalization, so
+    (double-double) arithmetic with a final determinant renormalization, so
     image traces are reliable at tolerance scale even through long
     cancellation-heavy words. The implied last peripheral name (e.g. "c3" on
     a thrice-punctured sphere) expands to its defining word."""
-    from .dd import DDMatrix
-    from .mobius import normalize_unit
-
     surf = rep.surface
     last_name = surf.c(surf.punctures)
-    acc = DDMatrix.identity()
-    letters = list(w.letters)
-    while letters:
-        gen, exp = letters.pop(0)
+    factors = []
+    for gen, exp in w.letters:
         if gen == last_name:
             expansion = surf.last_peripheral_word()
-            if exp == -1:
-                expansion = expansion.inv()
-            letters = list(expansion.letters) + letters
-            continue
-        m = rep.image(gen).rep
-        if exp != 1:
-            m = m.inv()
-        acc = acc @ DDMatrix(m.entries())
-    entries = acc.to_floats()
-    if max(abs(v) for v in entries) > 1e4:
-        # the determinant is exactly 1 but, past this entry size, float
-        # cancellation makes it unmeasurable (error ~ entries^2 * 2^-53)
-        return normalize_unit(Matrix2(*entries))
-    return normalize(Matrix2(*acc.renormalized().to_floats()))
+            letters = (expansion if exp == 1 else expansion.inv()).letters
+        else:
+            letters = ((gen, exp),)
+        for g, e in letters:
+            m = rep.image(g).rep
+            factors.append(m if e == 1 else m.inv())
+    return unit_product(*factors)
 
 
 @dataclass(frozen=True)
@@ -205,24 +187,6 @@ def _require_hp(rep: Representation) -> list[PslType]:
     return kinds
 
 
-def _commutator_lift(rep: Representation, j: int, shift_a: int = 0,
-                     shift_b: int = 0) -> CoverElement:
-    """Lifted commutator of a handle pair. The deck index comes from the
-    float cover chain (robust at its 1e-6 guards); the base is recomputed in
-    compensated arithmetic because commutator intermediates are exactly the
-    cancellation-heavy products that leak float noise."""
-    from .cover import with_base
-    from .dd import DDMatrix
-
-    at = CoverElement(rep.image(rep.surface.a(j)), shift_a)
-    bt = CoverElement(rep.image(rep.surface.b(j)), shift_b)
-    rough = cover_mul(cover_mul(at, bt), cover_mul(cover_inv(at), cover_inv(bt)))
-    a = DDMatrix(at.base.rep.entries())
-    b = DDMatrix(bt.base.rep.entries())
-    comm = (a @ b @ a.inv_unit() @ b.inv_unit()).renormalized()
-    return with_base(rough, normalize(Matrix2(*comm.to_floats())))
-
-
 def euler_class(rep: Representation, ab_lift_shifts: dict[str, int] | None = None) -> int:
     """Relative Euler class: the central power reached by the lifted relator.
 
@@ -237,8 +201,9 @@ def euler_class(rep: Representation, ab_lift_shifts: dict[str, int] | None = Non
     surf = rep.surface
     total: CoverElement | None = None
     for j in range(1, surf.genus + 1):
-        k = _commutator_lift(rep, j, shifts.get(surf.a(j), 0),
-                             shifts.get(surf.b(j), 0))
+        a, b = surf.a(j), surf.b(j)
+        k = cover_commutator(CoverElement(rep.image(a), shifts.get(a, 0)),
+                             CoverElement(rep.image(b), shifts.get(b, 0)))
         total = k if total is None else cover_mul(total, k)
     for i in range(1, surf.punctures + 1):
         ct = special_lift(rep.peripheral_image(i), "closure_hyp0")
@@ -289,7 +254,8 @@ def evaluation_map(rep: Representation) -> CoverElement:
     surf = rep.surface
     total: CoverElement | None = None
     for j in range(1, surf.genus + 1):
-        k = _commutator_lift(rep, j)
+        k = cover_commutator(CoverElement(rep.image(surf.a(j)), 0),
+                             CoverElement(rep.image(surf.b(j)), 0))
         total = k if total is None else cover_mul(total, k)
     for i in range(1, surf.punctures):
         ct = special_lift(rep.peripheral_image(i), "eval")

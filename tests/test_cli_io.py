@@ -5,11 +5,13 @@ import os
 import pytest
 
 from psltilde import jsonio
+from psltilde.audit import audit_rep
 from psltilde.cli import run
 from psltilde.constructors import BuildRequest, build_rep
 from psltilde.cover import CoverElement, cover_classify
 from psltilde.errors import RelatorNotCentral
 from psltilde.mobius import Matrix2, normalize
+from psltilde.sampling import derive_seed
 from psltilde.surface import euler_class, sign_vector
 
 
@@ -118,6 +120,10 @@ def test_cli_sample_csv(tmp_path):
     rows = open(csv).read().strip().splitlines()
     assert rows[0] == jsonio.AUDIT_CSV_HEADER
     assert len(rows) == 4
+    for i, row in enumerate(rows[1:]):
+        rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1),
+                                     derive_seed(2, i + 1)))
+        assert row == jsonio.audit_report_csv_row(audit_rep(rep, 3))
 
 
 def test_cli_selftest_quick():

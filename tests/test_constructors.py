@@ -267,8 +267,8 @@ def test_negative_control():
 
 
 def test_sample_empty():
-    reps, summary = sample(BuildRequest(0, 4, 1, (1, 1, 1, -1), 1), 0)
-    assert reps == [] and summary["count"] == 0
+    reps, reports, summary = sample(BuildRequest(0, 4, 1, (1, 1, 1, -1), 1), 0)
+    assert reps == [] and reports == [] and summary["count"] == 0
 
 
 def test_sample_infeasible_rejected_before_running():
@@ -277,6 +277,9 @@ def test_sample_infeasible_rejected_before_running():
 
 
 def test_sample_runs_and_reports():
-    reps, summary = sample(BuildRequest(0, 4, 1, (1, 1, 1, -1), 3), 4, depth=4)
-    assert len(reps) == 4
+    reps, reports, summary = sample(BuildRequest(0, 4, 1, (1, 1, 1, -1), 3), 4,
+                                    depth=4)
+    assert len(reps) == len(reports) == 4
+    assert summary["np_pass"] == sum(1 for r in reports if r.passed)
     assert summary["np_pass"] <= 4 and summary["curves"] > 0
+    assert all(r.curves_checked == summary["curves"] for r in reports)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,43 @@ def test_eval_implied_peripheral():
     got = eval_word(REP_E1, word("c3"))
     expect = (REP_E1.image("c1") @ REP_E1.image("c2")).inv()
     assert got.rep.maxdiff(expect.rep) < 1e-12
+
+
+def _exact_product(rep, letters):
+    """Exact rational product of the float generator images."""
+    acc = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    for gen, exp in letters:
+        a, b, c, d = map(Fraction, rep.image(gen).rep.entries())
+        m = (a, b, c, d) if exp == 1 else (d, -b, -c, a)
+        acc = (acc[0] * m[0] + acc[1] * m[2], acc[0] * m[1] + acc[1] * m[3],
+               acc[2] * m[0] + acc[3] * m[2], acc[2] * m[1] + acc[3] * m[3])
+    return acc
+
+
+def _relative_error(got, exact):
+    """Entrywise distance of got to +-exact, over the largest exact entry."""
+    size = max(abs(v) for v in exact)
+    entries = [Fraction(v) for v in got.rep.entries()]
+    dist = min(max(abs(g - s * e) for g, e in zip(entries, exact))
+               for s in (1, -1))
+    return float(size), float(dist / size)
+
+
+def test_eval_word_against_exact_products():
+    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
+    # c4^-1 expands to c1 c2 c3. Below entries of 1e4 the product is rescaled
+    # by a float determinant, which costs up to ~size^2 * 2^-53 relative
+    size, err = _relative_error(
+        eval_word(rep, parse_word("c2 c4^-1 c1^-1")),
+        _exact_product(rep, [("c2", 1), ("c1", 1), ("c2", 1), ("c3", 1),
+                             ("c1", -1)]))
+    assert size < 1e4
+    assert err <= 2.0 ** -50 * size ** 2
+    # past 1e4 the compensated product is returned unrescaled: a few ulps
+    w = parse_word(" ".join(["c1 c2"] * 20))
+    size, err = _relative_error(eval_word(rep, w), _exact_product(rep, w.letters))
+    assert size > 1e4
+    assert err <= 2.0 ** -50
 
 
 def test_eval_unknown_generator():
