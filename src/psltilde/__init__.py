@@ -49,6 +49,7 @@ from .surface import (
     euler_class,
     eval_word,
     evaluation_map,
+    invariants,
     mw_bounds,
     restrict,
     sign_vector,

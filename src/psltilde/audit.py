@@ -13,8 +13,8 @@ from .surface import (
     SplittingSpec,
     euler_class,
     eval_word,
+    invariants,
     restrict,
-    sign_vector,
 )
 from .words import CurveWord, format_word
 
@@ -72,11 +72,12 @@ def audit_rep(rep: Representation, depth: int,
         if tr - 2.0 < margin:
             violations.append(
                 Violation(format_word(w), classify_psl(image).value, tr))
+    euler, signs = invariants(rep)
     return AuditReport(
         genus=rep.surface.genus,
         punctures=rep.surface.punctures,
-        euler=euler_class(rep),
-        signs=tuple(sign_vector(rep)),
+        euler=euler,
+        signs=tuple(signs),
         depth=depth,
         margin=margin,
         curves_checked=len(curves),
@@ -117,8 +118,7 @@ def check_restrictions(rep: Representation) -> RestrictionReport:
     negative puncture carries Euler class 0 and every complementary piece is
     extremal (|e| = -chi, the Fuchsian certificate). Extremal input passes
     degenerately with every piece extremal."""
-    n = euler_class(rep)
-    s = sign_vector(rep)
+    n, s = invariants(rep)
     chi = rep.surface.chi
     if n == -chi - 1 and s.p_minus == 1 and chi <= -2:
         neg = list(s.entries).index(-1) + 1

@@ -64,14 +64,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    from .surface import euler_class, sign_vector
+    from .surface import invariants
 
     with open(args.input) as fh:
         rep = jsonio.representation_from_json(json.load(fh))
-    payload = {
-        "euler": euler_class(rep),
-        "signs": list(sign_vector(rep)),
-    }
+    euler, signs = invariants(rep)
+    payload = {"euler": euler, "signs": list(signs)}
     _write_json(args.output, payload)
     return 0
 

@@ -63,12 +63,12 @@ from .surface import (
     Representation,
     SignVector,
     SurfacePresentation,
-    euler_class,
+    _checked_twist,
     eval_word,
+    invariants,
     mw_bounds,
     sign_vector,
     standard_splits,
-    twist_deform,
 )
 from .words import CurveWord, word
 
@@ -155,14 +155,12 @@ def _conj_dd(g: ProjectiveMatrix, x: CoverElement) -> CoverElement:
     return with_base(rough, unit_product(g.rep, x.base.rep, g.rep.inv()))
 
 
-def _pair_size(x: ProjectiveMatrix, y: ProjectiveMatrix,
-               h: ProjectiveMatrix) -> float:
-    # raw products: this is only a conditioning probe, determinant drift at
-    # extreme twists must not raise
-    hx = h.rep @ x.rep @ h.rep.inv()
-    hy = h.rep @ y.rep @ h.rep.inv()
-    return max(max(abs(v) for v in hx.entries()),
-               max(abs(v) for v in hy.entries()))
+def _conj_size(h: Matrix2, mats) -> float:
+    """Largest entry of the conjugates h m h^-1. Raw float products: this is
+    only a conditioning probe, determinant drift at extreme twists must not
+    raise."""
+    hi = h.inv()
+    return max(max(abs(v) for v in (h @ m @ hi).entries()) for m in mats)
 
 
 def _balance_on_centralizer(x: CoverElement, y: CoverElement,
@@ -180,7 +178,8 @@ def _balance_on_centralizer(x: CoverElement, y: CoverElement,
     from .surface import _one_parameter_power
 
     def size(t: float) -> float:
-        return _pair_size(x.base, y.base, _one_parameter_power(target.base, t))
+        return _conj_size(_one_parameter_power(target.base, t).rep,
+                          (x.base.rep, y.base.rep))
 
     grid = [(k - 16) * 0.25 for k in range(33)]
     best_t = min(grid, key=size)
@@ -534,10 +533,9 @@ def solve_commutator(target: CoverElement, rng: random.Random | None = None
 
 def _check_extremal(rep: Representation, boundary: ProjectiveMatrix) -> None:
     surf = rep.surface
-    n = euler_class(rep)
+    n, s = invariants(rep)
     if n != -surf.chi:
         raise SelfVerificationError(f"extremal build got e = {n}, chi = {surf.chi}")
-    s = sign_vector(rep)
     if s.entries[:-1] != (1,) * (surf.punctures - 1) or s.entries[-1] != 0:
         raise SelfVerificationError(f"extremal build got signs {s.entries}")
     got = rep.peripheral_image(surf.punctures)
@@ -595,12 +593,10 @@ def _rebalance_along_boundary(rep: Representation,
     if abs(boundary.rep.trace()) < 2.02:
         return rep
 
+    mats = [m.rep for m in rep.images.values()]
+
     def size(t: float) -> float:
-        h = _one_parameter_power(boundary, t).rep
-        hi = h.inv()
-        return max(
-            max(abs(v) for v in (h @ m.rep @ hi).entries())
-            for m in rep.images.values())
+        return _conj_size(_one_parameter_power(boundary, t).rep, mats)
 
     grid = [(k - 12) * 0.25 for k in range(25)]
     best = min(grid, key=size)
@@ -615,12 +611,10 @@ def _rebalance_along_boundary(rep: Representation,
 def _rebalance_diag(rep: Representation) -> Representation:
     """Conjugate by a diagonal element minimizing the generator entry sizes;
     preserves any diagonal boundary image exactly."""
+    mats = [m.rep for m in rep.images.values()]
+
     def size(s: float) -> float:
-        d = Matrix2(s, 0.0, 0.0, 1.0 / s)
-        di = Matrix2(1.0 / s, 0.0, 0.0, s)
-        return max(
-            max(abs(v) for v in (d @ m.rep @ di).entries())
-            for m in rep.images.values())
+        return _conj_size(Matrix2(s, 0.0, 0.0, 1.0 / s), mats)
 
     grid = [math.exp((k - 12) * 0.25) for k in range(25)]
     best = min(grid, key=size)
@@ -680,21 +674,6 @@ def _extremal_core(surf: SurfacePresentation,
     return _glue_handles(surf, x.base, y.base, rng)
 
 
-def _component_builder(surf: SurfacePresentation, n: int, last_sign: int,
-                    rng: random.Random) -> Representation:
-    """Type-preserving representation with Euler class n; all punctures
-    positive except the last one carrying last_sign. Supports the extremal
-    family (n = -chi, last_sign +1) and the counterexample family
-    (n = -chi - 1, last_sign -1)."""
-    g, p = surf.genus, surf.punctures
-    chi = surf.chi
-    if n == -chi and last_sign > 0:
-        return _type_preserving_extremal(surf, rng)
-    if n == -chi - 1 and last_sign < 0:
-        return _counterexample_negative_last(surf, rng)
-    raise NotSupported(f"no builder for (euler, last sign) = ({n}, {last_sign})")
-
-
 def _type_preserving_extremal(surf: SurfacePresentation,
                               rng: random.Random) -> Representation:
     """All-plus type-preserving representation with e = -chi (Fuchsian by
@@ -712,42 +691,33 @@ def _type_preserving_extremal(surf: SurfacePresentation,
         target = cover_mul(Z, cover_inv(ct))  # ParMinus(1), in the image
         x, y = solve_commutator(target, rng)
         return Representation(surf, {"a1": x.base, "b1": y.base})
-    if p >= 2:
-        d = random_hyperbolic(rng, 2.4, 4.5, spread=0.5)
-        sub = _extremal_recursive(SurfacePresentation(g, p - 1), d, rng)
-        target = lift_in_class(d, Hyp(1))
-        x, y = solve_product(FactorKind.PAR_PLUS0, FactorKind.PAR_PLUS0,
-                             target, rng)
-        images = dict(sub.images)
-        images[surf.c(p - 1)] = x.base
-        return Representation(surf, images)
-    # p == 1, g >= 2: the blocks product must land in z * Par(0)^- =
-    # ParMinus(1), an extended Hyp0 x Hyp0 target
-    ct = special_lift(random_parabolic(rng, 1))
-    target = cover_mul(Z, cover_inv(ct))
-    x, y = _solve_hyp_hyp_extended(target, rng)
-    return _glue_handles(surf, x.base, y.base, rng)
+    return _peel_last(surf, 1, rng)
 
 
-def _counterexample_negative_last(surf: SurfacePresentation,
-                                  rng: random.Random) -> Representation:
-    """Counterexample family with the negative puncture in the last slot:
-    the pants holding it carries Euler class 0, the complement is extremal."""
+def _peel_last(surf: SurfacePresentation, last_sign: int,
+               rng: random.Random) -> Representation:
+    """Type-preserving representation with every puncture positive except
+    the last, which carries last_sign: the pants holding the last puncture
+    carries Euler class 1 (last_sign +1, e = -chi) or 0 (last_sign -1,
+    e = -chi - 1), and its complement is extremal."""
     g, p = surf.genus, surf.punctures
     if p >= 2:
         d = random_hyperbolic(rng, 2.4, 4.5, spread=0.5)
         rest = _extremal_recursive(SurfacePresentation(g, p - 1), d, rng)
-        target = special_lift(d)  # Hyp(0): the e = 0 pants condition
-        x, y = solve_product(FactorKind.PAR_PLUS0, FactorKind.PAR_MINUS0,
-                             target, rng)
+        target = lift_in_class(d, Hyp(1 if last_sign > 0 else 0))
+        last = FactorKind.PAR_PLUS0 if last_sign > 0 else FactorKind.PAR_MINUS0
+        x, _ = solve_product(FactorKind.PAR_PLUS0, last, target, rng)
         images = dict(rest.images)
         images[surf.c(p - 1)] = x.base
         return Representation(surf, images)
-    # p == 1: s = (-1), g >= 2; pants (0,0,-) with e = 0 via a ParPlus(0)
-    # target from the Hyp0 x Hyp0 family
-    ct = special_lift(random_parabolic(rng, -1))
+    # p == 1, g >= 2: the blocks product must land in the inverse of the
+    # puncture's lift, times z for e = -chi: ParMinus(1) or ParPlus(0), both
+    # Hyp0 x Hyp0 targets
+    ct = special_lift(random_parabolic(rng, last_sign))
     target = cover_inv(ct)
-    x, y = solve_product(FactorKind.HYP0, FactorKind.HYP0, target, rng)
+    if last_sign > 0:
+        target = cover_mul(Z, target)
+    x, y = _solve_hyp_hyp_extended(target, rng)
     return _glue_handles(surf, x.base, y.base, rng)
 
 
@@ -845,13 +815,13 @@ def _build_rep_once(req: BuildRequest, sv: SignVector,
                     surf: SurfacePresentation, chi: int,
                     rng: random.Random) -> Representation:
     if req.euler == -chi and sv.p_plus == req.punctures:
-        rep = _component_builder(surf, -chi, 1, rng)
+        rep = _type_preserving_extremal(surf, rng)
     elif req.euler == chi and sv.p_minus == req.punctures:
-        rep = pgl_flip(_component_builder(surf, -chi, 1, rng))
+        rep = pgl_flip(_type_preserving_extremal(surf, rng))
     elif req.euler == -chi - 1 and sv.p_minus == 1:
         if chi > -2:
             raise NotSupported("counterexample components need chi <= -2")
-        rep = _component_builder(surf, -chi - 1, -1, rng)
+        rep = _peel_last(surf, -1, rng)
         neg = list(sv.entries).index(-1) + 1
         for slot in range(surf.punctures - 1, neg - 1, -1):
             rep = _precompose(rep, _braid_images(surf, slot))
@@ -863,12 +833,15 @@ def _build_rep_once(req: BuildRequest, sv: SignVector,
         raise NotSupported(
             f"(euler, signs) = ({req.euler}, {req.signs}) is outside the "
             "supported families")
+    # each twist's output invariants are the next twist's input invariants
+    known = None
     for split in standard_splits(surf):
         try:
-            rep = twist_deform(rep, split, rng.uniform(-0.4, 0.4))
+            rep, known = _checked_twist(rep, split, rng.uniform(-0.4, 0.4),
+                                        known)
         except (BoundaryElliptic, NotHyperbolic, NonUnitDeterminant):
             continue  # non-hyperbolic splitting image: no twist along it
-    got_e, got_s = euler_class(rep), sign_vector(rep)
+    got_e, got_s = known if known is not None else invariants(rep)
     if got_e != req.euler or got_s.entries != sv.entries:
         raise SelfVerificationError(
             f"built (e, s) = ({got_e}, {got_s.entries}), requested "

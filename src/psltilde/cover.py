@@ -196,8 +196,8 @@ def _displacement_extrema(p: ProjectiveMatrix, k: int) -> tuple[float, float]:
     alpha + beta cos 2t + gamma sin 2t = 1 with the coefficients below. For
     unit-determinant matrices the min and max of the squared norm multiply to
     1, so solutions always exist; the degenerate R ~ 0 case is a rotation with
-    constant displacement. A coarse sampling fallback guards pathological
-    float behaviour.
+    constant displacement. Raises DegenerateRange when the base is too far
+    from unit determinant for that to hold.
     """
     a, b, c, d = p.rep.entries()
     alpha = (a * a + b * b + c * c + d * d) / 2.0
@@ -210,8 +210,10 @@ def _displacement_extrema(p: ProjectiveMatrix, k: int) -> tuple[float, float]:
         return (v, v)
     u = (1.0 - alpha) / r
     if abs(u) > 1.0 + 1e-9:
-        # should not happen for det-1 input; fall back to sampling
-        return _sampled_extrema(p, k)
+        # alpha^2 - r^2 = det^2, so |u| <= 1 for unit-determinant bases
+        raise DegenerateRange(
+            f"displacement extrema equation has no solution (u = {u!r}); "
+            "base is not unit-determinant")
     u = max(-1.0, min(1.0, u))
     psi = math.atan2(gamma, beta)
     phi = math.acos(u)
@@ -220,39 +222,6 @@ def _displacement_extrema(p: ProjectiveMatrix, k: int) -> tuple[float, float]:
         t = tc % PI
         values.append(angle_lift(p, t) + shift - t)
     return (min(values), max(values))
-
-
-def _sampled_extrema(p: ProjectiveMatrix, k: int, n: int = 64) -> tuple[float, float]:
-    """64-point sampling plus golden-section refinement; fallback only."""
-    shift = k * PI
-
-    def f(t: float) -> float:
-        return angle_lift(p, t) + shift - t
-
-    ts = [PI * i / n for i in range(n + 1)]
-    vals = [f(t) for t in ts]
-
-    def refine(i: int, sign: float) -> float:
-        lo = ts[max(i - 1, 0)]
-        hi = ts[min(i + 1, n)]
-        g = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - g * (hi - lo)
-        x2 = lo + g * (hi - lo)
-        f1, f2 = sign * f(x1), sign * f(x2)
-        for _ in range(80):
-            if f1 < f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - g * (hi - lo)
-                f1 = sign * f(x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + g * (hi - lo)
-                f2 = sign * f(x2)
-        return sign * min(f1, f2)
-
-    imin = min(range(n + 1), key=lambda i: vals[i])
-    imax = max(range(n + 1), key=lambda i: vals[i])
-    return (refine(imin, 1.0), -refine(imax, -1.0))
 
 
 def _psl_parabolic_sign(p: ProjectiveMatrix) -> int:

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import math
 
-from .mobius import Matrix2, ProjectiveMatrix, normalize, normalize_unit
-
-_SPLITTER = 134217729.0  # 2**27 + 1
+from .mobius import (
+    Matrix2,
+    ProjectiveMatrix,
+    _two_prod,
+    normalize,
+    normalize_unit,
+)
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -20,18 +24,6 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     bb = s - a
     err = (a - (s - bb)) + (b - bb)
     return s, err
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
 
 
 def _dd_add(ahi, alo, bhi, blo):

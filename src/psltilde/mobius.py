@@ -18,6 +18,22 @@ CONJ_TOL = 1e-8
 
 ALL_DIRECTIONS = "all"  # fixed_directions result for the identity
 
+_SPLITTER = 134217729.0  # 2**27 + 1
+_DET_ULPS = 4.0 * 2.0 ** -53  # rescale-skip band, relative to |ad| + |bc|
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """Error-free product: a * b == p + err exactly (Dekker)."""
+    p = a * b
+    ah = _SPLITTER * a
+    ah = ah - (ah - a)
+    al = a - ah
+    bh = _SPLITTER * b
+    bh = bh - (bh - b)
+    bl = b - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, err
+
 
 @dataclass(frozen=True)
 class Matrix2:
@@ -124,12 +140,16 @@ def normalize(m: Matrix2, det_tol: float = DET_PRE_TOL) -> ProjectiveMatrix:
     """Rescale to determinant 1 and pick the canonical-sign representative.
 
     Raises NonUnitDeterminant for det <= 0 or |det - 1| >= det_tol: this layer
-    repairs float drift, not arbitrary GL matrices.
+    repairs float drift, not arbitrary GL matrices. The determinant is read
+    with compensated products, and a matrix whose determinant is 1 to within
+    its rounding error is left unscaled, so normalizing is a projection.
     """
-    det = m.det()
+    p1, e1 = _two_prod(m.a, m.d)
+    p2, e2 = _two_prod(m.b, m.c)
+    det = (p1 - p2) + (e1 - e2)
     if det <= 0.0 or abs(det - 1.0) >= det_tol:
         raise NonUnitDeterminant(f"determinant {det!r} not acceptably close to 1")
-    if det != 1.0:
+    if abs(det - 1.0) > _DET_ULPS * (abs(p1) + abs(p2)):
         m = m.scale(1.0 / math.sqrt(det))
     return ProjectiveMatrix(_canonical_sign(m))
 
@@ -168,6 +188,25 @@ def _angle_of(vx: float, vy: float) -> float:
     return math.atan2(vy, vx) % math.pi
 
 
+def _positive_trace_rep(p: ProjectiveMatrix) -> Matrix2:
+    return p.rep if p.rep.trace() > 0 else -p.rep
+
+
+def _eigenvalues(m: Matrix2) -> tuple[float, float]:
+    """Expanding and contracting eigenvalues of a hyperbolic m with
+    positive trace."""
+    tr = m.trace()
+    disc = math.sqrt(tr * tr - 4.0)
+    return (tr + disc) / 2.0, (tr - disc) / 2.0
+
+
+def _eigenvector(m: Matrix2, lam: float) -> tuple[float, float]:
+    """Kernel direction of m - lam I, read off its larger row."""
+    v1 = (m.b, lam - m.a)
+    v2 = (lam - m.d, m.c)
+    return v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
+
+
 def fixed_directions(p: ProjectiveMatrix):
     """Angles t in [0, pi) with p . (cos t, sin t) projectively fixed.
 
@@ -179,23 +218,11 @@ def fixed_directions(p: ProjectiveMatrix):
         return ALL_DIRECTIONS
     if kind is PslType.ELLIPTIC:
         return []
-    m = p.rep if p.rep.trace() > 0 else -p.rep
-    tr = m.trace()
+    m = _positive_trace_rep(p)
     if kind is PslType.HYPERBOLIC:
-        disc = math.sqrt(tr * tr - 4.0)
-        out = []
-        for lam in ((tr + disc) / 2.0, (tr - disc) / 2.0):
-            # eigenvector of the larger row of (m - lam I)
-            v1 = (m.b, lam - m.a)
-            v2 = (lam - m.d, m.c)
-            v = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
-            out.append(_angle_of(*v))
-        return sorted(out)
-    # parabolic: kernel direction of (m - I)
-    v1 = (m.b, 1.0 - m.a)
-    v2 = (1.0 - m.d, m.c)
-    v = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
-    return [_angle_of(*v)]
+        return sorted(_angle_of(*_eigenvector(m, lam))
+                      for lam in _eigenvalues(m))
+    return [_angle_of(*_eigenvector(m, 1.0))]
 
 
 def _strictly_inside_arc(x: float, a: float, b: float) -> bool:
@@ -218,21 +245,13 @@ def axes_cross(p: ProjectiveMatrix, q: ProjectiveMatrix) -> bool:
     return inside == 1
 
 
-def _positive_trace_rep(p: ProjectiveMatrix) -> Matrix2:
-    return p.rep if p.rep.trace() > 0 else -p.rep
-
-
 def _hyperbolic_frame(p: ProjectiveMatrix) -> Matrix2:
     """Unit-determinant matrix whose columns are the expanding and
     contracting eigendirections of p, in that order."""
     m = _positive_trace_rep(p)
-    tr = m.trace()
-    disc = math.sqrt(tr * tr - 4.0)
     cols = []
-    for lam in ((tr + disc) / 2.0, (tr - disc) / 2.0):
-        v1 = (m.b, lam - m.a)
-        v2 = (lam - m.d, m.c)
-        v = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
+    for lam in _eigenvalues(m):
+        v = _eigenvector(m, lam)
         n = math.hypot(*v)
         cols.append((v[0] / n, v[1] / n))
     f = Matrix2(cols[0][0], cols[1][0], cols[0][1], cols[1][1])

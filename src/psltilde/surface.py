@@ -9,7 +9,6 @@ violate the defining relation.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -175,16 +174,42 @@ class SignVector:
         return len(self.entries)
 
 
-def _require_hp(rep: Representation) -> list[PslType]:
-    kinds = []
+def _peripherals(rep: Representation
+                 ) -> tuple[list[ProjectiveMatrix], SignVector]:
+    """The peripheral images, each evaluated once, and their sign vector;
+    raises NotHP for elliptic or identity images."""
+    table = {PslType.PARABOLIC_PLUS: 1, PslType.PARABOLIC_MINUS: -1,
+             PslType.HYPERBOLIC: 0}
+    images, signs = [], []
     for i in range(1, rep.surface.punctures + 1):
-        kind = classify_psl(rep.peripheral_image(i))
+        image = rep.peripheral_image(i)
+        kind = classify_psl(image)
         if kind in (PslType.ELLIPTIC, PslType.IDENTITY):
             raise NotHP(
                 f"peripheral image {i} is {kind.value}; need hyperbolic or "
                 "parabolic")
-        kinds.append(kind)
-    return kinds
+        images.append(image)
+        signs.append(table[kind])
+    return images, SignVector(tuple(signs))
+
+
+def _euler_from(rep: Representation, peripherals: list[ProjectiveMatrix],
+                shifts: dict[str, int]) -> int:
+    surf = rep.surface
+    total: CoverElement | None = None
+    for j in range(1, surf.genus + 1):
+        a, b = surf.a(j), surf.b(j)
+        k = cover_commutator(CoverElement(rep.image(a), shifts.get(a, 0)),
+                             CoverElement(rep.image(b), shifts.get(b, 0)))
+        total = k if total is None else cover_mul(total, k)
+    for image in peripherals:
+        ct = special_lift(image, "closure_hyp0")
+        total = ct if total is None else cover_mul(total, ct)
+    if not total.base.is_identity(EULER_BASE_TOL):
+        raise RelatorNotCentral(
+            f"lifted relator base off identity by "
+            f"{total.base.rep.maxdiff(Matrix2(1, 0, 0, 1)):.3e}")
+    return central_index(total)
 
 
 def euler_class(rep: Representation, ab_lift_shifts: dict[str, int] | None = None) -> int:
@@ -196,30 +221,18 @@ def euler_class(rep: Representation, ab_lift_shifts: dict[str, int] | None = Non
     peripherals and RelatorNotCentral if the lifted relator does not project
     to the identity.
     """
-    _require_hp(rep)
-    shifts = ab_lift_shifts or {}
-    surf = rep.surface
-    total: CoverElement | None = None
-    for j in range(1, surf.genus + 1):
-        a, b = surf.a(j), surf.b(j)
-        k = cover_commutator(CoverElement(rep.image(a), shifts.get(a, 0)),
-                             CoverElement(rep.image(b), shifts.get(b, 0)))
-        total = k if total is None else cover_mul(total, k)
-    for i in range(1, surf.punctures + 1):
-        ct = special_lift(rep.peripheral_image(i), "closure_hyp0")
-        total = ct if total is None else cover_mul(total, ct)
-    if not total.base.is_identity(EULER_BASE_TOL):
-        raise RelatorNotCentral(
-            f"lifted relator base off identity by "
-            f"{total.base.rep.maxdiff(Matrix2(1, 0, 0, 1)):.3e}")
-    return central_index(total)
+    return _euler_from(rep, _peripherals(rep)[0], ab_lift_shifts or {})
 
 
 def sign_vector(rep: Representation) -> SignVector:
-    kinds = _require_hp(rep)
-    table = {PslType.PARABOLIC_PLUS: 1, PslType.PARABOLIC_MINUS: -1,
-             PslType.HYPERBOLIC: 0}
-    return SignVector(tuple(table[k] for k in kinds))
+    return _peripherals(rep)[1]
+
+
+def invariants(rep: Representation) -> tuple[int, SignVector]:
+    """(euler_class(rep), sign_vector(rep)) from one evaluation of the
+    peripheral images."""
+    images, signs = _peripherals(rep)
+    return _euler_from(rep, images, {}), signs
 
 
 class Feasibility(Enum):
@@ -407,11 +420,9 @@ def restrict(rep: Representation, split: SplittingSpec
 
 def _one_parameter_power(m: ProjectiveMatrix, t: float) -> ProjectiveMatrix:
     """Time-t element of the hyperbolic one-parameter subgroup through m."""
-    from .mobius import _hyperbolic_frame, _positive_trace_rep
+    from .mobius import _eigenvalues, _hyperbolic_frame, _positive_trace_rep
 
-    rep = _positive_trace_rep(m)
-    tr = rep.trace()
-    lam = (tr + math.sqrt(tr * tr - 4.0)) / 2.0
+    lam = _eigenvalues(_positive_trace_rep(m))[0]
     f = _hyperbolic_frame(m)
     d = Matrix2(lam ** t, 0.0, 0.0, lam ** (-t))
     return normalize(f @ d @ f.inv())
@@ -450,13 +461,11 @@ def _expand_last(surf: SurfacePresentation, w: CurveWord) -> CurveWord:
     return substitute(w, images)
 
 
-def twist_deform(rep: Representation, curve, t: float) -> Representation:
-    """Conjugate one side of a standard splitting by the time-t element of
-    the one-parameter subgroup through the curve's image. Peripheral types,
-    Euler class and sign vector are asserted unchanged."""
+def _twist(rep: Representation, split: SplittingSpec, t: float
+           ) -> Representation:
+    """Conjugate side A of a standard splitting by the time-t element of the
+    one-parameter subgroup through the curve's image."""
     surf = rep.surface
-    split = curve if isinstance(curve, SplittingSpec) else \
-        find_standard_split(surf, curve)
     split.validate(surf)
     boundary = eval_word(rep, split.curve_word(surf))
     bkind = classify_psl(boundary)
@@ -468,14 +477,34 @@ def twist_deform(rep: Representation, curve, t: float) -> Representation:
         return rep
     h = _one_parameter_power(boundary, t)
     side = set(_split_side_a_generators(surf, split))
-    new_images = {
+    return Representation(surf, {
         gen: (h @ m @ h.inv() if gen in side else m)
         for gen, m in rep.images.items()
-    }
-    out = Representation(surf, new_images)
-    before = (euler_class(rep), sign_vector(rep))
-    after = (euler_class(out), sign_vector(out))
+    })
+
+
+def _checked_twist(rep: Representation, split: SplittingSpec, t: float,
+                   before: tuple[int, SignVector] | None = None
+                   ) -> tuple[Representation, tuple[int, SignVector] | None]:
+    """_twist, with the output's invariants asserted equal to the input's.
+    `before` is the input's invariants when the caller already has them;
+    returns the output and its invariants."""
+    out = _twist(rep, split, t)
+    if out is rep:
+        return rep, before
+    if before is None:
+        before = invariants(rep)
+    after = invariants(out)
     if before != after:
         raise SelfVerificationError(
             f"twist changed invariants: {before} -> {after}")
-    return out
+    return out, after
+
+
+def twist_deform(rep: Representation, curve, t: float) -> Representation:
+    """Conjugate one side of a standard splitting by the time-t element of
+    the one-parameter subgroup through the curve's image. Peripheral types,
+    Euler class and sign vector are asserted unchanged."""
+    split = curve if isinstance(curve, SplittingSpec) else \
+        find_standard_split(rep.surface, curve)
+    return _checked_twist(rep, split, t)[0]

@@ -13,6 +13,7 @@ from psltilde.constructors import (
     build_rep,
     cover_flip,
     fricke_commutator_trace,
+    pgl_flip,
     sample,
     solve_commutator,
     solve_product,
@@ -35,6 +36,7 @@ from psltilde.cover import (
 from psltilde.errors import (
     InfeasibleRequest,
     NotSupported,
+    SelfVerificationError,
     SolveFailed,
     TargetOutsideImage,
     UnreachableTarget,
@@ -258,6 +260,16 @@ def test_build_rep_deterministic():
     b = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 123))
     for gen in a.surface.free_generators():
         assert a.image(gen).rep.maxdiff(b.image(gen).rep) == 0.0
+
+
+def test_build_rep_rejects_twist_that_changes_invariants(monkeypatch):
+    from psltilde import surface
+
+    twist = surface._twist
+    monkeypatch.setattr(surface, "_twist",
+                        lambda rep, split, t: pgl_flip(twist(rep, split, t)))
+    with pytest.raises(SelfVerificationError, match="twist changed invariants"):
+        build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
 
 
 def test_negative_control():

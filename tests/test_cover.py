@@ -25,8 +25,8 @@ from psltilde.cover import (
     special_lift,
     z_power,
 )
-from psltilde.errors import EllipticHasNoHyp0Lift
-from psltilde.mobius import Matrix2, diag, normalize, rotation
+from psltilde.errors import DegenerateRange, EllipticHasNoHyp0Lift
+from psltilde.mobius import Matrix2, ProjectiveMatrix, diag, normalize, rotation
 from psltilde.sampling import (
     random_cover,
     random_elliptic,
@@ -252,3 +252,9 @@ def test_commutator_image_membership():
         comm = cover_mul(cover_mul(x, y),
                          cover_mul(cover_inv(x), cover_inv(y)))
         assert cover_classify(comm) in COMMUTATOR_IMAGE
+
+
+def test_classify_rejects_non_unit_determinant_base():
+    # det 6: the displacement-extrema equation has u = -2.2, no solution
+    with pytest.raises(DegenerateRange, match="u = -2.2"):
+        cover_classify(CoverElement(ProjectiveMatrix(Matrix2(3, 0, 0, 2)), 0))

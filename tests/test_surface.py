@@ -23,6 +23,7 @@ from psltilde.surface import (
     euler_class,
     eval_word,
     evaluation_map,
+    invariants,
     mw_bounds,
     restrict,
     sign_vector,
@@ -127,8 +128,20 @@ def test_all_cusp_fuchsian_sphere():
 
 def test_euler_rejects_elliptic_peripheral():
     rep = _s03_rep(Matrix2(1, 1, 0, 1), Matrix2(0, 1, -1, 0.5))
-    with pytest.raises(NotHP):
-        euler_class(rep)
+    for fn in (euler_class, sign_vector, invariants):
+        with pytest.raises(NotHP):
+            fn(rep)
+
+
+def test_invariants_match_separate_functions():
+    # extremal, its mirror, counterexample, its mirror
+    for req in (BuildRequest(0, 4, 2, (1, 1, 1, 1), 3),
+                BuildRequest(1, 2, -2, (-1, -1), 3),
+                BuildRequest(1, 2, 1, (1, -1), 3),
+                BuildRequest(0, 4, -1, (-1, 1, -1, -1), 3)):
+        rep = build_rep(req)
+        assert invariants(rep) == (euler_class(rep), sign_vector(rep))
+        assert invariants(rep) == (req.euler, SignVector(req.signs))
 
 
 def test_lift_choice_independence():
