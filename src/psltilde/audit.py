@@ -6,10 +6,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import enumerate_scc
-from .errors import BoundaryElliptic, NotSupported, NotTypePreserving
+from .errors import (
+    BoundaryElliptic,
+    NotHP,
+    NotSupported,
+    NotTypePreserving,
+    RelatorNotCentral,
+)
 from .mobius import classify_psl, is_parabolic
 from .surface import (
     Representation,
+    SignVector,
     SplittingSpec,
     euler_class,
     eval_word,
@@ -45,12 +52,22 @@ class AuditReport:
         return not self.violations
 
 
-def _require_type_preserving(rep: Representation) -> None:
+def _type_preserving_invariants(rep: Representation) -> tuple[int, SignVector]:
+    """invariants(rep), from one evaluation of the peripheral images when
+    every one is parabolic. Otherwise the images are evaluated again, in
+    order, so that NotTypePreserving names the first one that is not."""
+    try:
+        euler, signs = invariants(rep)
+        if 0 not in signs.entries:
+            return euler, signs
+    except (NotHP, RelatorNotCentral):
+        pass
     for i in range(1, rep.surface.punctures + 1):
         kind = classify_psl(rep.peripheral_image(i))
         if not is_parabolic(kind):
             raise NotTypePreserving(
                 f"peripheral image {i} is {kind.value}, not parabolic")
+    return invariants(rep)  # every image parabolic: raises the relator error
 
 
 def audit_rep(rep: Representation, depth: int,
@@ -60,7 +77,7 @@ def audit_rep(rep: Representation, depth: int,
     unit-determinant |trace| clears 2 by less than the margin (elliptic and
     identity images included). Deterministic: curves are canonical and
     evaluated in sorted order."""
-    _require_type_preserving(rep)
+    euler, signs = _type_preserving_invariants(rep)
     if curves is None:
         curves = enumerate_scc(rep.surface, depth)
     min_margin = float("inf")
@@ -72,7 +89,6 @@ def audit_rep(rep: Representation, depth: int,
         if tr - 2.0 < margin:
             violations.append(
                 Violation(format_word(w), classify_psl(image).value, tr))
-    euler, signs = invariants(rep)
     return AuditReport(
         genus=rep.surface.genus,
         punctures=rep.surface.punctures,

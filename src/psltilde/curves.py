@@ -219,6 +219,7 @@ def enumerate_scc(surf: SurfacePresentation, depth: int,
         autos = default_autos(surf)
     maps = autos + [f.inverse() for f in autos]
     frontier = scc_seeds(surf)
+    curves = list(frontier)
     seen = {w.letters for w in frontier}
     dropped = 0
     for _ in range(depth):
@@ -232,10 +233,11 @@ def enumerate_scc(surf: SurfacePresentation, depth: int,
                 if img.letters and img.letters not in seen:
                     seen.add(img.letters)
                     new_frontier.append(img)
+        curves += new_frontier
         frontier = sorted(new_frontier, key=lambda w: w.letters)
         if not frontier:
             break
-    curves = sorted((CurveWord(ls) for ls in seen), key=lambda w: w.letters)
+    curves.sort(key=lambda w: w.letters)
     if return_stats:
         return curves, {"dropped": dropped, "depth": depth, "count": len(curves)}
     return curves

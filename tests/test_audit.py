@@ -9,17 +9,41 @@ from psltilde.constructors import (
 )
 from psltilde.curves import enumerate_scc
 from psltilde.errors import NotSupported, NotTypePreserving
-from psltilde.mobius import Matrix2, normalize
+from psltilde.mobius import Matrix2, normalize, rotation
 from psltilde.sampling import random_hyperbolic
 from psltilde.surface import Representation, SurfacePresentation
 import random
 
 
+def _thrice_punctured(c1, c2):
+    return Representation(SurfacePresentation(0, 3), {"c1": c1, "c2": c2})
+
+
 def test_audit_requires_type_preserving():
     rng = random.Random(1)
     rep = build_boundary_extremal(0, 3, random_hyperbolic(rng), rng)
-    with pytest.raises(NotTypePreserving):
+    with pytest.raises(NotTypePreserving,
+                       match="^peripheral image 3 is Hyperbolic, not parabolic$"):
         audit_rep(rep, 1)
+    par = normalize(Matrix2(1.0, 1.0, 0.0, 1.0))
+    ell = normalize(rotation(1.0))
+    with pytest.raises(NotTypePreserving,
+                       match="^peripheral image 1 is Elliptic, not parabolic$"):
+        audit_rep(_thrice_punctured(ell, par), 1)
+    # hyperbolic image 1 is named, not the elliptic image 2 after it
+    with pytest.raises(NotTypePreserving,
+                       match="^peripheral image 1 is Hyperbolic, not parabolic$"):
+        audit_rep(_thrice_punctured(random_hyperbolic(rng), ell), 1)
+
+
+def test_audit_evaluates_each_peripheral_once(monkeypatch):
+    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
+    calls = []
+    original = Representation.peripheral_image
+    monkeypatch.setattr(Representation, "peripheral_image",
+                        lambda self, i: calls.append(i) or original(self, i))
+    audit_rep(rep, 1)
+    assert calls == [1, 2, 3, 4]
 
 
 def test_audit_counterexample_zero_violations():

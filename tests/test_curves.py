@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from psltilde.curves import (
@@ -9,7 +11,7 @@ from psltilde.curves import (
     validate_auto,
 )
 from psltilde.surface import SurfacePresentation
-from psltilde.words import parse_word, word
+from psltilde.words import format_word, parse_word, word
 
 S04 = SurfacePresentation(0, 4)
 S12 = SurfacePresentation(1, 2)
@@ -103,6 +105,27 @@ def test_growth_sanity():
     counts = [len(enumerate_scc(S04, d)) for d in range(4)]
     assert counts == [2, 6, 14, 36]
     assert counts[3] > counts[2] > counts[1]
+
+
+# (genus, punctures, depth): (count, dropped, sha256 of the newline-joined
+# format_word list), recorded with the quadratic all-rotations canonical form
+# that the linear one replaced
+GOLDEN = {
+    (0, 4, 5): (240, 0, "a3bdbdf26e110506f5d35f0578a9aa175e0d381b2e4886b22837aa20a19b2f75"),
+    (1, 2, 4): (33, 0, "ca0778080bd126bae1621edac215c97b4d08ff4c14484b3d81c9900b3b7a303f"),
+    (2, 1, 3): (33, 0, "5e302fedd91ee3abadf3ec19daf390680ba74320bc844d623297a213b36d8b15"),
+    (0, 5, 3): (183, 0, "c9901fcf48e9e20cb119af99febaa61e80024e9c3ad3f1aac2e57dd208490981"),
+    (1, 1, 6): (128, 0, "588a770b3c57b75ef516d90ab090605fcf738e83cf7cf96b39869813fc1a870f"),
+}
+
+
+@pytest.mark.parametrize("g,p,d", sorted(GOLDEN))
+def test_enumeration_golden_digest(g, p, d):
+    curves, stats = enumerate_scc(SurfacePresentation(g, p), d,
+                                  return_stats=True)
+    digest = hashlib.sha256(
+        "\n".join(format_word(w) for w in curves).encode()).hexdigest()
+    assert (stats["count"], stats["dropped"], digest) == GOLDEN[g, p, d]
 
 
 def test_enumeration_outputs_nonperipheral():
