@@ -13,13 +13,13 @@ from .errors import (
     NotTypePreserving,
     RelatorNotCentral,
 )
+from .exact import CurveList, abs_trace, curve_products, psl_type, trace_margin
 from .mobius import classify_psl, is_parabolic
 from .surface import (
     Representation,
     SignVector,
     SplittingSpec,
     euler_class,
-    eval_word,
     invariants,
     restrict,
 )
@@ -46,6 +46,8 @@ class AuditReport:
     curves_checked: int
     min_trace_margin: float
     violations: tuple[Violation, ...]
+    min_margin_curve: str | None  # the first curve attaining the minimum
+    words_dropped: int | None     # by MAX_ORBIT_WORD_LEN, when enumerated here
 
     @property
     def passed(self) -> bool:
@@ -72,23 +74,33 @@ def _type_preserving_invariants(rep: Representation) -> tuple[int, SignVector]:
 
 def audit_rep(rep: Representation, depth: int,
               margin: float = DEFAULT_MARGIN,
-              curves: list[CurveWord] | None = None) -> AuditReport:
-    """Evaluate every enumerated curve class; a violation is any image whose
+              curves: list[CurveWord] | CurveList | None = None
+              ) -> AuditReport:
+    """Decide every curve class: a violation is any image whose
     unit-determinant |trace| clears 2 by less than the margin (elliptic and
-    identity images included). Deterministic: curves are canonical and
-    evaluated in sorted order."""
+    identity images included).
+
+    Each verdict is exact about the stored float matrices: the curve images
+    are integer products (psltilde.exact), and only each margin is rounded,
+    to within a few ulps. Pass a CurveList to audit many representations of
+    one surface against one prepared list. Deterministic: violations come in
+    the order of the curves, which enumeration sorts."""
     euler, signs = _type_preserving_invariants(rep)
+    dropped = None
     if curves is None:
-        curves = enumerate_scc(rep.surface, depth)
-    min_margin = float("inf")
-    violations = []
-    for w in curves:
-        image = eval_word(rep, w)
-        tr = abs(image.rep.trace())
-        min_margin = min(min_margin, tr - 2.0)
-        if tr - 2.0 < margin:
-            violations.append(
-                Violation(format_word(w), classify_psl(image).value, tr))
+        curves, stats = enumerate_scc(rep.surface, depth, return_stats=True)
+        dropped = stats["dropped"]
+    if not isinstance(curves, CurveList):
+        curves = CurveList(rep.surface, curves)
+    margins = [0.0] * len(curves)
+    flagged = {}
+    for i, image in curve_products(rep, curves):
+        m = margins[i] = trace_margin(image)
+        if m < margin:
+            flagged[i] = Violation(format_word(curves.words[i]),
+                                   psl_type(image, m).value,
+                                   abs_trace(image))
+    worst = min(range(len(margins)), key=margins.__getitem__, default=None)
     return AuditReport(
         genus=rep.surface.genus,
         punctures=rep.surface.punctures,
@@ -97,8 +109,11 @@ def audit_rep(rep: Representation, depth: int,
         depth=depth,
         margin=margin,
         curves_checked=len(curves),
-        min_trace_margin=min_margin,
-        violations=tuple(violations),
+        min_trace_margin=float("inf") if worst is None else margins[worst],
+        violations=tuple(flagged[i] for i in sorted(flagged)),
+        min_margin_curve=None if worst is None
+        else format_word(curves.words[worst]),
+        words_dropped=dropped,
     )
 
 
@@ -129,12 +144,15 @@ def _split_off_pants_with(rep: Representation, puncture: int
     return pants, [piece1, piece2]
 
 
-def check_restrictions(rep: Representation) -> RestrictionReport:
+def check_restrictions(rep: Representation,
+                       known: tuple[int, SignVector] | None = None
+                       ) -> RestrictionReport:
     """Certify the almost-Fuchsian structure: the pants containing the
     negative puncture carries Euler class 0 and every complementary piece is
     extremal (|e| = -chi, the Fuchsian certificate). Extremal input passes
-    degenerately with every piece extremal."""
-    n, s = invariants(rep)
+    degenerately with every piece extremal. known is invariants(rep) when
+    the caller has it already (an audit of rep has)."""
+    n, s = invariants(rep) if known is None else known
     chi = rep.surface.chi
     if n == -chi - 1 and s.p_minus == 1 and chi <= -2:
         neg = list(s.entries).index(-1) + 1

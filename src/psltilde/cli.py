@@ -18,6 +18,7 @@ from .cover import cover_classify
 from .errors import PslTildeError
 from .mobius import classify_psl
 from .selftest import run_selftest
+from .surface import SignVector
 
 
 def _parse_signs(text: str) -> tuple[int, ...]:
@@ -81,7 +82,8 @@ def _cmd_audit(args) -> int:
     payload = jsonio.audit_report_to_json(report)
     if args.restrictions:
         try:
-            restriction = check_restrictions(rep)
+            restriction = check_restrictions(
+                rep, (report.euler, SignVector(report.signs)))
             payload["restrictions"] = {
                 "mode": restriction.mode,
                 "negative_puncture": restriction.negative_puncture,

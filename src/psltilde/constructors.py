@@ -884,6 +884,7 @@ def sample(req: BuildRequest, count: int, depth: int = 4,
     summary), with reports[i] the AuditReport of reps[i]."""
     from .audit import audit_rep
     from .curves import enumerate_scc
+    from .exact import CurveList
 
     _check_feasible(req)
     reps, reports = [], []
@@ -895,7 +896,7 @@ def sample(req: BuildRequest, count: int, depth: int = 4,
         rep = build_rep(child)
         reps.append(rep)
         if curves is None:
-            curves = enumerate_scc(rep.surface, depth)
+            curves = CurveList(rep.surface, enumerate_scc(rep.surface, depth))
         report = audit_rep(rep, depth, margin, curves=curves)
         reports.append(report)
         if not report.violations:

@@ -9,6 +9,7 @@ import json
 import os
 import tempfile
 
+from . import exact
 from .audit import AuditReport
 from .cover import CoverClass, CoverElement
 from .errors import RelatorNotCentral
@@ -129,12 +130,16 @@ def representation_from_json(data) -> Representation:
     rep = Representation(surf, images)
     last = surf.c(surf.punctures)
     if last in data["images"]:
-        claimed = matrix_from_json(data["images"][last])
-        implied = rep.peripheral_image(surf.punctures)
-        if claimed.rep.maxdiff(implied.rep) >= 1e-8:
+        matrix_from_json(data["images"][last])  # refuses non-unit determinants
+        # the stored c_p against the exact image of its defining word
+        claimed = exact.unit_entries(exact.int_matrix(data["images"][last]))
+        implied = exact.unit_entries(exact.word_product(
+            rep, surf.peripheral_word(surf.punctures)))
+        gap = max(abs(u - v) for u, v in zip(claimed, implied))
+        if not gap < 1e-8:
             raise RelatorNotCentral(
                 "serialized last peripheral disagrees with the defining "
-                f"relation by {claimed.rep.maxdiff(implied.rep):.3e}")
+                f"relation by {gap:.3e}")
     return rep
 
 
@@ -146,7 +151,9 @@ def audit_report_to_json(report: AuditReport) -> dict:
         "depth": report.depth,
         "margin": report.margin,
         "curves_checked": report.curves_checked,
+        "words_dropped": report.words_dropped,
         "min_trace_margin": report.min_trace_margin,
+        "min_margin_curve": report.min_margin_curve,
         "violations": [
             {"curve": v.curve, "type": v.psl_type, "trace": v.trace}
             for v in report.violations

@@ -134,3 +134,37 @@ def test_cli_rejects_unknown_flag():
     with pytest.raises(SystemExit):
         run(["construct", "--genus", "0", "--punctures", "4", "--euler", "1",
              "--signs", "+,+,+,-", "--frobnicate"])
+
+
+def test_cli_audit_restrictions_evaluates_peripherals_once(tmp_path,
+                                                            monkeypatch):
+    from psltilde import audit, surface
+
+    rep_path = str(tmp_path / "rep.json")
+    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
+    jsonio.atomic_write(rep_path,
+                        jsonio.dumps(jsonio.representation_to_json(rep)))
+    inside, calls = [], []
+    invariants, eval_word = audit.invariants, surface.eval_word
+
+    def counted_invariants(r):
+        inside.append(r)
+        try:
+            return invariants(r)
+        finally:
+            inside.pop()
+
+    def counted_eval_word(r, w):
+        if inside and r is inside[-1]:
+            calls.append(str(w))
+        return eval_word(r, w)
+
+    monkeypatch.setattr(audit, "invariants", counted_invariants)
+    monkeypatch.setattr(surface, "eval_word", counted_eval_word)
+    report_path = str(tmp_path / "audit.json")
+    assert run(["audit", rep_path, "--depth", "0", "--restrictions",
+                "--report", report_path]) == 0
+    assert len(calls) == 4
+    with open(report_path) as fh:
+        restrictions = json.load(fh)["restrictions"]
+    assert restrictions["mode"] == "counterexample" and restrictions["passed"]
