@@ -44,7 +44,7 @@ class AuditReport:
     depth: int
     margin: float
     curves_checked: int
-    min_trace_margin: float
+    min_trace_margin: float | None  # None, like the curve, when none checked
     violations: tuple[Violation, ...]
     min_margin_curve: str | None  # the first curve attaining the minimum
     words_dropped: int | None     # by MAX_ORBIT_WORD_LEN, when enumerated here
@@ -109,7 +109,7 @@ def audit_rep(rep: Representation, depth: int,
         depth=depth,
         margin=margin,
         curves_checked=len(curves),
-        min_trace_margin=float("inf") if worst is None else margins[worst],
+        min_trace_margin=None if worst is None else margins[worst],
         violations=tuple(flagged[i] for i in sorted(flagged)),
         min_margin_curve=None if worst is None
         else format_word(curves.words[worst]),

@@ -97,32 +97,58 @@ def kind_class(kind: FactorKind) -> CoverClass:
     return _KIND_CLASS[kind]
 
 
+def _product_image_table() -> dict:
+    F, H, E = FactorKind, PslType.HYPERBOLIC, PslType.ELLIPTIC
+    rows = [
+        (F.HYP0, F.HYP0, H, {Hyp(-1), Hyp(0), Hyp(1)}),
+        (F.PAR_PLUS0, F.HYP0, H, {Hyp(0), Hyp(1)}),
+        (F.PAR_MINUS0, F.HYP0, H, {Hyp(0), Hyp(-1)}),
+        (F.PAR_PLUS0, F.PAR_PLUS0, H, {Hyp(1)}),
+        (F.PAR_MINUS0, F.PAR_MINUS0, H, {Hyp(-1)}),
+        (F.PAR_PLUS0, F.PAR_MINUS0, H, {Hyp(0)}),
+        (F.PAR_PLUS0, F.PAR_PLUS0, E, {Ell(1)}),
+        (F.PAR_MINUS0, F.PAR_MINUS0, E, {Ell(-1)}),
+        (F.PAR_PLUS0, F.ELL1, E, {Ell(1)}),
+        (F.PAR_MINUS0, F.ELL1, E, {Ell(1)}),
+        (F.HYP0, F.HYP0, E, {Ell(-1), Ell(1)}),
+        (F.HYP0, F.PAR_PLUS0, E, {Ell(1)}),
+        (F.HYP0, F.PAR_MINUS0, E, {Ell(-1)}),
+        (F.HYP0, F.ELL1, E, {Ell(1)}),
+        (F.ELL_MINUS1, F.ELL1, E, {Ell(-1), Ell(1)}),
+    ]
+    return {(frozenset((k1, k2)), want): frozenset(allowed)
+            for k1, k2, want, allowed in rows}
+
+
+# The product-image theorems: for each unordered pair of factor kinds and
+# each PSL type of the product, the components that product can land in.
+PRODUCT_IMAGE: dict[tuple[frozenset[FactorKind], PslType],
+                    frozenset[CoverClass]] = _product_image_table()
+
+
+# The commutator image: the components a commutator [x, y] can land in.
+COMMUTATOR_IMAGE = frozenset({
+    Hyp(-1), ParPlus(-1), Ell(-1), ParPlus(0), ParMinus(0), Center(0),
+    Hyp(0), Ell(1), ParMinus(1), Hyp(1),
+})
+
+
+def _reachable_table() -> dict[frozenset[FactorKind], frozenset[CoverClass]]:
+    # Hyp0 x Hyp0 also reaches the Par(0) targets, by trace shooting
+    table = {frozenset((FactorKind.HYP0,)): {ParPlus(0), ParMinus(0)}}
+    for (pair, _), allowed in PRODUCT_IMAGE.items():
+        table.setdefault(pair, set()).update(allowed)
+    return {pair: frozenset(classes) for pair, classes in table.items()}
+
+
+_REACHABLE = _reachable_table()
+
+
 def _reachable_classes(k1: FactorKind, k2: FactorKind) -> frozenset[CoverClass]:
-    """Components a product of the two factor kinds can land in (hyperbolic
-    and elliptic products of level-zero/level-one factors, plus the Par(0)
-    targets the Hyp0 x Hyp0 family reaches by trace shooting)."""
-    F = FactorKind
-    pair = frozenset((k1, k2)) if k1 != k2 else frozenset((k1,))
-    if pair == frozenset((F.HYP0,)):
-        return frozenset({Hyp(-1), Hyp(0), Hyp(1), Ell(-1), Ell(1),
-                          ParPlus(0), ParMinus(0)})
-    if pair == frozenset((F.PAR_PLUS0,)):
-        return frozenset({Hyp(1), Ell(1)})
-    if pair == frozenset((F.PAR_MINUS0,)):
-        return frozenset({Hyp(-1), Ell(-1)})
-    if pair == frozenset((F.PAR_PLUS0, F.PAR_MINUS0)):
-        return frozenset({Hyp(0)})
-    if pair == frozenset((F.HYP0, F.PAR_PLUS0)):
-        return frozenset({Hyp(0), Hyp(1), Ell(1)})
-    if pair == frozenset((F.HYP0, F.PAR_MINUS0)):
-        return frozenset({Hyp(0), Hyp(-1), Ell(-1)})
-    if pair in (frozenset((F.PAR_PLUS0, F.ELL1)), frozenset((F.PAR_MINUS0, F.ELL1))):
-        return frozenset({Ell(1)})
-    if pair == frozenset((F.HYP0, F.ELL1)):
-        return frozenset({Ell(1)})
-    if pair == frozenset((F.ELL_MINUS1, F.ELL1)):
-        return frozenset({Ell(-1), Ell(1)})
-    return frozenset()
+    """Components a product of the two factor kinds can land in: the
+    PRODUCT_IMAGE entries of the pair, plus the Par(0) targets the
+    Hyp0 x Hyp0 family reaches by trace shooting."""
+    return _REACHABLE.get(frozenset((k1, k2)), frozenset())
 
 
 def _flip_matrix(m: Matrix2) -> Matrix2:
@@ -419,12 +445,6 @@ def _solve_hyp_hyp_extended(target: CoverElement,
     x, y = _transport_pair(x, y, target, rng)
     _verify_product(x, y, FactorKind.HYP0, FactorKind.HYP0, target)
     return x, y
-
-
-COMMUTATOR_IMAGE = frozenset({
-    Hyp(-1), ParPlus(-1), Ell(-1), ParPlus(0), ParMinus(0), Center(0),
-    Hyp(0), Ell(1), ParMinus(1), Hyp(1),
-})
 
 
 def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL) -> float:

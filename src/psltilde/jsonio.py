@@ -6,6 +6,7 @@ identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -83,8 +84,18 @@ def matrix_to_json(m: ProjectiveMatrix) -> list[float]:
 
 
 def matrix_from_json(data) -> ProjectiveMatrix:
+    """ValueError unless data is a list of 4 finite numbers."""
     from .mobius import normalize_unit
 
+    try:
+        ok = (isinstance(data, (list, tuple)) and len(data) == 4
+              and all(type(v) in (int, float) and math.isfinite(v)
+                      for v in data))
+    except OverflowError:  # an integer past the float range
+        ok = False
+    if not ok:
+        raise ValueError("a matrix must be a list of 4 finite numbers, "
+                         f"got {data!r:.60}")
     a, b, c, d = (float(v) for v in data)
     m = Matrix2(a, b, c, d)
     det = m.det()
@@ -98,8 +109,15 @@ def cover_element_to_json(x: CoverElement) -> dict:
     return {"matrix": matrix_to_json(x.base), "index": x.lift_index}
 
 
+def _json_int(data, what: str) -> int:
+    if type(data) is not int:
+        raise ValueError(f"{what} must be an integer, got {data!r:.60}")
+    return data
+
+
 def cover_element_from_json(data) -> CoverElement:
-    return CoverElement(matrix_from_json(data["matrix"]), int(data["index"]))
+    return CoverElement(matrix_from_json(data["matrix"]),
+                        _json_int(data["index"], "index"))
 
 
 def cover_class_to_json(cls: CoverClass) -> dict:
@@ -121,18 +139,29 @@ def representation_to_json(rep: Representation, meta: dict | None = None) -> dic
     }
 
 
+def _json_object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, "
+                         f"got {type(data).__name__}")
+    return data
+
+
 def representation_from_json(data) -> Representation:
-    surf = SurfacePresentation(int(data["surface"]["genus"]),
-                               int(data["surface"]["punctures"]))
+    """ValueError on a malformed document; see matrix_from_json."""
+    surface = _json_object(_json_object(data, "a representation")["surface"],
+                           "surface")
+    stored = _json_object(data["images"], "images")
+    surf = SurfacePresentation(_json_int(surface["genus"], "genus"),
+                               _json_int(surface["punctures"], "punctures"))
     images = {}
     for gen in surf.free_generators():
-        images[gen] = matrix_from_json(data["images"][gen])
+        images[gen] = matrix_from_json(stored[gen])
     rep = Representation(surf, images)
     last = surf.c(surf.punctures)
-    if last in data["images"]:
-        matrix_from_json(data["images"][last])  # refuses non-unit determinants
+    if last in stored:
+        matrix_from_json(stored[last])  # refuses non-unit determinants
         # the stored c_p against the exact image of its defining word
-        claimed = exact.unit_entries(exact.int_matrix(data["images"][last]))
+        claimed = exact.unit_entries(exact.int_matrix(stored[last]))
         implied = exact.unit_entries(exact.word_product(
             rep, surf.peripheral_word(surf.punctures)))
         gap = max(abs(u - v) for u, v in zip(claimed, implied))
@@ -168,6 +197,8 @@ AUDIT_CSV_HEADER = ("genus,punctures,euler,signs,depth,curves_checked,"
 def audit_report_csv_row(report: AuditReport) -> str:
     signs = "".join("+" if s == 1 else ("-" if s == -1 else "0")
                     for s in report.signs)
+    margin = ("" if report.min_trace_margin is None
+              else fmt_float(report.min_trace_margin))
     return (f"{report.genus},{report.punctures},{report.euler},{signs},"
             f"{report.depth},{report.curves_checked},"
-            f"{fmt_float(report.min_trace_margin)},{len(report.violations)}")
+            f"{margin},{len(report.violations)}")

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import pytest
 
@@ -8,11 +7,16 @@ from psltilde import jsonio
 from psltilde.audit import audit_rep
 from psltilde.cli import run
 from psltilde.constructors import BuildRequest, build_rep
-from psltilde.cover import CoverElement, cover_classify
+from psltilde.cover import CoverElement
 from psltilde.errors import RelatorNotCentral
 from psltilde.mobius import Matrix2, normalize
 from psltilde.sampling import derive_seed
-from psltilde.surface import euler_class, sign_vector
+from psltilde.surface import (
+    Representation,
+    SurfacePresentation,
+    euler_class,
+    sign_vector,
+)
 
 
 def test_float_format_round_trip():
@@ -128,6 +132,73 @@ def test_cli_sample_csv(tmp_path):
 
 def test_cli_selftest_quick():
     assert run(["selftest", "--scale", "0.05"]) == 0
+
+
+def test_selftest_fails_when_a_product_class_is_dropped(monkeypatch):
+    from psltilde import constructors
+    from psltilde.mobius import PslType
+    from psltilde.selftest import run_selftest
+
+    par_par = frozenset((constructors.FactorKind.PAR_PLUS0,
+                         constructors.FactorKind.PAR_MINUS0))
+    # Par+ x Par- hyperbolic products land in Hyp(0), its only class
+    monkeypatch.setitem(constructors.PRODUCT_IMAGE,
+                        (par_par, PslType.HYPERBOLIC), frozenset())
+    lines = []
+    assert run_selftest(scale=0.05, out=lines.append) is False
+    assert any(line.startswith("FAIL product image") for line in lines)
+    assert run(["selftest", "--scale", "0.05"]) == 1
+
+
+def test_cli_audit_and_sample_with_no_curves(tmp_path):
+    rep_path = str(tmp_path / "rep.json")
+    assert run(["construct", "--genus", "0", "--punctures", "3", "--euler",
+                "1", "--signs", "+,+,+", "--seed", "1", "-o", rep_path]) == 0
+    report_path = str(tmp_path / "audit.json")
+    assert run(["audit", rep_path, "--depth", "3",
+                "--report", report_path]) == 0
+    with open(report_path) as fh:
+        audit = json.load(fh)
+    assert audit["curves_checked"] == 0
+    assert audit["min_trace_margin"] is None
+    assert audit["min_margin_curve"] is None
+    csv = str(tmp_path / "rows.csv")
+    assert run(["sample", "--genus", "0", "--punctures", "3", "--euler", "1",
+                "--signs", "+,+,+", "--seed", "1", "--count", "2",
+                "--depth", "3", "--csv", csv,
+                "-o", str(tmp_path / "summary.json")]) == 0
+    rows = open(csv).read().splitlines()
+    assert rows[1:] == ["0,3,1,+++,3,0,,0"] * 2
+
+
+def _malformed(kind):
+    if kind == "top-level list":
+        return [1, 2]
+    data = jsonio.representation_to_json(Representation(
+        SurfacePresentation(0, 3), {"c1": normalize(Matrix2(1, 1, 0, 1)),
+                                    "c2": normalize(Matrix2(1, 0, -5, 1))}))
+    if kind == "genus is null":
+        data["surface"]["genus"] = None
+    elif kind == "matrix is a number":
+        data["images"]["c1"] = 5
+    elif kind == "infinite entry in c3":
+        data["images"]["c3"] = [math.inf, 0.0, 0.0, 1.0]
+    elif kind == "NaN entry in c1":
+        data["images"]["c1"] = [math.nan, 0.0, 0.0, 1.0]
+    return data
+
+
+@pytest.mark.parametrize("kind", ["matrix is a number", "top-level list",
+                                  "infinite entry in c3", "NaN entry in c1",
+                                  "genus is null"])
+def test_cli_refuses_malformed_representation(tmp_path, capsys, kind):
+    path = str(tmp_path / "rep.json")
+    with open(path, "w") as fh:
+        json.dump(_malformed(kind), fh)  # writes NaN and Infinity literals
+    for command in (["euler", path], ["audit", path, "--depth", "0"]):
+        assert run(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be" in err
 
 
 def test_cli_rejects_unknown_flag():

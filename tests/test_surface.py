@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from psltilde.constructors import (
+    COMMUTATOR_IMAGE,
     BuildRequest,
     build_boundary_extremal,
     build_rep,
@@ -195,8 +196,6 @@ def test_evaluation_map_commutator_case():
     r = rotation(math.pi / 4)
     q = normalize(r @ p.rep @ r.inv())
     rep = Representation(SurfacePresentation(1, 1), {"a1": p, "b1": q})
-    from psltilde.selftest import COMMUTATOR_IMAGE
-
     assert cover_classify(evaluation_map(rep)) in COMMUTATOR_IMAGE
 
 
