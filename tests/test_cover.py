@@ -24,7 +24,15 @@ from psltilde.cover import (
 from psltilde.errors import DegenerateRange, EllipticHasNoHyp0Lift
 from psltilde.mobius import Matrix2, ProjectiveMatrix, diag, normalize, rotation
 from psltilde.sampling import random_cover, random_hyperbolic, random_psl
-from psltilde.selftest import check_trace_parity
+from psltilde.selftest import (
+    check_central_shifts,
+    check_commutator_image,
+    check_conjugation_invariance,
+    check_cover_laws,
+    check_offdiag,
+    check_offdiag_elliptic,
+    check_trace_parity,
+)
 
 PI = math.pi
 
@@ -108,6 +116,10 @@ def test_translations_add():
     assert abs(angle_lift(prod.base, 0.0) - 1.4) < 1e-12
 
 
+def test_inverse_round_trip():
+    check_cover_laws(1000, 11)
+
+
 def test_inverse_of_hyp1_is_hyp_minus1():
     x = lift_in_class(random_hyperbolic(random.Random(2)), Hyp(1))
     assert cover_classify(cover_inv(x)) == Hyp(-1)
@@ -133,6 +145,18 @@ def test_special_lift_identity():
         == Center(0)
 
 
+def test_homomorphism_and_associativity():
+    check_cover_laws(2000, 3)
+
+
+def test_classification_conjugation_invariant():
+    check_conjugation_invariance(500, 17)
+
+
+def test_central_shift_laws():
+    check_central_shifts(300, 23)
+
+
 def test_sl_projection_is_homomorphism_mod_center():
     rng = random.Random(31)
     for _ in range(300):
@@ -150,6 +174,18 @@ def test_sl_projection_of_z_is_minus_identity():
 
 def test_trace_parity():
     check_trace_parity(500, 37)
+
+
+def test_offdiag_parabolic_sign_rules():
+    check_offdiag(1000, 41)
+
+
+def test_offdiag_elliptic_sign_rules():
+    check_offdiag_elliptic(1000, 43)
+
+
+def test_commutator_image_membership():
+    check_commutator_image(3000, 47)
 
 
 def test_classify_rejects_non_unit_determinant_base():
