@@ -52,6 +52,7 @@ from .mobius import (
     Matrix2,
     ProjectiveMatrix,
     PslType,
+    _unit_scale,
     classify_psl,
     conjugator,
     normalize,
@@ -64,6 +65,8 @@ from .surface import (
     SignVector,
     SurfacePresentation,
     _checked_twist,
+    _one_parameter_power,
+    _power_frame,
     eval_word,
     invariants,
     mw_bounds,
@@ -181,12 +184,52 @@ def _conj_dd(g: ProjectiveMatrix, x: CoverElement) -> CoverElement:
     return with_base(rough, unit_product(g.rep, x.base.rep, g.rep.inv()))
 
 
-def _conj_size(h: Matrix2, mats) -> float:
-    """Largest entry of the conjugates h m h^-1. Raw float products: this is
-    only a conditioning probe, determinant drift at extreme twists must not
-    raise."""
-    hi = h.inv()
-    return max(max(abs(v) for v in (h @ m @ hi).entries()) for m in mats)
+_BALANCE_GRID = [(k - 16) * 0.25 for k in range(33)]
+_REBALANCE_GRID = [(k - 12) * 0.25 for k in range(25)]
+_DIAG_GRID = [math.exp((k - 12) * 0.25) for k in range(25)]
+
+
+def _power_entries(lam: float, f: Matrix2, fi: Matrix2, t: float) -> tuple:
+    """_one_parameter_power(m, t).rep up to sign, from _power_frame(m), in its
+    float operations less diag's zero products and the sign (neither moves
+    h m h^-1). Raises NonUnitDeterminant alike, into build_rep's retries."""
+    da, dd = lam ** t, lam ** (-t)
+    pa, pb, pc, pd = f.a * da, f.b * dd, f.c * da, f.d * dd
+    a, b = pa * fi.a + pb * fi.c, pa * fi.b + pb * fi.d
+    c, d = pc * fi.a + pd * fi.c, pc * fi.b + pd * fi.d
+    k = _unit_scale(a, b, c, d)  # x * 1.0 == x: no rescale is exact
+    return a * k, b * k, c * k, d * k
+
+
+def _conj_probe(h: tuple[float, float, float, float], mats) -> float:
+    """The searches' conditioning score: max |entry| of (h @ m) @ h.inv()
+    over mats (entry 4-tuples), in the same float operations, bit for bit."""
+    a, b, c, d = h
+    best = None
+    for ma, mb, mc, md in mats:
+        pa, pb = a * ma + b * mc, a * mb + b * md
+        pc, pd = c * ma + d * mc, c * mb + d * md
+        size = max(abs(pa * d + pb * -c), abs(pa * -b + pb * a),
+                   abs(pc * d + pd * -c), abs(pc * -b + pd * a))
+        if best is None or size > best:
+            best = size
+    return best
+
+
+def _grid_refine(size, grid, steps, move) -> float:
+    """Grid point minimizing size, moved at each step to the best of
+    move(best, d * step), d = -2..2; like min, keeps the first minimum."""
+    best = min(grid, key=size)
+    for step in steps:
+        best = min([move(best, d * step) for d in (-2, -1, 0, 1, 2)], key=size)
+    return best
+
+
+def _centralizer_search(m: ProjectiveMatrix, mats, grid, steps) -> float:
+    """Time t whose power of the hyperbolic m best conditions mats."""
+    frame, mats = _power_frame(m), [g.entries() for g in mats]
+    return _grid_refine(lambda t: _conj_probe(_power_entries(*frame, t), mats),
+                        grid, steps, lambda t, off: t + off)
 
 
 def _balance_on_centralizer(x: CoverElement, y: CoverElement,
@@ -201,17 +244,8 @@ def _balance_on_centralizer(x: CoverElement, y: CoverElement,
         return x, y
     if abs(target.base.rep.trace()) < 2.02:
         return x, y  # eigenframe too ill-conditioned to help
-    from .surface import _one_parameter_power
-
-    def size(t: float) -> float:
-        return _conj_size(_one_parameter_power(target.base, t).rep,
-                          (x.base.rep, y.base.rep))
-
-    grid = [(k - 16) * 0.25 for k in range(33)]
-    best_t = min(grid, key=size)
-    for step in (0.1, 0.03, 0.01):
-        local = [best_t + d * step for d in (-2, -1, 0, 1, 2)]
-        best_t = min(local, key=size)
+    best_t = _centralizer_search(target.base, (x.base.rep, y.base.rep),
+                                 _BALANCE_GRID, (0.1, 0.03, 0.01))
     if rng is not None:
         best_t += rng.uniform(-0.3, 0.3)
     if abs(best_t) < 1e-12:
@@ -608,21 +642,10 @@ def _rebalance_along_boundary(rep: Representation,
                               boundary: ProjectiveMatrix) -> Representation:
     """Conjugate by elements of the boundary's one-parameter centralizer to
     minimize generator entry sizes; the boundary image is preserved."""
-    from .surface import _one_parameter_power
-
     if abs(boundary.rep.trace()) < 2.02:
         return rep
-
-    mats = [m.rep for m in rep.images.values()]
-
-    def size(t: float) -> float:
-        return _conj_size(_one_parameter_power(boundary, t).rep, mats)
-
-    grid = [(k - 12) * 0.25 for k in range(25)]
-    best = min(grid, key=size)
-    for step in (0.1, 0.03):
-        local = [best + d * step for d in (-2, -1, 0, 1, 2)]
-        best = min(local, key=size)
+    best = _centralizer_search(boundary, [m.rep for m in rep.images.values()],
+                               _REBALANCE_GRID, (0.1, 0.03))
     if abs(best) < 1e-12:
         return rep
     return rep.conjugate(_one_parameter_power(boundary, best))
@@ -631,16 +654,9 @@ def _rebalance_along_boundary(rep: Representation,
 def _rebalance_diag(rep: Representation) -> Representation:
     """Conjugate by a diagonal element minimizing the generator entry sizes;
     preserves any diagonal boundary image exactly."""
-    mats = [m.rep for m in rep.images.values()]
-
-    def size(s: float) -> float:
-        return _conj_size(Matrix2(s, 0.0, 0.0, 1.0 / s), mats)
-
-    grid = [math.exp((k - 12) * 0.25) for k in range(25)]
-    best = min(grid, key=size)
-    for step in (0.1, 0.03):
-        local = [best * math.exp(d * step) for d in (-2, -1, 0, 1, 2)]
-        best = min(local, key=size)
+    mats = [m.rep.entries() for m in rep.images.values()]
+    best = _grid_refine(lambda s: _conj_probe((s, 0.0, 0.0, 1.0 / s), mats),
+                        _DIAG_GRID, (0.1, 0.03), lambda s, x: s * math.exp(x))
     if abs(best - 1.0) < 1e-12:
         return rep
     return rep.conjugate(normalize(Matrix2(best, 0.0, 0.0, 1.0 / best)))
@@ -785,10 +801,10 @@ class BuildRequest:
 
 
 def _check_feasible(req: BuildRequest) -> None:
+    chi = req.surface().chi  # refuses a surface that does not exist
     sv = req.sign_vector()
     if len(sv) != req.punctures:
         raise InfeasibleRequest("sign vector length != puncture count")
-    chi = 2 - 2 * req.genus - req.punctures
     verdict = mw_bounds(req.genus, req.punctures, req.euler, sv)
     if verdict is Feasibility.INFEASIBLE:
         raise InfeasibleRequest(

@@ -136,6 +136,19 @@ def _canonical_sign(m: Matrix2) -> Matrix2:
     return m if m.d > 0.0 else -m
 
 
+def _unit_scale(a, b, c, d, det_tol: float = DET_PRE_TOL) -> float:
+    """Factor normalize() scales (a b / c d) by, 1.0 when it leaves the
+    matrix unscaled; raises NonUnitDeterminant as normalize() does."""
+    p1, e1 = _two_prod(a, d)
+    p2, e2 = _two_prod(b, c)
+    det = (p1 - p2) + (e1 - e2)
+    if det <= 0.0 or abs(det - 1.0) >= det_tol:
+        raise NonUnitDeterminant(f"determinant {det!r} not acceptably close to 1")
+    if abs(det - 1.0) > _DET_ULPS * (abs(p1) + abs(p2)):
+        return 1.0 / math.sqrt(det)
+    return 1.0
+
+
 def normalize(m: Matrix2, det_tol: float = DET_PRE_TOL) -> ProjectiveMatrix:
     """Rescale to determinant 1 and pick the canonical-sign representative.
 
@@ -144,14 +157,8 @@ def normalize(m: Matrix2, det_tol: float = DET_PRE_TOL) -> ProjectiveMatrix:
     with compensated products, and a matrix whose determinant is 1 to within
     its rounding error is left unscaled, so normalizing is a projection.
     """
-    p1, e1 = _two_prod(m.a, m.d)
-    p2, e2 = _two_prod(m.b, m.c)
-    det = (p1 - p2) + (e1 - e2)
-    if det <= 0.0 or abs(det - 1.0) >= det_tol:
-        raise NonUnitDeterminant(f"determinant {det!r} not acceptably close to 1")
-    if abs(det - 1.0) > _DET_ULPS * (abs(p1) + abs(p2)):
-        m = m.scale(1.0 / math.sqrt(det))
-    return ProjectiveMatrix(_canonical_sign(m))
+    k = _unit_scale(m.a, m.b, m.c, m.d, det_tol)
+    return ProjectiveMatrix(_canonical_sign(m if k == 1.0 else m.scale(k)))
 
 
 def normalize_unit(m: Matrix2) -> ProjectiveMatrix:

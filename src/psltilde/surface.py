@@ -47,6 +47,8 @@ class SurfacePresentation:
     punctures: int
 
     def __post_init__(self):
+        if self.genus < 0:
+            raise ValueError(f"genus {self.genus} must be non-negative")
         if self.punctures < 1:
             raise ValueError("need at least one puncture")
         if self.chi >= 0:
@@ -418,14 +420,19 @@ def restrict(rep: Representation, split: SplittingSpec
     return (Representation(side_a, images_a), Representation(side_b, images_b))
 
 
-def _one_parameter_power(m: ProjectiveMatrix, t: float) -> ProjectiveMatrix:
-    """Time-t element of the hyperbolic one-parameter subgroup through m."""
+def _power_frame(m: ProjectiveMatrix) -> tuple[float, Matrix2, Matrix2]:
+    """(lam, f, f^-1): m's expanding eigenvalue and eigenframe, m^t = f
+    diag(lam^t, lam^-t) f^-1."""
     from .mobius import _eigenvalues, _hyperbolic_frame, _positive_trace_rep
 
-    lam = _eigenvalues(_positive_trace_rep(m))[0]
     f = _hyperbolic_frame(m)
-    d = Matrix2(lam ** t, 0.0, 0.0, lam ** (-t))
-    return normalize(f @ d @ f.inv())
+    return _eigenvalues(_positive_trace_rep(m))[0], f, f.inv()
+
+
+def _one_parameter_power(m: ProjectiveMatrix, t: float) -> ProjectiveMatrix:
+    """Time-t element of the hyperbolic one-parameter subgroup through m."""
+    lam, f, fi = _power_frame(m)
+    return normalize(f @ Matrix2(lam ** t, 0.0, 0.0, lam ** (-t)) @ fi)
 
 
 def _split_side_a_generators(surf: SurfacePresentation,

@@ -90,6 +90,14 @@ def test_cli_infeasible_exit_code(capsys):
     assert "Milnor-Wood" in capsys.readouterr().err
 
 
+def test_cli_refuses_negative_genus(capsys):
+    # used to print a Milnor-Wood range of [4, -1] for a chi = -1 "surface"
+    rc = run(["construct", "--genus", "-1", "--punctures", "3", "--euler", "1",
+              "--signs=+,+,+"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: genus -1 must be non-negative\n"
+
+
 def test_cli_audit_violation_exit_code(tmp_path):
     from psltilde.constructors import build_negative_control
 

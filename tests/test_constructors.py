@@ -1,12 +1,22 @@
+import hashlib
 import math
+import operator
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from psltilde import jsonio
 from psltilde.constructors import (
     COMMUTATOR_IMAGE,
+    _BALANCE_GRID,
+    _DIAG_GRID,
+    _REBALANCE_GRID,
     BuildRequest,
     FactorKind,
+    _conj_probe,
+    _grid_refine,
+    _power_entries,
     _reachable_classes,
     build_boundary_extremal,
     build_negative_control,
@@ -35,15 +45,23 @@ from psltilde.cover import (
 )
 from psltilde.errors import (
     InfeasibleRequest,
+    NonUnitDeterminant,
     NotSupported,
+    RelatorNotCentral,
     SelfVerificationError,
     SolveFailed,
     TargetOutsideImage,
     UnreachableTarget,
 )
-from psltilde.mobius import Matrix2, diag, normalize
+from psltilde.mobius import Matrix2, diag, normalize, rotation
 from psltilde.sampling import random_elliptic, random_hyperbolic, random_parabolic
-from psltilde.surface import euler_class, eval_word, sign_vector
+from psltilde.surface import (
+    _one_parameter_power,
+    _power_frame,
+    euler_class,
+    eval_word,
+    sign_vector,
+)
 from psltilde.words import parse_word
 
 
@@ -316,3 +334,129 @@ def test_sample_runs_and_reports():
     assert summary["np_pass"] == sum(1 for r in reports if r.passed)
     assert summary["np_pass"] <= 4 and summary["curves"] > 0
     assert all(r.curves_checked == summary["curves"] for r in reports)
+
+
+# -- the conditioning probe ----------------------------------------------------
+
+def _conj_size_reference(h: Matrix2, mats) -> float:
+    """The conditioning score as the searches computed it with matrices,
+    kept as the reference the scalar probe must reproduce bit for bit."""
+    hi = h.inv()
+    return max(max(abs(v) for v in (h @ m @ hi).entries()) for m in mats)
+
+
+def _unit_matrix(th1: float, s: float, th2: float) -> Matrix2:
+    return normalize(rotation(th1) @ diag(math.exp(s)) @ rotation(th2)).rep
+
+
+_angles = st.floats(0.0, math.pi)
+_unit_matrices = st.builds(_unit_matrix, _angles, st.floats(-3.0, 3.0), _angles)
+
+
+@st.composite
+def _hyperbolic_targets(draw):
+    tr = draw(st.floats(2.02, 1e3))
+    lam = (tr + math.sqrt(tr * tr - 4.0)) / 2.0
+    g = draw(st.builds(_unit_matrix, _angles, st.floats(-1.5, 1.5), _angles))
+    m = normalize(g @ diag(lam) @ g.inv())
+    assume(abs(m.rep.trace()) >= 2.02)
+    return m
+
+
+@st.composite
+def _search_points(draw, grid, steps, move):
+    """A point a grid search scores: a grid point, moved by one offset
+    d * step for each refinement step taken so far."""
+    x = draw(st.sampled_from(grid))
+    for step in steps[:draw(st.integers(0, len(steps)))]:
+        x = move(x, draw(st.sampled_from((-2, -1, 0, 1, 2))) * step)
+    return x
+
+
+_twist_times = st.one_of(
+    _search_points(_BALANCE_GRID, (0.1, 0.03, 0.01), operator.add),
+    _search_points(_REBALANCE_GRID, (0.1, 0.03), operator.add))
+_diag_scales = _search_points(_DIAG_GRID, (0.1, 0.03),
+                              lambda s, off: s * math.exp(off))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hyperbolic_targets(), st.lists(_unit_matrices, min_size=2, max_size=8),
+       _twist_times)
+def test_probe_reproduces_centralizer_conjugator_floats(target, mats, t):
+    frame = _power_frame(target)
+    try:
+        h = _one_parameter_power(target, t).rep
+    except NonUnitDeterminant:
+        with pytest.raises(NonUnitDeterminant):
+            _power_entries(*frame, t)
+        return
+    entries = _power_entries(*frame, t)
+    assert entries in (h.entries(), (-h).entries())
+    assert (_conj_probe(entries, [m.entries() for m in mats])
+            == _conj_size_reference(h, mats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_unit_matrices, min_size=2, max_size=8), _diag_scales)
+def test_probe_reproduces_diagonal_conjugator_floats(mats, s):
+    assert (_conj_probe((s, 0.0, 0.0, 1.0 / s), [m.entries() for m in mats])
+            == _conj_size_reference(Matrix2(s, 0.0, 0.0, 1.0 / s), mats))
+
+
+def test_grid_refine_scores_like_the_min_loop():
+    # a size with ties everywhere: the first minimum must win, and the points
+    # must be scored in the order of the coarse-grid-then-refine loop
+    def size(t):
+        seen.append(t)
+        return round(abs(t - 0.3), 1)
+
+    seen = []
+    best = _grid_refine(size, _BALANCE_GRID, (0.1, 0.03, 0.01), operator.add)
+    got = seen
+    seen = []
+    want = min(_BALANCE_GRID, key=size)
+    for step in (0.1, 0.03, 0.01):
+        want = min([want + d * step for d in (-2, -1, 0, 1, 2)], key=size)
+    assert (best, got) == (want, seen)
+
+
+# sha256 of the written build (jsonio.dumps of representation_to_json with the
+# CLI's meta), seed 5, one per supported family; computed before the scalar
+# probe replaced the matrix probe, so any builder speedup must keep them
+GOLDEN_BUILDS = {
+    ((0, 4), 2, (1, 1, 1, 1)): "ec0bb9847a8f1f4e20a9632a0bfe992ed5624c7de8914c3b6a3b803d80abb7af",
+    ((0, 4), -2, (-1, -1, -1, -1)): "81f325db0ae429f42f381609d420bbbc5dc9c6813c355023f1f972753564d055",
+    ((0, 4), 1, (1, 1, 1, -1)): "9112ae65a0bad06bf3bb44d5af5fab87341529ecc6c928d4ed984e4f117e44fa",
+    ((0, 4), -1, (-1, -1, -1, 1)): "acda4a2936e5605d315f9922fa767c2f72f09a7e153ca4776dae096833ac11b0",
+    ((1, 2), 2, (1, 1)): "ebdfd539eadc500d8b1485d37f53ffbf143972e80d8aa1184523086b431ca3c7",
+    ((1, 2), -2, (-1, -1)): "fb5d133efdeae8d2ec95afb21c6b22ef1576a7769d723058caa97a65b8eb9f63",
+    ((1, 2), 1, (1, -1)): "cac7a27f435ea5eb34b1bb2d72cf8a3c18698173e9649418b9b0be2e13f0435c",
+    ((1, 2), -1, (-1, 1)): "f3a1e174814a1206cf45c9c7e9a1b1d34799f47b6737a20202cbd89de0a717a4",
+    ((0, 5), 3, (1, 1, 1, 1, 1)): "c0099ca9e01d320ce743d50a424394dcf22c6c71a8877c574094dcb3f987aaa0",
+    ((0, 5), -3, (-1, -1, -1, -1, -1)): "213a13abca49c3ac15b6311341da584bf81c470d29e7172a2ff47f91490732db",
+    ((0, 5), 2, (1, 1, 1, 1, -1)): "a409d1464f33ce80e3d7f70e0a5eea21c68770526ce11a4dd0d46745d07515d3",
+    ((0, 5), -2, (-1, -1, -1, -1, 1)): "7e37c8183cade243420d5c170ceac1bba9a293277b4910c7af06b9c1179840fa",
+    ((1, 3), 3, (1, 1, 1)): "3c9948336f0438acb31431e19324b6a196acf47f04208ea2e098fc4a0c175a69",
+    ((1, 3), -3, (-1, -1, -1)): "dc823e6556211eb8eb102b91ebcb84d61b5ce78f5a7a6cae3500420e1fb0ced8",
+    ((1, 3), 2, (1, 1, -1)): "c1b981b2627dde81c992f7e1df43ceac0abc3574a1041d4fc20972949a5f7383",
+    ((1, 3), -2, (-1, -1, 1)): "6249ff4193ecb06bf60bc6c143b424c2aec51fdcb23ff4929d33a22cd1f79d58",
+    ((2, 1), 3, (1,)): "00ad298a4a798fc7aeaa8d16eb4bad11348863d70a74946b54a38bb30b4c5513",
+    ((2, 1), -3, (-1,)): "eba121813384f32f00157f2862cad53474b56d05ad336f1bba5191bf722b4b39",
+    ((2, 1), 2, (-1,)): "d1548aa13b709040b93ac94d9c8dcd91a070103da5b1cd4364fd5bfc90ee4ef1",
+    ((2, 1), -2, (1,)): "47766c09ea409639fcd054496cc94b7042da3ef26f406b69135d579b448770db",
+}
+
+
+def test_build_golden_digest():
+    got = {}
+    for (g, p), e, signs in GOLDEN_BUILDS:
+        rep = build_rep(BuildRequest(g, p, e, signs, 5))
+        meta = {"seed": 5, "euler": e, "signs": list(signs)}
+        text = jsonio.dumps(jsonio.representation_to_json(rep, meta))
+        got[(g, p), e, signs] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == GOLDEN_BUILDS
+    # a failing request fails with the same message, digits included
+    with pytest.raises(RelatorNotCentral) as err:
+        build_rep(BuildRequest(0, 5, -2, (-1, -1, -1, -1, 1), 27))
+    assert str(err.value) == "lifted relator base off identity by 4.162e-07"

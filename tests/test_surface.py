@@ -48,6 +48,8 @@ def test_presentation_validation():
         SurfacePresentation(0, 2)
     with pytest.raises(ValueError):
         SurfacePresentation(0, 0)
+    with pytest.raises(ValueError, match="genus -1 must be non-negative"):
+        SurfacePresentation(-1, 5)  # chi = -1, but no such surface
     assert SurfacePresentation(1, 1).chi == -1
 
 
