@@ -284,7 +284,7 @@ def _verify_product(x: CoverElement, y: CoverElement, k1: FactorKind,
             f"factor kinds off: {cover_classify(x)}, {cover_classify(y)} "
             f"for requested {k1.value}, {k2.value}")
     got = cover_mul(x, y)
-    if not cover_equal(got, target, PRODUCT_TOL):
+    if not cover_equal(got, target):
         raise SelfVerificationError(
             f"product off target: base residual "
             f"{got.base.rep.maxdiff(target.base.rep):.3e}, "
@@ -292,7 +292,8 @@ def _verify_product(x: CoverElement, y: CoverElement, k1: FactorKind,
 
 
 def _par_par_pair(s1: int, s2: int, tau: float) -> tuple[CoverElement, CoverElement]:
-    """Normal-form Par0^s1 x Par0^s2 pair whose product has SL trace tau."""
+    """Normal-form Par0^s1 x Par0^s2 pair whose product has SL trace tau;
+    mixed signs come as (s1, s2) = (+1, -1)."""
     if s1 > 0 and s2 > 0:
         u = 2.0 - tau  # product trace 2 - u
         x = special_lift(normalize(Matrix2(1.0, 1.0, 0.0, 1.0)))
@@ -308,9 +309,7 @@ def _par_par_pair(s1: int, s2: int, tau: float) -> tuple[CoverElement, CoverElem
         raise SolveFailed(f"mixed parabolic pair needs trace > 2, got {tau}")
     x = special_lift(normalize(Matrix2(1.0, 1.0, 0.0, 1.0)))
     y = special_lift(normalize(Matrix2(1.0, 0.0, u, 1.0)))
-    if s1 > 0:
-        return x, y
-    return None  # caller swaps
+    return x, y
 
 
 def _hyp_par_pair(sign: int, tau: float, rng: random.Random | None
@@ -407,50 +406,49 @@ def _hyp_hyp_pair(tcls: CoverClass, target: CoverElement,
         f"trace-shooting family missed component {tcls} (trace {tau})")
 
 
+_PAR_SIGN = {FactorKind.PAR_PLUS0: 1, FactorKind.PAR_MINUS0: -1}
+
+# factor order of the normal-form pairs: Hyp before Par before Ell, Par+
+# before Par-, Ell(-1) before Ell(1)
+_NORMAL_ORDER = (FactorKind.HYP0, FactorKind.PAR_PLUS0, FactorKind.PAR_MINUS0,
+                 FactorKind.ELL_MINUS1, FactorKind.ELL1)
+
+
+def _normal_form_pair(k1: FactorKind, k2: FactorKind, target: CoverElement,
+                      tcls: CoverClass, rng: random.Random | None
+                      ) -> tuple[CoverElement, CoverElement]:
+    """Closed-form pair of the kinds {k1, k2}, in _NORMAL_ORDER, whose
+    product is conjugate to the target."""
+    F = FactorKind
+    a, b = sorted((k1, k2), key=_NORMAL_ORDER.index)
+    tau = sl_trace(target)
+    if (a, b) == (F.HYP0, F.HYP0):
+        return _hyp_hyp_pair(tcls, target, rng)
+    if a in _PAR_SIGN and b in _PAR_SIGN:
+        return _par_par_pair(_PAR_SIGN[a], _PAR_SIGN[b], tau)
+    if a == F.HYP0 and b in _PAR_SIGN:
+        return _hyp_par_pair(_PAR_SIGN[b], tau, rng)
+    if a in _PAR_SIGN and b == F.ELL1:
+        return _par_ell_pair(_PAR_SIGN[a], tau)
+    if (a, b) == (F.HYP0, F.ELL1):
+        return _hyp_ell_pair(tau, rng)
+    if (a, b) == (F.ELL_MINUS1, F.ELL1):
+        return _ell_ell_pair(tcls.n, tau)
+    raise UnreachableTarget(f"no solver for ({k1.value}, {k2.value})")
+
+
 def _solve_pair(k1: FactorKind, k2: FactorKind, target: CoverElement,
                 tcls: CoverClass, rng: random.Random | None
                 ) -> tuple[CoverElement, CoverElement]:
-    F = FactorKind
-    tau = sl_trace(target)
-    if k1 == F.HYP0 and k2 == F.HYP0:
-        x, y = _hyp_hyp_pair(tcls, target, rng)
-        return _transport_pair(x, y, target, rng)
-    if k1 in (F.PAR_PLUS0, F.PAR_MINUS0) and k2 in (F.PAR_PLUS0, F.PAR_MINUS0):
-        s1 = 1 if k1 == F.PAR_PLUS0 else -1
-        s2 = 1 if k2 == F.PAR_PLUS0 else -1
-        pair = _par_par_pair(s1, s2, tau)
-        if pair is None:  # mixed order (-, +): solve (+, -) and swap
-            x, y = _par_par_pair(-s1, -s2, tau)
-            x, y = _transport_pair(x, y, target, rng)
-            return _swap_solution(x, y, target)
-        return _transport_pair(*pair, target, rng)
-    if {k1, k2} <= {F.HYP0, F.PAR_PLUS0, F.PAR_MINUS0}:
-        sign = 1 if F.PAR_PLUS0 in (k1, k2) else -1
-        x, y = _hyp_par_pair(sign, tau, rng)
-        x, y = _transport_pair(x, y, target, rng)
-        if k1 != F.HYP0:
-            return _swap_solution(x, y, target)
-        return x, y
-    if {k1, k2} <= {F.PAR_PLUS0, F.PAR_MINUS0, F.ELL1}:
-        sign = 1 if F.PAR_PLUS0 in (k1, k2) else -1
-        x, y = _par_ell_pair(sign, tau)
-        x, y = _transport_pair(x, y, target, rng)
-        if k1 == F.ELL1:
-            return _swap_solution(x, y, target)
-        return x, y
-    if {k1, k2} == {F.HYP0, F.ELL1}:
-        x, y = _hyp_ell_pair(tau, rng)
-        x, y = _transport_pair(x, y, target, rng)
-        if k1 == F.ELL1:
-            return _swap_solution(x, y, target)
-        return x, y
-    if {k1, k2} == {F.ELL_MINUS1, F.ELL1}:
-        x, y = _ell_ell_pair(tcls.n, tau)
-        x, y = _transport_pair(x, y, target, rng)
-        if k1 == F.ELL1:
-            return _swap_solution(x, y, target)
-        return x, y
-    raise UnreachableTarget(f"no solver for ({k1.value}, {k2.value})")
+    """Verified (x, y) of kinds (k1, k2) with x*y = target: the normal-form
+    pair transported onto the target, swapped when the requested order is
+    the reverse of the normal form's."""
+    x, y = _normal_form_pair(k1, k2, target, tcls, rng)
+    x, y = _transport_pair(x, y, target, rng)
+    if _NORMAL_ORDER.index(k1) > _NORMAL_ORDER.index(k2):
+        x, y = _swap_solution(x, y, target)
+    _verify_product(x, y, k1, k2, target)
+    return x, y
 
 
 def solve_product(k1: FactorKind, k2: FactorKind, target: CoverElement,
@@ -463,25 +461,10 @@ def solve_product(k1: FactorKind, k2: FactorKind, target: CoverElement,
     if tcls not in _reachable_classes(k1, k2):
         raise UnreachableTarget(
             f"{tcls} not reachable from ({k1.value}, {k2.value})")
-    x, y = _solve_pair(k1, k2, target, tcls, rng)
-    _verify_product(x, y, k1, k2, target)
-    return x, y
+    return _solve_pair(k1, k2, target, tcls, rng)
 
 
-def _solve_hyp_hyp_extended(target: CoverElement,
-                            rng: random.Random | None
-                            ) -> tuple[CoverElement, CoverElement]:
-    """Internal: Hyp0 x Hyp0 factorization also for the index-one parabolic
-    components outside the public reachability table (used by the genus
-    builders); verified like every solver output."""
-    tcls = cover_classify(target)
-    x, y = _hyp_hyp_pair(tcls, target, rng)
-    x, y = _transport_pair(x, y, target, rng)
-    _verify_product(x, y, FactorKind.HYP0, FactorKind.HYP0, target)
-    return x, y
-
-
-def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -489,7 +472,7 @@ def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL) -> float:
         return hi
     if (flo > 0) == (fhi > 0):
         raise SolveFailed(f"no bracket on [{lo}, {hi}]: f = ({flo}, {fhi})")
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         mid = (lo + hi) / 2.0
         fm = f(mid)
         if fm == 0.0:
@@ -579,7 +562,7 @@ def solve_commutator(target: CoverElement, rng: random.Random | None = None
     x, y = _conj_dd(g, x), _conj_dd(g, y)
     x, y = _balance_on_centralizer(x, y, target, rng)
     comm = cover_commutator(x, y)
-    if not cover_equal(comm, target, PRODUCT_TOL):
+    if not cover_equal(comm, target):
         raise SelfVerificationError(
             f"commutator off target by {comm.base.rep.maxdiff(target.base.rep):.3e}")
     return x, y
@@ -748,12 +731,13 @@ def _peel_last(surf: SurfacePresentation, last_sign: int,
         return Representation(surf, images)
     # p == 1, g >= 2: the blocks product must land in the inverse of the
     # puncture's lift, times z for e = -chi: ParMinus(1) or ParPlus(0), both
-    # Hyp0 x Hyp0 targets
+    # Hyp0 x Hyp0 targets, though ParMinus(1) is outside solve_product's table
     ct = special_lift(random_parabolic(rng, last_sign))
     target = cover_inv(ct)
     if last_sign > 0:
         target = cover_mul(Z, target)
-    x, y = _solve_hyp_hyp_extended(target, rng)
+    x, y = _solve_pair(FactorKind.HYP0, FactorKind.HYP0, target,
+                       cover_classify(target), rng)
     return _glue_handles(surf, x.base, y.base, rng)
 
 
@@ -827,9 +811,12 @@ def build_rep(req: BuildRequest) -> Representation:
 
     Supported families: (i) extremal euler = -chi with all-plus signs (and
     the mirrored all-minus at chi), (ii) the counterexample components
-    euler = -chi - 1 with exactly one negative puncture (and the mirror).
-    Output is verified (euler, signs, Milnor-Wood) before return; free
-    parameters and gluing twists are drawn from the seeded generator.
+    euler = -chi - 1 with exactly one negative puncture (and the mirror at
+    chi + 1 with exactly one positive puncture). A mirrored family is built
+    as pgl_flip of its positive family's untwisted build, with the same seed
+    and the same twists, so it fails exactly when that build fails. Output
+    is verified (euler, signs, Milnor-Wood) before return; free parameters
+    and gluing twists are drawn from the seeded generator.
     """
     _check_feasible(req)
     sv = req.sign_vector()
@@ -850,25 +837,27 @@ def build_rep(req: BuildRequest) -> Representation:
 def _build_rep_once(req: BuildRequest, sv: SignVector,
                     surf: SurfacePresentation, chi: int,
                     rng: random.Random) -> Representation:
-    if req.euler == -chi and sv.p_plus == req.punctures:
+    # the mirrored families (e = chi all minus, e = chi + 1 with one plus)
+    # are the orientation flips of the positive ones: build the positive
+    # family untwisted, flip it, then twist and check the requested (e, s)
+    flip = (req.euler, sv.p_plus) in ((chi, 0), (chi + 1, 1))
+    euler = -req.euler if flip else req.euler
+    minus = sv.p_plus if flip else sv.p_minus
+    if euler == -chi and minus == 0:
         rep = _type_preserving_extremal(surf, rng)
-    elif req.euler == chi and sv.p_minus == req.punctures:
-        rep = pgl_flip(_type_preserving_extremal(surf, rng))
-    elif req.euler == -chi - 1 and sv.p_minus == 1:
+    elif euler == -chi - 1 and minus == 1:
         if chi > -2:
             raise NotSupported("counterexample components need chi <= -2")
         rep = _peel_last(surf, -1, rng)
-        neg = list(sv.entries).index(-1) + 1
-        for slot in range(surf.punctures - 1, neg - 1, -1):
+        neg = sv.entries.index(1 if flip else -1)
+        for slot in range(surf.punctures - 1, neg, -1):
             rep = _precompose(rep, _braid_images(surf, slot))
-    elif req.euler == chi + 1 and sv.p_plus == 1:
-        mirror = BuildRequest(req.genus, req.punctures, -req.euler,
-                              tuple(-e for e in req.signs), req.seed)
-        rep = pgl_flip(build_rep(mirror))
     else:
         raise NotSupported(
             f"(euler, signs) = ({req.euler}, {req.signs}) is outside the "
             "supported families")
+    if flip:
+        rep = pgl_flip(rep)
     # each twist's output invariants are the next twist's input invariants
     known = None
     for split in standard_splits(surf):

@@ -40,6 +40,7 @@ PI = math.pi
 
 INDEX_GUARD = 1e-6      # deck-index rounding residual
 CLASS_GUARD = 1e-9      # extremum-near-multiple-of-pi guard
+EQUAL_TOL = 1e-8        # entrywise base tolerance of cover_equal
 ROTATION_EPS = 1e-13    # below this the displacement is treated as constant
 
 
@@ -153,12 +154,11 @@ def central_index(x: CoverElement) -> int:
 _PROBE_POINT = 0.5615528128088303  # fixed generic direction for comparisons
 
 
-def cover_equal(x: CoverElement, y: CoverElement,
-                base_tol: float = 1e-8) -> bool:
+def cover_equal(x: CoverElement, y: CoverElement) -> bool:
     """Whether two cover elements denote the same lift: projectively equal
     bases and equal homeomorphisms. Robust against the canonical-branch wrap
     at bases fixing the direction 0."""
-    if x.base.rep.maxdiff(y.base.rep) >= base_tol:
+    if x.base.rep.maxdiff(y.base.rep) >= EQUAL_TOL:
         return False
     hx = angle_lift(x.base, _PROBE_POINT) + x.lift_index * PI
     hy = angle_lift(y.base, _PROBE_POINT) + y.lift_index * PI
@@ -229,7 +229,7 @@ def _psl_parabolic_sign(p: ProjectiveMatrix) -> int:
     return 1 if kind is PslType.PARABOLIC_PLUS else -1
 
 
-def cover_classify(x: CoverElement, guard: float = CLASS_GUARD) -> CoverClass:
+def cover_classify(x: CoverElement) -> CoverClass:
     """Component of a cover element, from the displacement range.
 
     Hyp(n): -n*pi is the unique multiple of pi inside the open range.
@@ -257,10 +257,10 @@ def cover_classify(x: CoverElement, guard: float = CLASS_GUARD) -> CoverClass:
                 f"parabolic range min {rmin!r} off multiple of pi")
         return ParMinus(-m)
     for endpoint in (rmin, rmax):
-        if abs(endpoint - PI * round(endpoint / PI)) < guard:
+        if abs(endpoint - PI * round(endpoint / PI)) < CLASS_GUARD:
             raise DegenerateRange(
-                f"extremum {endpoint!r} within {guard} of a multiple of pi "
-                f"for a {kind.value} base")
+                f"extremum {endpoint!r} within {CLASS_GUARD} of a multiple "
+                f"of pi for a {kind.value} base")
     if kind is PslType.HYPERBOLIC:
         lo = math.ceil(rmin / PI)
         hi = math.floor(rmax / PI)

@@ -207,7 +207,6 @@ def scc_seeds(surf: SurfacePresentation) -> list[CurveWord]:
 
 
 def enumerate_scc(surf: SurfacePresentation, depth: int,
-                  autos: list[McgAuto] | None = None,
                   return_stats: bool = False):
     """Orbit of the seed set under the validated automorphisms and their
     inverses, to the given composition depth, canonicalized and deduplicated.
@@ -215,8 +214,7 @@ def enumerate_scc(surf: SurfacePresentation, depth: int,
     stats). Output order is deterministic."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if autos is None:
-        autos = default_autos(surf)
+    autos = default_autos(surf)
     maps = autos + [f.inverse() for f in autos]
     frontier = scc_seeds(surf)
     curves = list(frontier)

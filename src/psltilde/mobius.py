@@ -142,7 +142,8 @@ def _unit_scale(a, b, c, d, det_tol: float = DET_PRE_TOL) -> float:
     p1, e1 = _two_prod(a, d)
     p2, e2 = _two_prod(b, c)
     det = (p1 - p2) + (e1 - e2)
-    if det <= 0.0 or abs(det - 1.0) >= det_tol:
+    # written so that a NaN determinant (a non-finite entry) fails it too
+    if not (det > 0.0 and abs(det - 1.0) < det_tol):
         raise NonUnitDeterminant(f"determinant {det!r} not acceptably close to 1")
     if abs(det - 1.0) > _DET_ULPS * (abs(p1) + abs(p2)):
         return 1.0 / math.sqrt(det)
@@ -152,10 +153,11 @@ def _unit_scale(a, b, c, d, det_tol: float = DET_PRE_TOL) -> float:
 def normalize(m: Matrix2, det_tol: float = DET_PRE_TOL) -> ProjectiveMatrix:
     """Rescale to determinant 1 and pick the canonical-sign representative.
 
-    Raises NonUnitDeterminant for det <= 0 or |det - 1| >= det_tol: this layer
-    repairs float drift, not arbitrary GL matrices. The determinant is read
-    with compensated products, and a matrix whose determinant is 1 to within
-    its rounding error is left unscaled, so normalizing is a projection.
+    Raises NonUnitDeterminant for det <= 0, |det - 1| >= det_tol or a
+    non-finite entry: this layer repairs float drift, not arbitrary GL
+    matrices. The determinant is read with compensated products, and a
+    matrix whose determinant is 1 to within its rounding error is left
+    unscaled, so normalizing is a projection.
     """
     k = _unit_scale(m.a, m.b, m.c, m.d, det_tol)
     return ProjectiveMatrix(_canonical_sign(m if k == 1.0 else m.scale(k)))
@@ -168,16 +170,16 @@ def normalize_unit(m: Matrix2) -> ProjectiveMatrix:
     return ProjectiveMatrix(_canonical_sign(m))
 
 
-def classify_psl(p: ProjectiveMatrix, par_band: float = PAR_BAND) -> PslType:
+def classify_psl(p: ProjectiveMatrix) -> PslType:
     """Type of a PSL(2,R) element, with the parabolic sign read off the
     trace-+2 unit-determinant lift: sign = sgn(a12) if a12 != 0 else -sgn(a21).
     """
     if p.is_identity():
         return PslType.IDENTITY
     tr = p.rep.trace()
-    if abs(tr) > 2.0 + par_band:
+    if abs(tr) > 2.0 + PAR_BAND:
         return PslType.HYPERBOLIC
-    if abs(tr) < 2.0 - par_band:
+    if abs(tr) < 2.0 - PAR_BAND:
         return PslType.ELLIPTIC
     m = p.rep if tr > 0 else -p.rep
     if m.b != 0.0:
@@ -310,8 +312,7 @@ def _intertwiner_null_basis(p: Matrix2, q: Matrix2) -> list[tuple[float, ...]]:
     return basis
 
 
-def conjugator(p: ProjectiveMatrix, q: ProjectiveMatrix,
-               tol: float = CONJ_TOL) -> ProjectiveMatrix:
+def conjugator(p: ProjectiveMatrix, q: ProjectiveMatrix) -> ProjectiveMatrix:
     """G with G p G^-1 = q, solved exactly on the intertwiner space.
 
     The solutions of G p = q G form a two-dimensional space for same-trace
@@ -325,7 +326,7 @@ def conjugator(p: ProjectiveMatrix, q: ProjectiveMatrix,
     if tp is PslType.IDENTITY:
         return normalize(IDENTITY)
     if tp in (PslType.HYPERBOLIC, PslType.ELLIPTIC):
-        if abs(p.trace_abs() - q.trace_abs()) >= tol:
+        if abs(p.trace_abs() - q.trace_abs()) >= CONJ_TOL:
             raise NotConjugate(
                 f"trace mismatch: {p.trace_abs()} vs {q.trace_abs()}")
     # the intertwining equation is sign-sensitive; try both lifts of q
@@ -355,7 +356,7 @@ def conjugator(p: ProjectiveMatrix, q: ProjectiveMatrix,
             continue
         g = normalize(g.scale(1.0 / math.sqrt(gdet)), det_tol=1.0)
         check = g @ p @ g.inv()
-        if check.rep.maxdiff(q.rep) < tol:
+        if check.rep.maxdiff(q.rep) < CONJ_TOL:
             return g
     raise NotConjugate(
         f"no orientation-preserving conjugator exists "

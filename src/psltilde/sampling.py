@@ -30,29 +30,27 @@ def random_hyperbolic(rng: random.Random, tmin: float = 2.05,
     return normalize(g.rep @ Matrix2(lam, 0.0, 0.0, 1.0 / lam) @ g.rep.inv())
 
 
-def random_parabolic(rng: random.Random, sign: int = 1,
-                     umin: float = 0.2, umax: float = 5.0) -> ProjectiveMatrix:
-    u = rng.uniform(umin, umax) * (1 if sign > 0 else -1)
+def random_parabolic(rng: random.Random, sign: int = 1) -> ProjectiveMatrix:
+    u = rng.uniform(0.2, 5.0) * (1 if sign > 0 else -1)
     g = random_psl(rng)
     return normalize(g.rep @ Matrix2(1.0, u, 0.0, 1.0) @ g.rep.inv())
 
 
-def random_elliptic(rng: random.Random, both_senses: bool = True) -> ProjectiveMatrix:
+def random_elliptic(rng: random.Random) -> ProjectiveMatrix:
     th = rng.uniform(0.05, math.pi - 0.05)
     base = rotation(th)
-    if both_senses and rng.random() < 0.5:
+    if rng.random() < 0.5:
         base = base.inv()
     g = random_psl(rng)
     return normalize(g.rep @ base @ g.rep.inv())
 
 
-def random_cover(rng: random.Random, kmin: int = -3, kmax: int = 3) -> CoverElement:
-    return CoverElement(random_psl(rng), rng.randint(kmin, kmax))
+def random_cover(rng: random.Random) -> CoverElement:
+    return CoverElement(random_psl(rng), rng.randint(-3, 3))
 
 
-def random_hyp0(rng: random.Random, tmin: float = 2.05,
-                tmax: float = 8.0) -> CoverElement:
-    return special_lift(random_hyperbolic(rng, tmin, tmax), "closure_hyp0")
+def random_hyp0(rng: random.Random) -> CoverElement:
+    return special_lift(random_hyperbolic(rng), "closure_hyp0")
 
 
 def random_par0(rng: random.Random, sign: int = 1) -> CoverElement:

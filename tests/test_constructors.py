@@ -271,6 +271,20 @@ def test_build_rep_mirror_family():
     assert tuple(sign_vector(r)) == (-1, -1, -1, 1)
 
 
+@pytest.mark.parametrize("surface", [(0, 4), (1, 2), (0, 5), (1, 3), (2, 1)])
+def test_mirror_builds_are_flips(surface):
+    g, p = surface
+    chi = 2 - 2 * g - p
+    # (euler, signs) of the positive families; each mirror negates both
+    positives = [(-chi, (1,) * p), (-chi - 1, (1,) * (p - 1) + (-1,))]
+    for seed in range(5):
+        for e, signs in positives:
+            positive = build_rep(BuildRequest(g, p, e, signs, seed))
+            mirror = build_rep(BuildRequest(g, p, -e, tuple(-s for s in signs),
+                                            seed))
+            assert mirror.images == pgl_flip(positive).images, (e, seed)
+
+
 def test_build_rep_extremal_families():
     r = build_rep(BuildRequest(0, 4, 2, (1, 1, 1, 1), 1))
     assert euler_class(r) == 2
@@ -423,28 +437,29 @@ def test_grid_refine_scores_like_the_min_loop():
 
 # sha256 of the written build (jsonio.dumps of representation_to_json with the
 # CLI's meta), seed 5, one per supported family; computed before the scalar
-# probe replaced the matrix probe, so any builder speedup must keep them
+# probe replaced the matrix probe, so any builder speedup must keep them. The
+# counterexample-mirror digests are those of the flipped counterexample build
 GOLDEN_BUILDS = {
     ((0, 4), 2, (1, 1, 1, 1)): "ec0bb9847a8f1f4e20a9632a0bfe992ed5624c7de8914c3b6a3b803d80abb7af",
     ((0, 4), -2, (-1, -1, -1, -1)): "81f325db0ae429f42f381609d420bbbc5dc9c6813c355023f1f972753564d055",
     ((0, 4), 1, (1, 1, 1, -1)): "9112ae65a0bad06bf3bb44d5af5fab87341529ecc6c928d4ed984e4f117e44fa",
-    ((0, 4), -1, (-1, -1, -1, 1)): "acda4a2936e5605d315f9922fa767c2f72f09a7e153ca4776dae096833ac11b0",
+    ((0, 4), -1, (-1, -1, -1, 1)): "99a6416c13d58f49f62882643133e65327bde6a09c3ab08fa6cef2d6930180b5",
     ((1, 2), 2, (1, 1)): "ebdfd539eadc500d8b1485d37f53ffbf143972e80d8aa1184523086b431ca3c7",
     ((1, 2), -2, (-1, -1)): "fb5d133efdeae8d2ec95afb21c6b22ef1576a7769d723058caa97a65b8eb9f63",
     ((1, 2), 1, (1, -1)): "cac7a27f435ea5eb34b1bb2d72cf8a3c18698173e9649418b9b0be2e13f0435c",
-    ((1, 2), -1, (-1, 1)): "f3a1e174814a1206cf45c9c7e9a1b1d34799f47b6737a20202cbd89de0a717a4",
+    ((1, 2), -1, (-1, 1)): "830fd49413fe67f03e4391cc8b18142bf3d85194ba6a6be7d015fa4bbdce4b1f",
     ((0, 5), 3, (1, 1, 1, 1, 1)): "c0099ca9e01d320ce743d50a424394dcf22c6c71a8877c574094dcb3f987aaa0",
     ((0, 5), -3, (-1, -1, -1, -1, -1)): "213a13abca49c3ac15b6311341da584bf81c470d29e7172a2ff47f91490732db",
     ((0, 5), 2, (1, 1, 1, 1, -1)): "a409d1464f33ce80e3d7f70e0a5eea21c68770526ce11a4dd0d46745d07515d3",
-    ((0, 5), -2, (-1, -1, -1, -1, 1)): "7e37c8183cade243420d5c170ceac1bba9a293277b4910c7af06b9c1179840fa",
+    ((0, 5), -2, (-1, -1, -1, -1, 1)): "b6a9835a5b95c0523ac05856f7aab38c9fa11e50d0211ec7c7f4ccdf8092d73f",
     ((1, 3), 3, (1, 1, 1)): "3c9948336f0438acb31431e19324b6a196acf47f04208ea2e098fc4a0c175a69",
     ((1, 3), -3, (-1, -1, -1)): "dc823e6556211eb8eb102b91ebcb84d61b5ce78f5a7a6cae3500420e1fb0ced8",
     ((1, 3), 2, (1, 1, -1)): "c1b981b2627dde81c992f7e1df43ceac0abc3574a1041d4fc20972949a5f7383",
-    ((1, 3), -2, (-1, -1, 1)): "6249ff4193ecb06bf60bc6c143b424c2aec51fdcb23ff4929d33a22cd1f79d58",
+    ((1, 3), -2, (-1, -1, 1)): "1cd23eb5cb93b4d6ac0d88ce0d30cfebc577c4a7995ef694d2939f55d450ce10",
     ((2, 1), 3, (1,)): "00ad298a4a798fc7aeaa8d16eb4bad11348863d70a74946b54a38bb30b4c5513",
     ((2, 1), -3, (-1,)): "eba121813384f32f00157f2862cad53474b56d05ad336f1bba5191bf722b4b39",
     ((2, 1), 2, (-1,)): "d1548aa13b709040b93ac94d9c8dcd91a070103da5b1cd4364fd5bfc90ee4ef1",
-    ((2, 1), -2, (1,)): "47766c09ea409639fcd054496cc94b7042da3ef26f406b69135d579b448770db",
+    ((2, 1), -2, (1,)): "ffdefa9df3200a8dfd18b01be7470a60dfe45af70d4dff1cb52f28724fd2ca3d",
 }
 
 
@@ -458,5 +473,5 @@ def test_build_golden_digest():
     assert got == GOLDEN_BUILDS
     # a failing request fails with the same message, digits included
     with pytest.raises(RelatorNotCentral) as err:
-        build_rep(BuildRequest(0, 5, -2, (-1, -1, -1, -1, 1), 27))
-    assert str(err.value) == "lifted relator base off identity by 4.162e-07"
+        build_rep(BuildRequest(0, 6, 3, (1, 1, 1, 1, 1, -1), 2))
+    assert str(err.value) == "lifted relator base off identity by 1.058e-08"

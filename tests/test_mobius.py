@@ -40,6 +40,15 @@ def test_normalize_rejects_negative_det():
         normalize(Matrix2(0, 1, 1, 0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_normalize_rejects_non_finite_entries(slot, value):
+    entries = [1.0, 0.0, 0.0, 1.0]
+    entries[slot] = value
+    with pytest.raises(NonUnitDeterminant):
+        normalize(Matrix2(*entries))
+
+
 def test_normalize_rescales_drift():
     eps = 1e-8
     p = normalize(Matrix2(1 + eps, 0, 0, 1 + eps))
