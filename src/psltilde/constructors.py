@@ -56,6 +56,7 @@ from .mobius import (
     classify_psl,
     conjugator,
     normalize,
+    normalize_unit,
     rotation,
 )
 from .sampling import derive_seed, random_hyperbolic, random_parabolic, random_psl
@@ -155,7 +156,8 @@ def _reachable_classes(k1: FactorKind, k2: FactorKind) -> frozenset[CoverClass]:
 
 
 def _flip_matrix(m: Matrix2) -> Matrix2:
-    # conjugation by diag(1, -1)
+    # conjugation by diag(1, -1): the determinant is kept exactly, so the
+    # flip of a stored image needs no rescaling
     return Matrix2(m.a, -m.b, -m.c, m.d)
 
 
@@ -164,7 +166,7 @@ def cover_flip(x: CoverElement) -> CoverElement:
     conjugation with diag(1,-1); sends every component to its mirror."""
     from .cover import _lift_at_zero  # shared branch bookkeeping
 
-    base2 = normalize(_flip_matrix(x.base.rep))
+    base2 = normalize_unit(_flip_matrix(x.base.rep))
     raw = (-_lift_at_zero(x.base) - _lift_at_zero(base2)) / math.pi
     d = round(raw)
     if abs(raw - d) >= 1e-6:
@@ -765,7 +767,8 @@ def pgl_flip(rep: Representation) -> Representation:
     """Conjugate every image by the orientation-reversing diag(1,-1);
     negates the Euler class and the sign vector."""
     return Representation(rep.surface, {
-        gen: normalize(_flip_matrix(m.rep)) for gen, m in rep.images.items()
+        gen: normalize_unit(_flip_matrix(m.rep))
+        for gen, m in rep.images.items()
     })
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .surface import SurfacePresentation, _expand_last
 from .words import (
+    Alphabet,
     CurveWord,
     canonical_form,
     substitute,
@@ -215,27 +216,31 @@ def enumerate_scc(surf: SurfacePresentation, depth: int,
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     autos = default_autos(surf)
-    maps = autos + [f.inverse() for f in autos]
-    frontier = scc_seeds(surf)
+    alphabet = Alphabet(surf.free_generators())
+    tables = [alphabet.substitution(f.images) for f in autos] \
+        + [alphabet.substitution(f.inverse_images) for f in autos]
+    apply, canonical = alphabet.substitute, alphabet.canonical
+    frontier = [alphabet.encode(w) for w in scc_seeds(surf)]
     curves = list(frontier)
-    seen = {w.letters for w in frontier}
+    seen = set(frontier)
     dropped = 0
     for _ in range(depth):
         new_frontier = []
         for w in frontier:
-            for f in maps:
-                img = canonical_form(f.apply(w))
+            for table in tables:
+                img = canonical(apply(w, table))
                 if len(img) > MAX_ORBIT_WORD_LEN:
                     dropped += 1
                     continue
-                if img.letters and img.letters not in seen:
-                    seen.add(img.letters)
+                if img and img not in seen:
+                    seen.add(img)
                     new_frontier.append(img)
         curves += new_frontier
-        frontier = sorted(new_frontier, key=lambda w: w.letters)
+        frontier = new_frontier
         if not frontier:
             break
-    curves.sort(key=lambda w: w.letters)
+    curves.sort(key=alphabet.tuple_key)
+    curves = list(map(alphabet.decode, curves))
     if return_stats:
         return curves, {"dropped": dropped, "depth": depth, "count": len(curves)}
     return curves

@@ -14,13 +14,8 @@ from __future__ import annotations
 import math
 
 from .mobius import PAR_BAND, Matrix2, PslType, classify_psl, normalize_unit
-from .surface import (
-    Representation,
-    SurfacePresentation,
-    _expand_last,
-    _last_expansion,
-)
-from .words import CurveWord, substitute
+from .surface import Representation, SurfacePresentation
+from .words import Alphabet, CurveWord
 
 IntMatrix = tuple[int, int, int, int]  # row-major (a b / c d)
 
@@ -48,19 +43,16 @@ def _adjugate(x: IntMatrix) -> IntMatrix:
     return (d, -b, -c, a)
 
 
-def _letter_codes(surf: SurfacePresentation) -> dict:
-    """One character per letter: code 2k for free generator k, 2k + 1 for
-    its inverse."""
-    return {(gen, exp): chr(2 * k + (exp < 0))
-            for k, gen in enumerate(surf.free_generators())
-            for exp in (1, -1)}
+def _alphabet(surf: SurfacePresentation) -> Alphabet:
+    """Letter codes of the free generators and of the implied c_p."""
+    return Alphabet(surf.free_generators() + (surf.c(surf.punctures),))
 
 
 def letter_matrices(rep: Representation) -> dict[str, IntMatrix]:
-    """Integer image of each letter code; an inverse is the adjugate, a
-    positive multiple of the inverse."""
+    """Integer image of each free generator's letter code; an inverse is
+    the adjugate, a positive multiple of the inverse."""
     out = {}
-    codes = _letter_codes(rep.surface)
+    codes = _alphabet(rep.surface).codes
     for gen in rep.surface.free_generators():
         m = int_matrix(rep.image(gen).rep.entries())
         out[codes[gen, 1]], out[codes[gen, -1]] = m, _adjugate(m)
@@ -70,10 +62,9 @@ def letter_matrices(rep: Representation) -> dict[str, IntMatrix]:
 def word_product(rep: Representation, w: CurveWord) -> IntMatrix:
     """The image of w, the implied last peripheral written out."""
     mats = letter_matrices(rep)
-    codes = _letter_codes(rep.surface)
     acc = IDENTITY
-    for letter in _expand_last(rep.surface, w).letters:
-        acc = _mul(acc, mats[codes[letter]])
+    for code in CurveList(rep.surface, [w]).codes[0]:
+        acc = _mul(acc, mats[code])
     return acc
 
 
@@ -96,9 +87,10 @@ class CurveList:
     def __init__(self, surf: SurfacePresentation, words):
         self.surface = surf
         self.words = list(words)
-        table, expansion = _letter_codes(surf), _last_expansion(surf)
-        coded = ["".join(map(table.__getitem__,
-                             substitute(w, expansion).letters))
+        alphabet = _alphabet(surf)
+        cp = surf.c(surf.punctures)
+        expand = alphabet.substitution({cp: surf.last_peripheral_word()})
+        coded = [alphabet.substitute(alphabet.encode(w), expand)
                  for w in self.words]
         self.order = sorted(range(len(coded)), key=coded.__getitem__)
         self.codes = [coded[i] for i in self.order]

@@ -460,17 +460,13 @@ def find_standard_split(surf: SurfacePresentation, curve: CurveWord
     raise UnsupportedCurve(f"curve {curve} is not in the standard list")
 
 
-def _last_expansion(surf: SurfacePresentation) -> dict[str, CurveWord]:
-    """The substitution that writes out the implied last peripheral."""
-    images = {g: word(g) for g in surf.free_generators()}
-    images[surf.c(surf.punctures)] = surf.last_peripheral_word()
-    return images
-
-
 def _expand_last(surf: SurfacePresentation, w: CurveWord) -> CurveWord:
+    """w with the implied last peripheral written out."""
     from .words import substitute
 
-    return substitute(w, _last_expansion(surf))
+    images = {g: word(g) for g in surf.free_generators()}
+    images[surf.c(surf.punctures)] = surf.last_peripheral_word()
+    return substitute(w, images)
 
 
 def _twist(rep: Representation, split: SplittingSpec, t: float

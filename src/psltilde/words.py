@@ -9,7 +9,8 @@ Letter = tuple[str, int]  # (generator name, exponent +1 or -1)
 def _join(pieces) -> tuple[Letter, ...]:
     """Free reduction of the concatenation of freely reduced pieces: letters
     cancel only across the junctions, so the cost is one step per piece and
-    per cancelled pair."""
+    per cancelled pair. It builds words (CurveWord(...) and *); substitution
+    and canonical forms run on Alphabet code strings."""
     out: list[Letter] = []
     for piece in pieces:
         k, n = 0, len(piece)
@@ -120,34 +121,91 @@ def _least_rotation(s: str) -> str:
     return best
 
 
+class Alphabet:
+    """One character per letter, so that words are strings and substitution
+    and free reduction run in C-level string operations.
+
+    The generator of rank r in name order (as strings: "c10" < "c2") has
+    (g, +1) coded chr(2r) and (g, -1) coded chr(2r + 1). Coded words thus
+    compare as canonical forms order letters, and the inverse of a letter
+    is its code XOR 1."""
+
+    def __init__(self, gens):
+        self.letters = tuple((g, e) for g in sorted(set(gens)) for e in (1, -1))
+        self.codes = {letter: chr(k) for k, letter in enumerate(self.letters)}
+        self._decode = dict(zip(self.codes.values(), self.letters))
+        self._inverse = {k: k ^ 1 for k in range(len(self.letters))}
+        self._pairs = tuple(chr(k) + chr(k ^ 1)
+                            for k in range(len(self.letters)))
+
+    def encode(self, w: CurveWord) -> str:
+        return "".join(map(self.codes.__getitem__, w.letters))
+
+    def decode(self, s: str) -> CurveWord:
+        """The word of a freely reduced code string."""
+        return CurveWord._reduced(tuple(map(self._decode.__getitem__, s)))
+
+    def inverse(self, s: str) -> str:
+        return s[::-1].translate(self._inverse)
+
+    def tuple_key(self, s: str) -> str:
+        """Sort key of code strings in the order of their letter tuples,
+        which put (g, -1) before (g, +1): each code XOR 1."""
+        return s.translate(self._inverse)
+
+    def reduce(self, s: str) -> str:
+        """Free reduction: every pass deletes the adjacent inverse pairs, one
+        layer of each cancellation, until a pass deletes nothing."""
+        while True:
+            n = len(s)
+            for pair in self._pairs:
+                s = s.replace(pair, "")
+            if len(s) == n:
+                return s
+
+    def substitution(self, images: dict[str, CurveWord]) -> dict[int, str]:
+        """str.translate table of a generator substitution; letters of
+        generators without an image are left as they are."""
+        table = {}
+        for gen, img in images.items():
+            code = self.encode(img)
+            table[ord(self.codes[gen, 1])] = code
+            table[ord(self.codes[gen, -1])] = self.inverse(code)
+        return table
+
+    def substitute(self, s: str, table: dict[int, str]) -> str:
+        """Image of a freely reduced code string under a substitution table."""
+        return self.reduce(s.translate(table))
+
+    def canonical(self, s: str) -> str:
+        """Least rotation among the cyclic reduction of a freely reduced
+        code string and its inverse. Only rotations that start at the least
+        character are compared, which keeps the cost near linear."""
+        i, j = 0, len(s)
+        while j - i >= 2 and ord(s[i]) ^ 1 == ord(s[j - 1]):
+            i += 1
+            j -= 1
+        core = s[i:j]
+        if not core:
+            return core
+        return min(_least_rotation(core), _least_rotation(self.inverse(core)))
+
+
 def canonical_form(w: CurveWord) -> CurveWord:
     """Lexicographically least rotation among the cyclic reduction of w and
     its inverse; idempotent, shared by all conjugates and by w^-1.
 
     Letters are ordered by generator name as strings ("c10" < "c2"), and
-    (g, +1) before (g, -1). Each letter becomes one character of that rank,
-    so the rotations compare as strings; only rotations that start at the
-    least character are compared, which keeps the cost near linear."""
-    core = cyclic_reduce(w).letters
-    if not core:
-        return EMPTY_WORD
-    code, inverse_code, decode = {}, {}, {}
-    for r, gen in enumerate(sorted({g for g, _ in set(core)})):
-        pos, neg = chr(2 * r), chr(2 * r + 1)
-        code[gen, 1] = inverse_code[gen, -1] = pos
-        code[gen, -1] = inverse_code[gen, 1] = neg
-        decode[pos], decode[neg] = (gen, 1), (gen, -1)
-    best = min(
-        _least_rotation("".join(map(code.__getitem__, core))),
-        _least_rotation("".join(map(inverse_code.__getitem__,
-                                    reversed(core)))))
-    return CurveWord._reduced(tuple(map(decode.__getitem__, best)))
+    (g, +1) before (g, -1): the order of Alphabet codes."""
+    alphabet = Alphabet(w.generators())
+    return alphabet.decode(alphabet.canonical(alphabet.encode(w)))
 
 
 def substitute(w: CurveWord, images: dict[str, CurveWord]) -> CurveWord:
     """Apply a generator substitution (endomorphism of the free group)."""
-    table = {}
-    for gen, exp in set(w.letters):
-        img = images[gen].letters
-        table[gen, exp] = img if exp == 1 else _inverse(img)
-    return CurveWord._reduced(_join(map(table.__getitem__, w.letters)))
+    gens = w.generators()
+    images = {gen: images[gen] for gen in gens}
+    alphabet = Alphabet(gens.union(*(img.generators()
+                                     for img in images.values())))
+    return alphabet.decode(alphabet.substitute(
+        alphabet.encode(w), alphabet.substitution(images)))

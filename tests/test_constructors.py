@@ -277,7 +277,9 @@ def test_mirror_builds_are_flips(surface):
     chi = 2 - 2 * g - p
     # (euler, signs) of the positive families; each mirror negates both
     positives = [(-chi, (1,) * p), (-chi - 1, (1,) * (p - 1) + (-1,))]
-    for seed in range(5):
+    # (2,1) seed 42 stores an extremal image past 1e4 unscaled: its flip
+    # must not be rescaled
+    for seed in list(range(5)) + ([42] if surface == (2, 1) else []):
         for e, signs in positives:
             positive = build_rep(BuildRequest(g, p, e, signs, seed))
             mirror = build_rep(BuildRequest(g, p, -e, tuple(-s for s in signs),

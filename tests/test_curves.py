@@ -116,6 +116,12 @@ GOLDEN = {
     (2, 1, 3): (33, 0, "5e302fedd91ee3abadf3ec19daf390680ba74320bc844d623297a213b36d8b15"),
     (0, 5, 3): (183, 0, "c9901fcf48e9e20cb119af99febaa61e80024e9c3ad3f1aac2e57dd208490981"),
     (1, 1, 6): (128, 0, "588a770b3c57b75ef516d90ab090605fcf738e83cf7cf96b39869813fc1a870f"),
+    # the audit-deep depths, recorded with the tuple-of-letters enumeration
+    # that the coded one replaced; (1, 3, 7) is the entry that drops words
+    (0, 4, 6): (610, 0, "c1ad855b3fc4252039504a55f0d2f16dbbcb6da67dce56e198fb49e826d9c630"),
+    (0, 4, 7): (1560, 0, "ad1d54eda460584a62d3acc702d2649338a6a954e4ca3dc9cc1c29c65965e072"),
+    (1, 3, 6): (607, 0, "68006621d278fb885141a1666c12f744fb00f3a9649f63ce2df5109e1a4371ba"),
+    (1, 3, 7): (1409, 2, "57f5dd118c014ce226bfdaa4e8873fffdefad2c15e050c4f43b5b946f93d66c1"),
 }
 
 

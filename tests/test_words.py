@@ -159,3 +159,26 @@ def test_substitute_matches_letterwise_expansion(ls, imgs):
     for gen, exp in w.letters:
         expanded.extend((imgs[gen] if exp == 1 else imgs[gen].inv()).letters)
     assert substitute(w, imgs).letters == tuple(_reference_reduce(expanded))
+
+
+
+# images (u v) g (u v)^-1 with one u of up to 40 letters for every g and a
+# short v per g: at each junction of adjacent images the whole u cancels,
+# far more nested layers than the short images above ever force
+@st.composite
+def conjugate_images(draw):
+    u = CurveWord(draw(st.lists(name_letter, max_size=40)))
+    images = {}
+    for g in NAMES:
+        uv = u * CurveWord(draw(st.lists(name_letter, max_size=4)))
+        images[g] = uv * word(g) * uv.inv()
+    return images
+
+
+@given(st.lists(name_letter, max_size=24), conjugate_images())
+def test_substitute_cancels_deeply_nested_images(ls, imgs):
+    w = CurveWord(ls)
+    expanded = []
+    for gen, exp in w.letters:
+        expanded.extend((imgs[gen] if exp == 1 else imgs[gen].inv()).letters)
+    assert substitute(w, imgs).letters == tuple(_reference_reduce(expanded))
