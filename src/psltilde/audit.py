@@ -3,9 +3,9 @@ restriction (almost-Fuchsian) certificate for the counterexample components.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .curves import enumerate_scc
 from .errors import (
     BoundaryElliptic,
     NotHP,
@@ -13,7 +13,13 @@ from .errors import (
     NotTypePreserving,
     RelatorNotCentral,
 )
-from .exact import CurveList, abs_trace, curve_products, psl_type, trace_margin
+from .exact import (
+    CurveList,
+    abs_trace,
+    curve_margins,
+    curve_products,
+    psl_type,
+)
 from .mobius import classify_psl, is_parabolic
 from .surface import (
     Representation,
@@ -72,6 +78,11 @@ def _type_preserving_invariants(rep: Representation) -> tuple[int, SignVector]:
     return invariants(rep)  # every image parabolic: raises the relator error
 
 
+def _check_margin(margin: float) -> None:
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin {margin} must be finite and non-negative")
+
+
 def audit_rep(rep: Representation, depth: int,
               margin: float = DEFAULT_MARGIN,
               curves: list[CurveWord] | CurveList | None = None
@@ -80,26 +91,33 @@ def audit_rep(rep: Representation, depth: int,
     unit-determinant |trace| clears 2 by less than the margin (elliptic and
     identity images included).
 
-    Each verdict is exact about the stored float matrices: the curve images
-    are integer products (psltilde.exact), and only each margin is rounded,
-    to within a few ulps. Pass a CurveList to audit many representations of
-    one surface against one prepared list. Deterministic: violations come in
-    the order of the curves, which enumeration sorts."""
+    Each verdict is exact about the stored float matrices: the margins come
+    from exact integers (psltilde.exact), and only each margin is rounded,
+    to within a few ulps. Enumerated curves on the four-punctured sphere
+    are decided by their slopes; any other curve, and every word a caller
+    passes, by its integer product. The violation entries of the flagged
+    curves come from one walk of their products. Pass a CurveList to audit
+    many representations of one surface against one prepared list.
+    Deterministic: violations come in the order of the curves, which
+    enumeration sorts."""
+    _check_margin(margin)
     euler, signs = _type_preserving_invariants(rep)
     dropped = None
     if curves is None:
-        curves, stats = enumerate_scc(rep.surface, depth, return_stats=True)
-        dropped = stats["dropped"]
-    if not isinstance(curves, CurveList):
+        curves = CurveList.enumerated(rep.surface, depth)
+        dropped = curves.dropped
+    elif not isinstance(curves, CurveList):
         curves = CurveList(rep.surface, curves)
-    margins = [0.0] * len(curves)
-    flagged = {}
-    for i, image in curve_products(rep, curves):
-        m = margins[i] = trace_margin(image)
-        if m < margin:
-            flagged[i] = Violation(format_word(curves.words[i]),
-                                   psl_type(image, m).value,
-                                   abs_trace(image))
+    margins = curve_margins(rep, curves)
+    flagged = [i for i, m in enumerate(margins) if m < margin]
+    violations = [None] * len(flagged)
+    if flagged:
+        words = [curves.words[i] for i in flagged]
+        for j, image in curve_products(rep, CurveList(rep.surface, words)):
+            m = margins[flagged[j]]
+            violations[j] = Violation(format_word(words[j]),
+                                      psl_type(image, m).value,
+                                      abs_trace(image))
     worst = min(range(len(margins)), key=margins.__getitem__, default=None)
     return AuditReport(
         genus=rep.surface.genus,
@@ -110,7 +128,7 @@ def audit_rep(rep: Representation, depth: int,
         margin=margin,
         curves_checked=len(curves),
         min_trace_margin=None if worst is None else margins[worst],
-        violations=tuple(flagged[i] for i in sorted(flagged)),
+        violations=tuple(violations),
         min_margin_curve=None if worst is None
         else format_word(curves.words[worst]),
         words_dropped=dropped,

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .cover import (
     Center,
@@ -220,10 +221,14 @@ def _conj_probe(h: tuple[float, float, float, float], mats) -> float:
 
 def _grid_refine(size, grid, steps, move) -> float:
     """Grid point minimizing size, moved at each step to the best of
-    move(best, d * step), d = -2..2; like min, keeps the first minimum."""
-    best = min(grid, key=size)
+    move(best, d * step), d = -2..2; like min, keeps the first minimum. The
+    point at d = 0 keeps the score it was chosen with."""
+    best, score = min(((t, size(t)) for t in grid), key=itemgetter(1))
     for step in steps:
-        best = min([move(best, d * step) for d in (-2, -1, 0, 1, 2)], key=size)
+        points = [move(best, d * step) for d in (-2, -1, 0, 1, 2)]
+        scores = [size(points[0]), size(points[1]), score,
+                  size(points[3]), size(points[4])]
+        best, score = min(zip(points, scores), key=itemgetter(1))
     return best
 
 
@@ -910,10 +915,12 @@ def sample(req: BuildRequest, count: int, depth: int = 4,
     """count independent builds with counter-derived seeds, each audited on
     the enumerated curves at the given depth; returns (reps, reports,
     summary), with reports[i] the AuditReport of reps[i]."""
-    from .audit import audit_rep
-    from .curves import enumerate_scc
+    from .audit import _check_margin, audit_rep
     from .exact import CurveList
 
+    if count < 0:
+        raise ValueError(f"count {count} must be non-negative")
+    _check_margin(margin)
     _check_feasible(req)
     reps, reports = [], []
     passes = 0
@@ -924,7 +931,7 @@ def sample(req: BuildRequest, count: int, depth: int = 4,
         rep = build_rep(child)
         reps.append(rep)
         if curves is None:
-            curves = CurveList(rep.surface, enumerate_scc(rep.surface, depth))
+            curves = CurveList.enumerated(rep.surface, depth)
         report = audit_rep(rep, depth, margin, curves=curves)
         reports.append(report)
         if not report.violations:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 
 import pytest
 
@@ -247,3 +249,75 @@ def test_cli_audit_restrictions_evaluates_peripherals_once(tmp_path,
     with open(report_path) as fh:
         restrictions = json.load(fh)["restrictions"]
     assert restrictions["mode"] == "counterexample" and restrictions["passed"]
+
+
+SAMPLE_ARGS = ["sample", "--genus", "0", "--punctures", "4", "--euler", "1",
+               "--signs=+,+,+,-"]
+
+
+def test_cli_sample_refuses_a_negative_count(tmp_path, capsys):
+    out = str(tmp_path / "summary.json")
+    assert run(SAMPLE_ARGS + ["--count", "-3", "-o", out]) == 2
+    assert capsys.readouterr().err == \
+        "error: count -3 must be non-negative\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf", "-1e-6"])
+def test_cli_refuses_a_bad_margin_before_any_work(tmp_path, capsys,
+                                                  monkeypatch, margin):
+    from psltilde import constructors
+    from psltilde.exact import CurveList
+
+    def refuse(*args):
+        raise AssertionError("built or enumerated before the margin check")
+
+    rep_path = str(tmp_path / "rep.json")
+    jsonio.atomic_write(rep_path, jsonio.dumps(jsonio.representation_to_json(
+        build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42)))))
+    monkeypatch.setattr(constructors, "build_rep", refuse)
+    monkeypatch.setattr(CurveList, "enumerated", refuse)
+    want = f"error: margin {float(margin)} must be finite and non-negative\n"
+    out = str(tmp_path / "out.json")
+    assert run(SAMPLE_ARGS + ["--count", "3", "--depth", "2",
+                              f"--margin={margin}", "-o", out]) == 2
+    assert capsys.readouterr().err == want
+    assert run(["audit", rep_path, "--depth", "2", f"--margin={margin}",
+                "--report", out]) == 2
+    assert capsys.readouterr().err == want
+    assert not os.path.exists(out)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# sha256 of outputs written before the four-punctured sphere was audited by
+# the Farey trace recursion; the recursion must leave every byte in place
+GOLDEN_AUDITS = {
+    "sphere4-fuchsian.json":
+        "2518e1195284fd9d4d0eb9bcb0ce468f89bc771d4f82c24c61e6ecede966de21",
+    "sphere4-counterexample.json":
+        "59bb4bc846ada460e2277d9281032cbd9b24365c50a612b09d15ba75c0c62435",
+}
+GOLDEN_SAMPLE_CSV = \
+    "2be8bc932dc462d92dbcdfd6c778b5c0f657e68007f3803cef4c74a0a233350f"
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_AUDITS))
+def test_cli_audit_golden_bytes(tmp_path, name):
+    report = str(tmp_path / "report.json")
+    assert run(["audit", os.path.join(DATA, name), "--depth", "7",
+                "--restrictions", "--report", report]) == 0
+    assert _sha256(report) == GOLDEN_AUDITS[name]
+
+
+def test_cli_sample_golden_bytes(tmp_path):
+    csv = str(tmp_path / "rows.csv")
+    assert run(SAMPLE_ARGS + ["--seed", "7", "--count", "3", "--depth", "6",
+                              "--csv", csv,
+                              "-o", str(tmp_path / "summary.json")]) == 0
+    assert _sha256(csv) == GOLDEN_SAMPLE_CSV

@@ -421,8 +421,10 @@ def test_probe_reproduces_diagonal_conjugator_floats(mats, s):
 
 
 def test_grid_refine_scores_like_the_min_loop():
-    # a size with ties everywhere: the first minimum must win, and the points
-    # must be scored in the order of the coarse-grid-then-refine loop
+    # a size with ties everywhere: the first minimum must win, as in the
+    # coarse-grid-then-refine min loop, and each refinement step must score
+    # the four moved points in that loop's order but not the best point,
+    # whose score is known
     def size(t):
         seen.append(t)
         return round(abs(t - 0.3), 1)
@@ -432,9 +434,13 @@ def test_grid_refine_scores_like_the_min_loop():
     got = seen
     seen = []
     want = min(_BALANCE_GRID, key=size)
+    scored = list(seen)
     for step in (0.1, 0.03, 0.01):
-        want = min([want + d * step for d in (-2, -1, 0, 1, 2)], key=size)
-    assert (best, got) == (want, seen)
+        points = [want + d * step for d in (-2, -1, 0, 1, 2)]
+        scored += points[:2] + points[3:]
+        want = min(points, key=size)
+    assert (best, got) == (want, scored)
+    assert len(got) == len(_BALANCE_GRID) + 12
 
 
 # sha256 of the written build (jsonio.dumps of representation_to_json with the

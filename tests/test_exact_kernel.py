@@ -1,6 +1,8 @@
 """The audit's exact integer kernel against an independent Fraction
 recomputation: margins, verdicts, traces past the float range, type names,
-and the loader's check of the stored last peripheral."""
+and the loader's check of the stored last peripheral; and the Farey trace
+recursion of the four-punctured sphere against the products it replaces."""
+import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
-from psltilde import audit, jsonio
+from psltilde import audit, exact, jsonio
 from psltilde.audit import audit_rep
 from psltilde.constructors import (
     BuildRequest,
@@ -21,6 +23,7 @@ from psltilde.curves import enumerate_scc
 from psltilde.errors import RelatorNotCentral
 from psltilde.exact import (
     CurveList,
+    curve_margins,
     curve_products,
     int_matrix,
     trace_margin,
@@ -32,6 +35,7 @@ from psltilde.surface import (
     SignVector,
     SurfacePresentation,
     eval_word,
+    invariants,
 )
 from psltilde.words import CurveWord, format_word, parse_word, word
 
@@ -191,3 +195,134 @@ def test_loader_checks_last_peripheral_exactly():
     data["images"]["c4"][1] += 1e-7
     with pytest.raises(RelatorNotCentral):
         jsonio.representation_from_json(data)
+
+
+# -- the Farey trace recursion on the four-punctured sphere -------------------
+
+SPHERE4_FAMILIES = ((2, (1, 1, 1, 1)), (-2, (-1, -1, -1, -1)),
+                    (1, (1, 1, 1, -1)), (-1, (-1, -1, -1, 1)))
+
+
+def _walked(curves: CurveList) -> CurveList:
+    """The same words as a caller's list, which the prefix walk decides."""
+    plain = CurveList(curves.surface, curves.words)
+    assert curves.farey is not None and plain.farey is None
+    return plain
+
+
+def test_recursion_margins_equal_the_walk():
+    curves = CurveList.enumerated(SPHERE4, 6)
+    plain = _walked(curves)
+    assert len(curves) == 610
+    for euler, signs in SPHERE4_FAMILIES:
+        for seed in range(10):
+            rep = build_rep(BuildRequest(0, 4, euler, signs, seed))
+            assert curve_margins(rep, curves) == curve_margins(rep, plain), \
+                (euler, signs, seed)
+
+
+def _exact_slope_margin(t, m, sigma2):
+    return exact._margin(*exact._margin_parts(t * t, sigma2 * m * m))
+
+
+big = st.integers(1, 2 ** 600)
+
+
+@settings(max_examples=300, deadline=None)
+@given(big, big, st.integers(1, 2 ** 240), st.integers(-2 ** 40, 2 ** 40),
+       st.integers(0, 200), st.sampled_from((1, -1)))
+def test_slope_margin_reads_leading_bits_exactly(m, s, sigma2, offset, cut,
+                                                 sign):
+    # near-parabolic slopes: t = 2 s m + a small offset with sigma2 = s^2,
+    # so that R - 4 cancels to about 2^-cut, or all the way; then any
+    # sigma2, and traces far from +-2 either way
+    for t, sig in ((2 * s * m + (s * m >> cut) + offset, s * s),
+                   (2 * s * m + offset, s * s), (offset, sigma2),
+                   (s * m, sigma2), (s * m << 700, 1), (s, m * m << 900)):
+        t *= sign
+        assert exact._slope_margin(t, m, sig) == \
+            _exact_slope_margin(t, m, sig), (t, m, sig)
+
+
+def test_slope_margin_at_parabolic_zero_and_overflow():
+    for t, m, sigma2 in ((2 * 3 ** 300, 3 ** 300, 1), (0, 5 ** 200, 7),
+                         (2 ** 5000, 1, 1), (3 ** 1000, 2 ** 1000, 1),
+                         (1, 2 ** 3000, 3), (-4, 1, 4), (7, 2, 3)):
+        assert exact._slope_margin(t, m, sigma2) == \
+            _exact_slope_margin(t, m, sigma2)
+    assert exact._slope_margin(2 * 3 ** 300, 3 ** 300, 1) == 0.0
+    assert exact._slope_margin(2 ** 5000, 1, 1) == math.inf
+
+
+ENUMERATED = {d: CurveList.enumerated(SPHERE4, d) for d in range(5)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(generator, generator, generator), st.integers(0, 4))
+def test_recursion_is_algebraic(gens, depth):
+    # the edge relation holds for any images, type-preserving or not
+    rep = Representation(SPHERE4, dict(zip(("c1", "c2", "c3"), gens)))
+    curves = ENUMERATED[depth]
+    assert curve_margins(rep, curves) == curve_margins(rep, _walked(curves))
+
+
+def _gamma2():
+    """An integer Fuchsian (0,4) group: the index-2 subgroup of Gamma(2)
+    generated by A^2, B and A B A^-1, A = [[1, 2], [0, 1]],
+    B = [[1, 0], [-2, 1]]. Every trace in Gamma(2) is 2 mod 4."""
+    images = {"c1": (1, 4, 0, 1), "c2": (1, 0, -2, 1), "c3": (-3, 8, -2, 5)}
+    return Representation(SPHERE4, {g: normalize(Matrix2(*m))
+                                    for g, m in images.items()})
+
+
+def test_gamma2_oracle():
+    rep = _gamma2()
+    euler, signs = invariants(rep)
+    assert (euler, tuple(signs)) == (2, (1, 1, 1, 1))
+    report = audit_rep(rep, 7)
+    assert report.curves_checked == 1560
+    assert report.min_trace_margin == 4.0
+    assert report.violations == ()
+    walked = audit_rep(rep, 7,
+                       curves=_walked(CurveList.enumerated(SPHERE4, 7)))
+    assert walked == dataclasses.replace(report, words_dropped=None)
+
+
+def test_a_slope_does_not_decide_a_caller_word():
+    # c1 c2 c3^-1 c2^-1 has the slope of the simple c1 c2 c3 c2^-1, but not
+    # its trace: a word the caller passes is multiplied out
+    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
+    gens = ref.generator_images(rep)
+    odd, simple = parse_word("c1 c2 c3^-1 c2^-1"), parse_word("c1 c2 c3 c2^-1")
+    with pytest.raises(AssertionError, match=r"two curves of slope \(1, -1\)"):
+        exact._FareyPlan(CurveList(SPHERE4, [odd, simple]))
+    margins = [audit_rep(rep, 0, curves=[w]).min_trace_margin
+               for w in (odd, simple)]
+    assert margins[0] != margins[1]
+    assert _close(margins[0], ref.margin(ref.image(rep, odd, gens)))
+    assert _close(margins[1], ref.margin(ref.image(rep, simple, gens)))
+
+
+def test_enumerated_audit_walks_only_flagged_curves():
+    def refuse(*args):
+        raise AssertionError("curve_products called")
+
+    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
+    with mock.patch.object(exact, "curve_products", refuse), \
+            mock.patch.object(audit, "curve_products", refuse):
+        report = audit_rep(rep, 5)
+    assert report.violations == () and report.curves_checked > 0
+    # a flagged curve takes its entry from a walk of the flagged words only
+    walked = []
+
+    def counted(r, curves):
+        walked.append(list(curves.words))
+        return curve_products(r, curves)
+
+    threshold = sorted(curve_margins(rep, ENUMERATED[4]))[2]
+    with mock.patch.object(audit, "curve_products", counted):
+        report = audit_rep(rep, 4, threshold, curves=ENUMERATED[4])
+    assert len(report.violations) == 2
+    assert walked == [[parse_word(v.curve) for v in report.violations]]
+    assert report == audit_rep(rep, 4, threshold,
+                               curves=_walked(ENUMERATED[4]))
