@@ -78,7 +78,9 @@ def _type_preserving_invariants(rep: Representation) -> tuple[int, SignVector]:
     return invariants(rep)  # every image parabolic: raises the relator error
 
 
-def _check_margin(margin: float) -> None:
+def _check_depth_and_margin(depth: int, margin: float) -> None:
+    if depth < 0:
+        raise ValueError(f"depth {depth} must be non-negative")
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin {margin} must be finite and non-negative")
 
@@ -100,7 +102,7 @@ def audit_rep(rep: Representation, depth: int,
     many representations of one surface against one prepared list.
     Deterministic: violations come in the order of the curves, which
     enumeration sorts."""
-    _check_margin(margin)
+    _check_depth_and_margin(depth, margin)
     euler, signs = _type_preserving_invariants(rep)
     dropped = None
     if curves is None:

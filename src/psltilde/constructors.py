@@ -39,7 +39,6 @@ from .cover import (
 from .dd import unit_product
 from .errors import (
     BoundaryElliptic,
-    IndexRoundingUnstable,
     InfeasibleRequest,
     NonUnitDeterminant,
     NotHyperbolic,
@@ -165,14 +164,11 @@ def _flip_matrix(m: Matrix2) -> Matrix2:
 def cover_flip(x: CoverElement) -> CoverElement:
     """Image of x under the orientation-reversing automorphism induced by
     conjugation with diag(1,-1); sends every component to its mirror."""
-    from .cover import _lift_at_zero  # shared branch bookkeeping
-
-    base2 = normalize_unit(_flip_matrix(x.base.rep))
-    raw = (-_lift_at_zero(x.base) - _lift_at_zero(base2)) / math.pi
-    d = round(raw)
-    if abs(raw - d) >= 1e-6:
-        raise SolveFailed(f"flip index residual {abs(raw - d):.3e}")
-    return CoverElement(base2, d - x.lift_index)
+    m = x.base.rep
+    # g(0) = theta in (0, pi) becomes pi - theta when c != 0, so the
+    # reflected lift -g(-t) is the flipped canonical lift minus pi
+    return CoverElement(normalize_unit(_flip_matrix(m)),
+                        -x.lift_index - (m.c != 0.0))
 
 
 def _class_flip(cls: CoverClass) -> CoverClass:
@@ -260,7 +256,7 @@ def _balance_on_centralizer(x: CoverElement, y: CoverElement,
     try:
         h = _one_parameter_power(target.base, best_t)
         return _conj_dd(h, x), _conj_dd(h, y)
-    except (NonUnitDeterminant, IndexRoundingUnstable):
+    except NonUnitDeterminant:
         return x, y
 
 
@@ -381,8 +377,6 @@ def _hyp_hyp_pair(tcls: CoverClass, target: CoverElement,
     The component within the trace-compatible options is corrected by the
     orientation flip; a handful of family variants guards against landing in
     a non-flip-correctable component for trace-minus-2 targets."""
-    from .errors import DegenerateRange
-
     tau = sl_trace(target)
     flipped = _class_flip(tcls)
     variants = []
@@ -398,13 +392,7 @@ def _hyp_hyp_pair(tcls: CoverClass, target: CoverElement,
         a = normalize(Matrix2(m, 0.0, 0.0, 1.0 / m))
         b = normalize(Matrix2(w, eps, eps * q, tb - w))
         x, y = special_lift(a), special_lift(b)
-        prod = cover_mul(x, y)
-        if prod.base.is_identity():
-            continue
-        try:
-            cls = cover_classify(prod)
-        except DegenerateRange:
-            continue
+        cls = cover_classify(cover_mul(x, y))
         if cls == tcls:
             return x, y
         if cls == flipped and flipped != tcls:
@@ -609,8 +597,7 @@ def build_boundary_extremal(genus: int, punctures: int,
                 _extremal_recursive(surf, boundary, local), boundary)
             _check_extremal(rep, boundary)
             return rep
-        except (SolveFailed, NonUnitDeterminant, IndexRoundingUnstable,
-                SelfVerificationError) as e:
+        except (SolveFailed, NonUnitDeterminant, SelfVerificationError) as e:
             last_err = e
     raise SolveFailed(f"extremal assembly failed repeatedly: {last_err}")
 
@@ -837,7 +824,7 @@ def build_rep(req: BuildRequest) -> Representation:
     for _ in range(10):
         try:
             return _build_rep_once(req, sv, surf, chi, rng)
-        except (SolveFailed, NonUnitDeterminant, IndexRoundingUnstable) as e:
+        except (SolveFailed, NonUnitDeterminant) as e:
             last_err = e
     raise SolveFailed(f"component build failed repeatedly: {last_err}")
 
@@ -915,12 +902,12 @@ def sample(req: BuildRequest, count: int, depth: int = 4,
     """count independent builds with counter-derived seeds, each audited on
     the enumerated curves at the given depth; returns (reps, reports,
     summary), with reports[i] the AuditReport of reps[i]."""
-    from .audit import _check_margin, audit_rep
+    from .audit import _check_depth_and_margin, audit_rep
     from .exact import CurveList
 
     if count < 0:
         raise ValueError(f"count {count} must be non-negative")
-    _check_margin(margin)
+    _check_depth_and_margin(depth, margin)
     _check_feasible(req)
     reps, reports = [], []
     passes = 0

@@ -5,15 +5,19 @@ direction circle R/piZ; its canonical lift g is the strictly increasing map
 with g(x + pi) = g(x) + pi and g(0) in [0, pi). The pair denotes the
 homeomorphism g + lift_index * pi of the real line.
 
-Classification reads the displacement d(t) = g(t) + k*pi - t over one period.
+The upper representative U of a base is its unit-determinant matrix whose
+first column lies at an angle in [0, pi): second entry positive, or zero with
+a positive first entry. g is the lift of U's action on the angles of unit
+vectors that starts at the angle of that column, and g + pi lifts -U. So
+every deck index and class below is a sign rule on the stored entries,
+exact relative to the stored bases; angle_lift evaluates the model itself.
+
 The deck generator z (the standard generator of the center, the endpoint of
 the elliptic one-parameter path through rotation(pi)) is the translation by
 -pi, i.e. CoverElement(identity, -1); central powers z^n therefore carry lift
 index -n, and the component index of a class is read off the *negated*
-displacement window. The parabolic sign convention (Plus = displacement range
-touches its maximum) is pinned by the requirement that the canonical lift of
-(1 1 / 0 1) at index 0 classifies ParPlus(0); a self-check at import asserts
-this.
+displacement d(t) = g(t) + k*pi - t. The canonical lift of (1 1 / 0 1) at
+index 0 classifies ParPlus(0).
 """
 from __future__ import annotations
 
@@ -21,27 +25,20 @@ import math
 from dataclasses import dataclass
 
 from .dd import unit_product
-from .errors import (
-    DegenerateRange,
-    EllipticHasNoHyp0Lift,
-    IndexRoundingUnstable,
-)
+from .errors import EllipticHasNoHyp0Lift
 from .mobius import (
     IDENTITY,
     Matrix2,
     ProjectiveMatrix,
     PslType,
+    _positive_trace_rep,
     classify_psl,
-    is_parabolic,
     normalize,
 )
 
 PI = math.pi
 
-INDEX_GUARD = 1e-6      # deck-index rounding residual
-CLASS_GUARD = 1e-9      # extremum-near-multiple-of-pi guard
 EQUAL_TOL = 1e-8        # entrywise base tolerance of cover_equal
-ROTATION_EPS = 1e-13    # below this the displacement is treated as constant
 
 
 @dataclass(frozen=True)
@@ -102,28 +99,31 @@ def angle_lift(p: ProjectiveMatrix, x: float) -> float:
     return q * PI + gx
 
 
-def _lift_at_zero(p: ProjectiveMatrix) -> float:
-    return _image_angle(p.rep, 0.0)
+def _up(a: float, c: float) -> int:
+    """+1 when the vector (a, c) lies at an angle in [0, pi), else -1."""
+    return 1 if c > 0 or (c == 0 and a > 0) else -1
 
 
 def cover_mul(x: CoverElement, y: CoverElement) -> CoverElement:
-    """Group law: compose lifts; the deck correction is the integer
-    (g_x(g_y(0)) - g_xy(0)) / pi, guarded against rounding instability."""
-    base = x.base @ y.base
-    raw = (angle_lift(x.base, _lift_at_zero(y.base)) - _lift_at_zero(base)) / PI
-    d = round(raw)
-    if abs(raw - d) >= INDEX_GUARD:
-        raise IndexRoundingUnstable(f"deck index residual {abs(raw - d):.3e}")
-    return CoverElement(base, x.lift_index + y.lift_index + d)
+    """Group law. g_x g_y lifts the action of U_x U_y = +-X @ Y and starts
+    at an angle in [0, 2*pi); the deck correction is 1 exactly when that
+    product is minus the upper representative of the product base, and 0
+    when g_y(0) = 0, that is, when Y.c = 0.
+
+    The rule reads the rounded product. Where rounding moves its first
+    column across the horizontal axis, the orientation of U_x e1 and
+    U_x U_y e1 puts that column near angle pi (unless |X.a * X.d| nears
+    2**53), and the rule then picks the lift nearest g_x g_y."""
+    X, Y = x.base.rep, y.base.rep
+    P = X @ Y
+    d = Y.c != 0.0 and _up(Y.a, Y.c) * _up(P.a, P.c) != _up(X.a, X.c)
+    return CoverElement(normalize(P), x.lift_index + y.lift_index + int(d))
 
 
 def cover_inv(x: CoverElement) -> CoverElement:
-    base_inv = x.base.inv()
-    raw = angle_lift(x.base, _lift_at_zero(base_inv)) / PI
-    d = round(raw)
-    if abs(raw - d) >= INDEX_GUARD:
-        raise IndexRoundingUnstable(f"deck index residual {abs(raw - d):.3e}")
-    return CoverElement(base_inv, -x.lift_index - d)
+    """Inverse: U_x times the upper representative of the adjugate is -I
+    exactly when c != 0."""
+    return CoverElement(x.base.inv(), -x.lift_index - (x.base.rep.c != 0.0))
 
 
 def cover_conj(g: CoverElement, x: CoverElement) -> CoverElement:
@@ -141,47 +141,51 @@ def identity_cover() -> CoverElement:
     return CoverElement(normalize(IDENTITY), 0)
 
 
+def _down(p: ProjectiveMatrix) -> int:
+    """1 when the stored representative is minus the upper one, so that
+    g_p(0) is near pi for a base near the identity; else 0."""
+    return int(_up(p.rep.a, p.rep.c) < 0)
+
+
 def central_index(x: CoverElement) -> int:
     """n with x = z^n, for x over (approximately) the identity.
 
-    The canonical branch g(0) of a base within tolerance of the identity can
-    sit near either 0 or pi, so the deck count must read the homeomorphism,
-    not the raw lift index.
-    """
-    return -(x.lift_index + round(_lift_at_zero(x.base) / PI))
+    A base within tolerance of the identity can have its first column just
+    below the horizontal axis, where g(0) is near pi, so the deck count reads
+    that sign as well as the lift index."""
+    return -(x.lift_index + _down(x.base))
 
 
-_PROBE_POINT = 0.5615528128088303  # fixed generic direction for comparisons
+def _shift(p: ProjectiveMatrix, q: ProjectiveMatrix) -> int:
+    """k with g_q + k*pi close to g_p, for projectively nearby bases: 0
+    when their upper first columns point the same way (positive dot
+    product); otherwise one lies near angle 0 and the other near pi."""
+    u, v = p.rep, q.rep
+    su, sv = _up(u.a, u.c), _up(v.a, v.c)
+    if su * sv * (u.a * v.a + u.c * v.c) >= 0.0:
+        return 0
+    return -1 if su * u.a > 0.0 else 1
 
 
 def cover_equal(x: CoverElement, y: CoverElement) -> bool:
     """Whether two cover elements denote the same lift: projectively equal
-    bases and equal homeomorphisms. Robust against the canonical-branch wrap
+    bases and equal homeomorphisms, also across the canonical-branch wrap
     at bases fixing the direction 0."""
     if x.base.rep.maxdiff(y.base.rep) >= EQUAL_TOL:
         return False
-    hx = angle_lift(x.base, _PROBE_POINT) + x.lift_index * PI
-    hy = angle_lift(y.base, _PROBE_POINT) + y.lift_index * PI
-    return abs(hx - hy) < 0.5
+    return x.lift_index + _shift(x.base, y.base) == y.lift_index
 
 
 def with_base(x: CoverElement, base: ProjectiveMatrix) -> CoverElement:
     """Re-home a cover element on a nearby (e.g. recomputed more accurately)
     base, keeping the same homeomorphism; adjusts the lift index if the
     canonical branch wrapped between the two bases."""
-    target = angle_lift(x.base, _PROBE_POINT) + x.lift_index * PI
-    raw = (target - angle_lift(base, _PROBE_POINT)) / PI
-    k = round(raw)
-    if abs(raw - k) > 0.2:
-        raise IndexRoundingUnstable(
-            f"base replacement shifted the homeomorphism by {raw - k:.3f} pi")
-    return CoverElement(base, k)
+    return CoverElement(base, x.lift_index + _shift(x.base, base))
 
 
 def cover_commutator(x: CoverElement, y: CoverElement) -> CoverElement:
     """Commutator x y x^-1 y^-1. The deck index comes from the float cover
-    chain, whose guards tolerate far more noise than entrywise base
-    comparisons do; the base is recomputed in compensated arithmetic, because
+    chain; the base is recomputed in compensated arithmetic, because
     commutator intermediates are exactly the cancellation-heavy products
     that leak float noise."""
     rough = cover_mul(cover_mul(x, y), cover_mul(cover_inv(x), cover_inv(y)))
@@ -189,92 +193,33 @@ def cover_commutator(x: CoverElement, y: CoverElement) -> CoverElement:
     return with_base(rough, unit_product(a, b, a.inv(), b.inv()))
 
 
-def _displacement_extrema(p: ProjectiveMatrix, k: int) -> tuple[float, float]:
-    """Closed-form extrema of d(t) = g(t) + k*pi - t over t in [0, pi].
-
-    d'(t) = 1/|rep.(cos t, sin t)|^2 - 1, so interior extrema solve
-    alpha + beta cos 2t + gamma sin 2t = 1 with the coefficients below. For
-    unit-determinant matrices the min and max of the squared norm multiply to
-    1, so solutions always exist; the degenerate R ~ 0 case is a rotation with
-    constant displacement. Raises DegenerateRange when the base is too far
-    from unit determinant for that to hold.
-    """
-    a, b, c, d = p.rep.entries()
-    alpha = (a * a + b * b + c * c + d * d) / 2.0
-    beta = (a * a + c * c - b * b - d * d) / 2.0
-    gamma = a * b + c * d
-    r = math.hypot(beta, gamma)
-    shift = k * PI
-    if r < ROTATION_EPS:
-        v = _lift_at_zero(p) + shift
-        return (v, v)
-    u = (1.0 - alpha) / r
-    if abs(u) > 1.0 + 1e-9:
-        # alpha^2 - r^2 = det^2, so |u| <= 1 for unit-determinant bases
-        raise DegenerateRange(
-            f"displacement extrema equation has no solution (u = {u!r}); "
-            "base is not unit-determinant")
-    u = max(-1.0, min(1.0, u))
-    psi = math.atan2(gamma, beta)
-    phi = math.acos(u)
-    values = []
-    for tc in ((psi + phi) / 2.0, (psi - phi) / 2.0):
-        t = tc % PI
-        values.append(angle_lift(p, t) + shift - t)
-    return (min(values), max(values))
-
-
-def _psl_parabolic_sign(p: ProjectiveMatrix) -> int:
-    kind = classify_psl(p)
-    return 1 if kind is PslType.PARABOLIC_PLUS else -1
+_FIXING_CLASS = {PslType.HYPERBOLIC: Hyp, PslType.PARABOLIC_PLUS: ParPlus,
+                 PslType.PARABOLIC_MINUS: ParMinus}
 
 
 def cover_classify(x: CoverElement) -> CoverClass:
-    """Component of a cover element, from the displacement range.
+    """Component of a cover element, from the displacement range of
+    g + k*pi over one period.
 
     Hyp(n): -n*pi is the unique multiple of pi inside the open range.
     Par(n): the touched endpoint is -n*pi; Plus iff the range touches its max.
     Ell(n): range strictly inside (m*pi, (m+1)*pi); n = -m for m <= -1 and
     n = -(m+1) for m >= 0 (the zero-skip).
     Center(n): identity base with lift index -n.
+
+    A hyperbolic or parabolic base's positive-trace representative T has
+    the lift that fixes a direction; g is that lift when T is the upper
+    representative, and that lift plus pi when T.c < 0. An elliptic g moves
+    every direction forward by less than pi, so m = k. The type comes from
+    classify_psl, whose parabolic band is the only tolerance.
     """
-    if x.base.is_identity():
-        return Center(central_index(x))
     kind = classify_psl(x.base)
-    rmin, rmax = _displacement_extrema(x.base, x.lift_index)
-    if is_parabolic(kind):
-        # touched-endpoint offset scales like sqrt of the trace defect, so
-        # in-band near-parabolics sit within ~1e-4 of the multiple
-        if _psl_parabolic_sign(x.base) > 0:
-            m = round(rmax / PI)
-            if abs(rmax - m * PI) > 1e-3:
-                raise DegenerateRange(
-                    f"parabolic range max {rmax!r} off multiple of pi")
-            return ParPlus(-m)
-        m = round(rmin / PI)
-        if abs(rmin - m * PI) > 1e-3:
-            raise DegenerateRange(
-                f"parabolic range min {rmin!r} off multiple of pi")
-        return ParMinus(-m)
-    for endpoint in (rmin, rmax):
-        if abs(endpoint - PI * round(endpoint / PI)) < CLASS_GUARD:
-            raise DegenerateRange(
-                f"extremum {endpoint!r} within {CLASS_GUARD} of a multiple "
-                f"of pi for a {kind.value} base")
-    if kind is PslType.HYPERBOLIC:
-        lo = math.ceil(rmin / PI)
-        hi = math.floor(rmax / PI)
-        if lo != hi:
-            raise DegenerateRange(
-                f"hyperbolic range ({rmin}, {rmax}) straddles {hi - lo + 1} "
-                "multiples of pi")
-        return Hyp(-lo)
-    # elliptic
-    m = math.floor(rmin / PI)
-    if math.floor(rmax / PI) != m:
-        raise DegenerateRange(
-            f"elliptic range ({rmin}, {rmax}) crosses a multiple of pi")
-    return Ell(-m) if m <= -1 else Ell(-(m + 1))
+    k = x.lift_index
+    if kind is PslType.IDENTITY:
+        return Center(central_index(x))
+    if kind is PslType.ELLIPTIC:
+        return Ell(-k) if k <= -1 else Ell(-(k + 1))
+    return _FIXING_CLASS[kind](-(k + (_positive_trace_rep(x.base).c < 0.0)))
 
 
 def special_lift(p: ProjectiveMatrix, mode: str = "closure_hyp0") -> CoverElement:
@@ -288,7 +233,7 @@ def special_lift(p: ProjectiveMatrix, mode: str = "closure_hyp0") -> CoverElemen
         raise ValueError(f"unknown lift mode {mode!r}")
     kind = classify_psl(p)
     if kind is PslType.IDENTITY:
-        return CoverElement(p, -round(_lift_at_zero(p) / PI))
+        return CoverElement(p, -_down(p))
     if kind is PslType.ELLIPTIC:
         if mode == "closure_hyp0":
             raise EllipticHasNoHyp0Lift(
@@ -316,12 +261,11 @@ def lift_in_class(p: ProjectiveMatrix, cls: CoverClass) -> CoverElement:
 def sl_projection(x: CoverElement) -> Matrix2:
     """Image of the cover element under the covering onto SL(2,R).
 
-    The representative whose first column sits at the unit-circle angle g(0)
-    (second entry positive, or zero with positive first entry), negated once
-    per odd lift index. Group homomorphism; z maps to -identity.
+    The upper representative, negated once per odd lift index. Group
+    homomorphism; z maps to -identity.
     """
     m = x.base.rep
-    if not (m.c > 0.0 or (m.c == 0.0 and m.a > 0.0)):
+    if _down(x.base):
         m = -m
     if x.lift_index % 2:
         m = -m
@@ -330,16 +274,3 @@ def sl_projection(x: CoverElement) -> Matrix2:
 
 def sl_trace(x: CoverElement) -> float:
     return sl_projection(x).trace()
-
-
-def _import_self_check() -> None:
-    anchor = cover_classify(CoverElement(normalize(Matrix2(1, 1, 0, 1)), 0))
-    if anchor != ParPlus(0):
-        raise AssertionError(
-            f"orientation self-check failed: canonical unipotent lift "
-            f"classified {anchor}")
-    if cover_classify(z_power(2)) != Center(2):
-        raise AssertionError("central power self-check failed")
-
-
-_import_self_check()

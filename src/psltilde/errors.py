@@ -17,16 +17,6 @@ class NotConjugate(PslTildeError):
     pass
 
 
-class IndexRoundingUnstable(PslTildeError):
-    """Deck-index rounding residual exceeded its guard; input is numerically
-    degenerate. Perturb the input or raise precision."""
-
-
-class DegenerateRange(PslTildeError):
-    """A displacement extremum sits on a multiple of pi while the base is not
-    parabolic within tolerance."""
-
-
 class EllipticHasNoHyp0Lift(PslTildeError):
     pass
 

@@ -5,16 +5,19 @@ acceptance criteria 1-3 call the same checks at full scale. Each check_*
 takes (trials, seed) and raises AssertionError at the first failure."""
 from __future__ import annotations
 
+import math
 import random
 
 from .constructors import COMMUTATOR_IMAGE, PRODUCT_IMAGE, FactorKind
 from .cover import (
     Center,
     CoverClass,
+    CoverElement,
     Ell,
     Hyp,
     ParMinus,
     ParPlus,
+    angle_lift,
     cover_classify,
     cover_conj,
     cover_equal,
@@ -24,7 +27,7 @@ from .cover import (
     sl_projection,
     z_power,
 )
-from .mobius import classify_psl
+from .mobius import Matrix2, classify_psl, normalize
 from .sampling import (
     random_cover,
     random_elliptic,
@@ -52,6 +55,43 @@ def check_cover_laws(trials: int, seed: int) -> None:
             raise AssertionError("cover product not associative")
         if cover_classify(cover_mul(x, cover_inv(x))) != Center(0):
             raise AssertionError("inverse law failed")
+
+
+def _lift_value(x: CoverElement, t: float) -> float:
+    return angle_lift(x.base, t) + x.lift_index * math.pi
+
+
+def _near_horizontal(rng: random.Random) -> CoverElement:
+    """An element whose first column lies on, or within 1e-15 of, the
+    horizontal axis, where the canonical lift jumps between 0 and pi; one
+    in five is parabolic (a = +-1)."""
+    c = rng.choice((0.0, 1e-17, -1e-17, 1e-15, -1e-15))
+    a = rng.uniform(0.2, 3.0) if rng.random() < 0.8 else 1.0
+    a *= rng.choice((1, -1))
+    b = rng.uniform(-3.0, 3.0)
+    return CoverElement(normalize(Matrix2(a, b, c, (1.0 + b * c) / a)),
+                        rng.randint(-3, 3))
+
+
+def check_cover_composition(trials: int, seed: int) -> None:
+    """The group law against its definition: the homeomorphism of x y is
+    that of x after that of y, and x^-1 undoes x, at three generic points;
+    two draws in five lie across the horizontal axis."""
+    rng = random.Random(seed)
+
+    def draw():
+        return _near_horizontal(rng) if rng.random() < 0.4 else random_cover(rng)
+
+    for _ in range(trials):
+        x, y = draw(), draw()
+        xy, xi = cover_mul(x, y), cover_inv(x)
+        for t in (0.3, 1.0, 2.0):
+            if abs(_lift_value(xy, t) - _lift_value(x, _lift_value(y, t))) > 1e-6:
+                raise AssertionError(
+                    f"composition law failed: {x} times {y} gave {xy}")
+            if abs(_lift_value(xi, _lift_value(x, t)) - t) > 1e-6:
+                raise AssertionError(
+                    f"inverse composition failed: {x} inverted to {xi}")
 
 
 def _shifted_index(cls: CoverClass, n: int) -> int:
@@ -175,6 +215,7 @@ def check_trace_parity(trials: int, seed: int) -> None:
 
 SUITES = [  # (name, check, trials at scale 1, seed)
     ("cover group laws", check_cover_laws, 1000, 101),
+    ("cover composition", check_cover_composition, 2000, 109),
     ("central shift laws", check_central_shifts, 200, 102),
     ("conjugation invariance", check_conjugation_invariance, 500, 103),
     ("commutator image", check_commutator_image, 1500, 104),

@@ -41,11 +41,13 @@ def _report(criterion, detail):
 def test_criterion_1_cover_laws():
     t0 = time.time()
     selftest.check_cover_laws(10_000, 1001)
+    selftest.check_cover_composition(20_000, 1001)
     selftest.check_central_shifts(1000, 1001)
     selftest.check_conjugation_invariance(1000, 1001)
     elapsed = time.time() - t0
     assert elapsed < 10.0
-    _report(1, f"homomorphism/associativity/inverse on 1e4 triples, shift "
+    _report(1, f"homomorphism/associativity/inverse on 1e4 triples, "
+               f"composition with the homeomorphisms on 2e4 pairs, shift "
                f"and conjugation laws on 1e3 elements in {elapsed:.1f} s")
 
 

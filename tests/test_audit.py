@@ -117,6 +117,14 @@ def test_check_restrictions_torus():
     assert r.passed
 
 
+def test_audit_refuses_a_negative_depth_first():
+    # checked before the peripherals, which would raise NotTypePreserving
+    rep = _thrice_punctured(normalize(Matrix2(2.0, 0.0, 0.0, 0.5)),
+                            normalize(Matrix2(1.0, 1.0, 0.0, 1.0)))
+    with pytest.raises(ValueError, match="^depth -1 must be non-negative$"):
+        audit_rep(rep, -1)
+
+
 def test_check_restrictions_negative_anywhere():
     for signs in ((-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1)):
         rep = build_rep(BuildRequest(0, 4, 1, signs, 6))

@@ -288,6 +288,27 @@ def test_cli_refuses_a_bad_margin_before_any_work(tmp_path, capsys,
     assert not os.path.exists(out)
 
 
+def test_cli_refuses_a_negative_depth_before_any_work(tmp_path, capsys,
+                                                      monkeypatch):
+    from psltilde import audit, constructors
+
+    def refuse(*args):
+        raise AssertionError("built or evaluated before the depth check")
+
+    rep_path = str(tmp_path / "rep.json")
+    jsonio.atomic_write(rep_path, jsonio.dumps(jsonio.representation_to_json(
+        build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42)))))
+    monkeypatch.setattr(constructors, "build_rep", refuse)
+    monkeypatch.setattr(audit, "invariants", refuse)
+    want = "error: depth -1 must be non-negative\n"
+    out = str(tmp_path / "out.json")
+    assert run(SAMPLE_ARGS + ["--count", "3", "--depth", "-1", "-o", out]) == 2
+    assert capsys.readouterr().err == want
+    assert run(["audit", rep_path, "--depth", "-1", "--report", out]) == 2
+    assert capsys.readouterr().err == want
+    assert not os.path.exists(out)
+
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 # sha256 of outputs written before the four-punctured sphere was audited by

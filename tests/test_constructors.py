@@ -14,6 +14,7 @@ from psltilde.constructors import (
     _REBALANCE_GRID,
     BuildRequest,
     FactorKind,
+    _class_flip,
     _conj_probe,
     _grid_refine,
     _power_entries,
@@ -54,7 +55,13 @@ from psltilde.errors import (
     UnreachableTarget,
 )
 from psltilde.mobius import Matrix2, diag, normalize, rotation
-from psltilde.sampling import random_elliptic, random_hyperbolic, random_parabolic
+from psltilde.sampling import (
+    random_cover,
+    random_elliptic,
+    random_hyperbolic,
+    random_parabolic,
+)
+from psltilde.selftest import _near_horizontal
 from psltilde.surface import (
     _one_parameter_power,
     _power_frame,
@@ -215,6 +222,15 @@ def test_cover_flip_mirrors_components():
         assert sl_trace(cover_flip(x)) == pytest.approx(sl_trace(x))
 
 
+def test_cover_flip_is_an_involution_that_mirrors_classes():
+    rng = random.Random(12)
+    elements = [random_cover(rng) for _ in range(200)]
+    elements += [_near_horizontal(rng) for _ in range(200)]
+    for x in elements:
+        assert cover_flip(cover_flip(x)) == x
+        assert cover_classify(cover_flip(x)) == _class_flip(cover_classify(x))
+
+
 def test_extremal_builder_required_surfaces():
     rng = random.Random(14)
     for (g, p) in ((0, 3), (1, 1), (0, 4), (1, 2), (2, 1)):
@@ -341,6 +357,12 @@ def test_sample_empty():
 def test_sample_infeasible_rejected_before_running():
     with pytest.raises(InfeasibleRequest):
         sample(BuildRequest(0, 4, 2, (1, 1, 1, -1), 1), 3)
+
+
+def test_sample_refuses_a_negative_depth_first():
+    # checked before the request, whose hyperbolic punctures are NotSupported
+    with pytest.raises(ValueError, match="^depth -1 must be non-negative$"):
+        sample(BuildRequest(0, 4, 0, (1, -1, 0, 0)), 1, depth=-1)
 
 
 def test_sample_runs_and_reports():

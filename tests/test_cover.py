@@ -8,6 +8,7 @@ from psltilde.cover import (
     CoverElement,
     Ell,
     Hyp,
+    ParMinus,
     ParPlus,
     Z,
     angle_lift,
@@ -19,15 +20,33 @@ from psltilde.cover import (
     sl_projection,
     sl_trace,
     special_lift,
+    with_base,
     z_power,
 )
-from psltilde.errors import DegenerateRange, EllipticHasNoHyp0Lift
-from psltilde.mobius import Matrix2, ProjectiveMatrix, diag, normalize, rotation
-from psltilde.sampling import random_cover, random_hyperbolic, random_psl
+from psltilde.errors import EllipticHasNoHyp0Lift
+from psltilde.mobius import (
+    Matrix2,
+    PslType,
+    classify_psl,
+    diag,
+    fixed_directions,
+    normalize,
+    rotation,
+)
+from psltilde.sampling import (
+    random_cover,
+    random_elliptic,
+    random_hyperbolic,
+    random_parabolic,
+    random_psl,
+)
 from psltilde.selftest import (
+    _lift_value,
+    _near_horizontal,
     check_central_shifts,
     check_commutator_image,
     check_conjugation_invariance,
+    check_cover_composition,
     check_cover_laws,
     check_offdiag,
     check_offdiag_elliptic,
@@ -188,7 +207,68 @@ def test_commutator_image_membership():
     check_commutator_image(3000, 47)
 
 
-def test_classify_rejects_non_unit_determinant_base():
-    # det 6: the displacement-extrema equation has u = -2.2, no solution
-    with pytest.raises(DegenerateRange, match="u = -2.2"):
-        cover_classify(CoverElement(ProjectiveMatrix(Matrix2(3, 0, 0, 2)), 0))
+def test_product_across_the_horizontal_axis_composes():
+    # y's first column lies 1e-17 above the horizontal axis, where angles
+    # rounded near 0 can misplace g_x(g_y(0)) by a half-turn (Hyp(-2))
+    x = CoverElement(normalize(Matrix2(3.8861913968863506, -13.019626978787677,
+                                       2.1327710113398264, -6.887947675521834)), 0)
+    y = CoverElement(normalize(Matrix2(0.3, 0.7, 1e-17, 1 / 0.3)), 0)
+    xy = cover_mul(x, y)
+    for t in (0.3, 1.0, 2.0):
+        assert abs(_lift_value(xy, t) - _lift_value(x, _lift_value(y, t))) < 1e-9
+    assert xy.lift_index == 0 and cover_classify(xy) == Hyp(-1)
+
+
+def test_composition_with_the_homeomorphisms():
+    check_cover_composition(3000, 53)
+
+
+def _displacement_class(x):
+    """The component by its definition: the displacement g(t) + k*pi - t
+    sampled on a 400-point grid over [0, pi), and 1e-9 to either side of
+    each fixed direction, where a near-parabolic hyperbolic crosses its
+    multiple of pi between two grid points."""
+    ts = [i * PI / 400 for i in range(400)]
+    ts += [t + e for t in fixed_directions(x.base) for e in (-1e-9, 1e-9)]
+    ds = [(angle_lift(x.base, t) - t) / PI + x.lift_index for t in ts]
+    lo, hi = min(ds), max(ds)
+    kind = classify_psl(x.base)
+    if kind is PslType.HYPERBOLIC:
+        inside = [m for m in range(math.floor(lo), math.ceil(hi) + 1)
+                  if lo < m < hi]
+        assert len(inside) == 1
+        return Hyp(-inside[0])
+    if kind is PslType.PARABOLIC_PLUS:
+        return ParPlus(-round(hi))
+    if kind is PslType.PARABOLIC_MINUS:
+        return ParMinus(-round(lo))
+    m = math.floor(lo)
+    assert kind is PslType.ELLIPTIC and math.floor(hi) == m
+    return Ell(-m) if m <= -1 else Ell(-(m + 1))
+
+
+def test_classify_agrees_with_the_displacement():
+    rng = random.Random(59)
+    elements = [random_cover(rng) for _ in range(100)]
+    for draw in (random_hyperbolic, random_parabolic, random_elliptic,
+                 lambda r: random_parabolic(r, -1)):
+        elements += [CoverElement(draw(rng), rng.randint(-3, 3))
+                     for _ in range(25)]
+    elements += [_near_horizontal(rng) for _ in range(150)]
+    for x in elements:
+        assert cover_classify(x) == _displacement_class(x), x
+
+
+def test_with_base_across_the_horizontal_axis():
+    # the two bases differ only in the sign of a c of 1e-17 or 1e-15, so
+    # their canonical lifts start near 0 and near pi; the index absorbs the
+    # half-turn
+    rng = random.Random(61)
+    for _ in range(300):
+        x = _near_horizontal(rng)
+        m = x.base.rep
+        if m.c == 0.0:
+            continue
+        other = normalize(Matrix2(m.a, m.b, -m.c, m.d))
+        moved = with_base(x, other)
+        assert abs(_lift_value(moved, 0.7) - _lift_value(x, 0.7)) < 1e-9
