@@ -3,9 +3,11 @@ components, extremal builders with a prescribed boundary, full (euler, sign)
 builders for the supported component families, twist deformations, and seeded
 sampling.
 
-All constructors self-verify in the cover before returning; a failed
-self-verification raises SelfVerificationError (a library bug, not user
-error).
+All constructors self-verify in the cover before returning. The builders
+(build_rep, build_boundary_extremal) retry every numerical failure with
+fresh draws, a failed self-verification included, and raise SolveFailed
+after MAX_ATTEMPTS; the solvers raise SelfVerificationError when their own
+check fails.
 """
 from __future__ import annotations
 
@@ -36,13 +38,14 @@ from .cover import (
     special_lift,
     with_base,
 )
-from .dd import unit_product
 from .errors import (
     BoundaryElliptic,
     InfeasibleRequest,
     NonUnitDeterminant,
+    NotHP,
     NotHyperbolic,
     NotSupported,
+    RelatorNotCentral,
     SelfVerificationError,
     SolveFailed,
     TargetOutsideImage,
@@ -58,6 +61,7 @@ from .mobius import (
     normalize,
     normalize_unit,
     rotation,
+    unit_product,
 )
 from .sampling import derive_seed, random_hyperbolic, random_parabolic, random_psl
 from .surface import (
@@ -78,6 +82,12 @@ from .words import CurveWord, word
 
 PRODUCT_TOL = 1e-8
 BISECT_TOL = 1e-12
+
+# the builders' retries: every numerical failure of one attempt, after which
+# a fresh attempt draws new parameters from the same generator
+MAX_ATTEMPTS = 10
+RETRIED = (SolveFailed, NonUnitDeterminant, NotHP, RelatorNotCentral,
+           SelfVerificationError)
 
 
 class FactorKind(Enum):
@@ -176,9 +186,9 @@ def _class_flip(cls: CoverClass) -> CoverClass:
     return CoverClass(tag, -cls.n)
 
 
-def _conj_dd(g: ProjectiveMatrix, x: CoverElement) -> CoverElement:
-    """Cover conjugation with the base computed in compensated arithmetic;
-    the deck index comes from the float chain."""
+def _conj_exact(g: ProjectiveMatrix, x: CoverElement) -> CoverElement:
+    """Cover conjugation with the base computed exactly (unit_product); the
+    deck index comes from the float chain."""
     rough = cover_conj(CoverElement(g, 0), x)
     return with_base(rough, unit_product(g.rep, x.base.rep, g.rep.inv()))
 
@@ -255,7 +265,7 @@ def _balance_on_centralizer(x: CoverElement, y: CoverElement,
         return x, y
     try:
         h = _one_parameter_power(target.base, best_t)
-        return _conj_dd(h, x), _conj_dd(h, y)
+        return _conj_exact(h, x), _conj_exact(h, y)
     except NonUnitDeterminant:
         return x, y
 
@@ -266,7 +276,7 @@ def _transport_pair(x: CoverElement, y: CoverElement, target: CoverElement,
     rebalance along the centralizer for conditioning (plus seeded twist)."""
     prod = cover_mul(x, y)
     g = conjugator(prod.base, target.base)
-    x2, y2 = _conj_dd(g, x), _conj_dd(g, y)
+    x2, y2 = _conj_exact(g, x), _conj_exact(g, y)
     return _balance_on_centralizer(x2, y2, target, rng)
 
 
@@ -277,7 +287,7 @@ def _swap_solution(x: CoverElement, y: CoverElement, target: CoverElement
     returns onto the target."""
     conj_target = cover_mul(cover_mul(cover_inv(x), target), x)
     g = conjugator(conj_target.base, target.base)
-    return _conj_dd(g, y), _conj_dd(g, x)
+    return _conj_exact(g, y), _conj_exact(g, x)
 
 
 def _verify_product(x: CoverElement, y: CoverElement, k1: FactorKind,
@@ -554,7 +564,7 @@ def solve_commutator(target: CoverElement, rng: random.Random | None = None
         raise SolveFailed(
             f"commutator landed in {cover_classify(comm)}, wanted {tcls}")
     g = conjugator(comm.base, target.base)
-    x, y = _conj_dd(g, x), _conj_dd(g, y)
+    x, y = _conj_exact(g, x), _conj_exact(g, y)
     x, y = _balance_on_centralizer(x, y, target, rng)
     comm = cover_commutator(x, y)
     if not cover_equal(comm, target):
@@ -591,13 +601,13 @@ def build_boundary_extremal(genus: int, punctures: int,
     surf = SurfacePresentation(genus, punctures)
     local = rng if rng is not None else random.Random(7 ** 9)
     last_err: Exception | None = None
-    for _ in range(10):
+    for _ in range(MAX_ATTEMPTS):
         try:
             rep = _rebalance_along_boundary(
                 _extremal_recursive(surf, boundary, local), boundary)
             _check_extremal(rep, boundary)
             return rep
-        except (SolveFailed, NonUnitDeterminant, SelfVerificationError) as e:
+        except RETRIED as e:
             last_err = e
     raise SolveFailed(f"extremal assembly failed repeatedly: {last_err}")
 
@@ -811,7 +821,9 @@ def build_rep(req: BuildRequest) -> Representation:
     as pgl_flip of its positive family's untwisted build, with the same seed
     and the same twists, so it fails exactly when that build fails. Output
     is verified (euler, signs, Milnor-Wood) before return; free parameters
-    and gluing twists are drawn from the seeded generator.
+    and gluing twists are drawn from the seeded generator. An attempt that
+    fails numerically (RETRIED) is followed by a fresh one, and after
+    MAX_ATTEMPTS the request raises SolveFailed.
     """
     _check_feasible(req)
     sv = req.sign_vector()
@@ -821,10 +833,10 @@ def build_rep(req: BuildRequest) -> Representation:
     chi = surf.chi
     rng = random.Random(derive_seed(req.seed, 0))
     last_err: Exception | None = None
-    for _ in range(10):
+    for _ in range(MAX_ATTEMPTS):
         try:
             return _build_rep_once(req, sv, surf, chi, rng)
-        except (SolveFailed, NonUnitDeterminant) as e:
+        except RETRIED as e:
             last_err = e
     raise SolveFailed(f"component build failed repeatedly: {last_err}")
 

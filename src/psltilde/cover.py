@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dd import unit_product
 from .errors import EllipticHasNoHyp0Lift
 from .mobius import (
     IDENTITY,
@@ -34,6 +33,7 @@ from .mobius import (
     _positive_trace_rep,
     classify_psl,
     normalize,
+    unit_product,
 )
 
 PI = math.pi
@@ -185,9 +185,9 @@ def with_base(x: CoverElement, base: ProjectiveMatrix) -> CoverElement:
 
 def cover_commutator(x: CoverElement, y: CoverElement) -> CoverElement:
     """Commutator x y x^-1 y^-1. The deck index comes from the float cover
-    chain; the base is recomputed in compensated arithmetic, because
-    commutator intermediates are exactly the cancellation-heavy products
-    that leak float noise."""
+    chain; the base is recomputed exactly (unit_product), because commutator
+    intermediates are exactly the cancellation-heavy products that leak
+    float noise."""
     rough = cover_mul(cover_mul(x, y), cover_mul(cover_inv(x), cover_inv(y)))
     a, b = x.base.rep, y.base.rep
     return with_base(rough, unit_product(a, b, a.inv(), b.inv()))

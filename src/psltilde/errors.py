@@ -67,5 +67,8 @@ class NotTypePreserving(PslTildeError):
 
 
 class SelfVerificationError(PslTildeError):
-    """A constructor's post-condition failed. This is a bug in the library,
-    not a user error; the message carries diagnostics."""
+    """A constructor's post-condition failed, most often through float
+    assembly error; the message carries diagnostics. The builders retry it
+    like any numerical failure and raise SolveFailed after their last
+    attempt; the solvers, twist_deform and build_negative_control raise it
+    directly."""

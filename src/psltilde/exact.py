@@ -1,42 +1,37 @@
 """Exact integer 2x2 products: the audit's curve kernel.
 
-Every float is an integer times a power of two, so a float matrix is an
-integer matrix over one power of two, and a stored representation is an
-exact integer representation of the free group up to positive scalars. The
-quantities read here are invariant under positive scaling: the trace ratio
+A stored representation is, through mobius.int_matrix, an exact integer
+representation of the free group up to positive scalars. The quantities
+read here are invariant under positive scaling: the trace ratio
 |tr|/sqrt(det), the canonical unit-determinant representative, and the PSL
-type. The powers of two are therefore dropped, inverses are adjugates, and
-words are multiplied out in Python integers with no rounding at all; only
-the numbers read off a finished product are rounded to floats.
+type. So words are multiplied out in Python integers, inverses are
+adjugates, and only the numbers read off a finished product are rounded to
+floats.
 """
 from __future__ import annotations
 
 import math
 from functools import cached_property
 
-from .mobius import PAR_BAND, Matrix2, PslType, classify_psl, normalize_unit
+from .mobius import (
+    PAR_BAND,
+    IntMatrix,
+    Matrix2,
+    PslType,
+    _mul,
+    _sqrt_ratio,
+    _trace_det,
+    classify_psl,
+    int_matrix,
+    normalize_unit,
+    unit_entries,
+)
 from .surface import Representation, SurfacePresentation
 from .words import Alphabet, CurveWord
-
-IntMatrix = tuple[int, int, int, int]  # row-major (a b / c d)
 
 IDENTITY: IntMatrix = (1, 0, 0, 1)
 
 BLOCK = 4  # letters per multiplication step of the curve walk
-
-
-def int_matrix(entries) -> IntMatrix:
-    """The four floats (a, b, c, d) as integers over their common power of
-    two."""
-    ratios = [float(v).as_integer_ratio() for v in entries]
-    den = max(d for _, d in ratios)
-    return tuple(n * (den // d) for n, d in ratios)
-
-
-def _mul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _adjugate(x: IntMatrix) -> IntMatrix:
@@ -175,29 +170,6 @@ def curve_products(rep: Representation, curves: CurveList):
         yield i, (a, b, c, d)
 
 
-def _sqrt_ratio(n: int, d: int) -> float:
-    """sqrt(n/d) for integers n >= 0, d > 0, to within an ulp in the normal
-    float range; inf past it. n/d is first brought near 1 by a power of 4,
-    so no quotient overflows or underflows and no big int goes through
-    float()."""
-    if not n:
-        return 0.0
-    s = (d.bit_length() - n.bit_length()) // 2  # n * 4^s / d is in [1/4, 4]
-    r = math.sqrt((n << 2 * s) / d if s >= 0 else n / (d << -2 * s))
-    try:
-        return math.ldexp(r, -s)
-    except OverflowError:
-        return math.inf
-
-
-def _trace_det(x: IntMatrix) -> tuple[int, int]:
-    a, b, c, d = x
-    det = a * d - b * c
-    if det <= 0:
-        raise ValueError("integer matrix without positive determinant")
-    return a + d, det
-
-
 def trace_margin(x: IntMatrix) -> float:
     """|tr|/sqrt(det) - 2, within a few ulps also when x is nearly parabolic
     or its trace nearly 0: with q = (tr^2 - 4 det)/det and tr^2/det, each
@@ -228,17 +200,6 @@ def abs_trace(x: IntMatrix) -> float:
     """|tr|/sqrt(det): |trace| of the unit-determinant representative."""
     t, det = _trace_det(x)
     return _sqrt_ratio(t * t, det)
-
-
-def unit_entries(x: IntMatrix) -> tuple[float, float, float, float]:
-    """Entries of the canonical unit-determinant representative: x/sqrt(det),
-    negated if needed so that the first nonzero of a, b, c is positive."""
-    _, det = _trace_det(x)
-    if next((v for v in x[:3] if v), x[3]) < 0:
-        x = tuple(-v for v in x)
-    # the sign comes from v >= 0: copysign would convert a big v to float
-    return tuple(math.copysign(_sqrt_ratio(v * v, det),
-                               1.0 if v >= 0 else -1.0) for v in x)
 
 
 def psl_type(x: IntMatrix, margin: float) -> PslType:

@@ -10,7 +10,6 @@ import math
 import os
 import tempfile
 
-from . import exact
 from .audit import AuditReport
 from .cover import CoverClass, CoverElement
 from .errors import RelatorNotCentral
@@ -159,12 +158,9 @@ def representation_from_json(data) -> Representation:
     rep = Representation(surf, images)
     last = surf.c(surf.punctures)
     if last in stored:
-        matrix_from_json(stored[last])  # refuses non-unit determinants
+        claimed = matrix_from_json(stored[last])  # refuses non-unit dets
         # the stored c_p against the exact image of its defining word
-        claimed = exact.unit_entries(exact.int_matrix(stored[last]))
-        implied = exact.unit_entries(exact.word_product(
-            rep, surf.peripheral_word(surf.punctures)))
-        gap = max(abs(u - v) for u, v in zip(claimed, implied))
+        gap = claimed.rep.maxdiff(rep.peripheral_image(surf.punctures).rep)
         if not gap < 1e-8:
             raise RelatorNotCentral(
                 "serialized last peripheral disagrees with the defining "

@@ -165,9 +165,81 @@ def normalize(m: Matrix2, det_tol: float = DET_PRE_TOL) -> ProjectiveMatrix:
 
 def normalize_unit(m: Matrix2) -> ProjectiveMatrix:
     """Canonical-sign representative of a matrix whose determinant is known
-    to be exactly 1 (e.g. a product of unit-determinant factors whose entries
-    are too large for the determinant to be measurable in floats)."""
+    to be 1 up to its entries' rounding (e.g. unit_product's rounded
+    representative, whose entries may be too large for the determinant to
+    be measurable in floats)."""
     return ProjectiveMatrix(_canonical_sign(m))
+
+
+# -- exact integer products ---------------------------------------------------
+#
+# Every float is an integer times a power of two, so a float matrix is an
+# integer matrix over one power of two. The canonical unit-determinant
+# representative does not see positive scalars, so products are formed in
+# Python integers with the powers of two dropped (an inverse is then the
+# adjugate), and only the finished product's entries are rounded.
+
+IntMatrix = tuple[int, int, int, int]  # row-major (a b / c d)
+
+
+def int_matrix(entries) -> IntMatrix:
+    """The four floats (a, b, c, d) as integers over their common power of
+    two."""
+    ratios = [float(v).as_integer_ratio() for v in entries]
+    den = max(d for _, d in ratios)
+    return tuple(n * (den // d) for n, d in ratios)
+
+
+def _mul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _trace_det(x: IntMatrix) -> tuple[int, int]:
+    a, b, c, d = x
+    det = a * d - b * c
+    if det <= 0:
+        raise NonUnitDeterminant("integer matrix without positive determinant")
+    return a + d, det
+
+
+def _sqrt_ratio(n: int, d: int) -> float:
+    """sqrt(n/d) for integers n >= 0, d > 0, to within an ulp in the normal
+    float range; inf past it. n/d is first brought near 1 by a power of 4,
+    so no quotient overflows or underflows and no big int goes through
+    float()."""
+    if not n:
+        return 0.0
+    s = (d.bit_length() - n.bit_length()) // 2  # n * 4^s / d is in [1/4, 4]
+    r = math.sqrt((n << 2 * s) / d if s >= 0 else n / (d << -2 * s))
+    try:
+        return math.ldexp(r, -s)
+    except OverflowError:
+        return math.inf
+
+
+def unit_entries(x: IntMatrix) -> tuple[float, float, float, float]:
+    """Entries of the canonical unit-determinant representative: x/sqrt(det),
+    negated if needed so that the first nonzero of a, b, c is positive."""
+    _, det = _trace_det(x)
+    if next((v for v in x[:3] if v), x[3]) < 0:
+        x = tuple(-v for v in x)
+    # the sign comes from v >= 0: copysign would convert a big v to float
+    return tuple(math.copysign(_sqrt_ratio(v * v, det),
+                               1.0 if v >= 0 else -1.0) for v in x)
+
+
+def unit_product(*factors: Matrix2) -> ProjectiveMatrix:
+    """Left-to-right product of positive-determinant factors (a factor's
+    .inv() is its adjugate) as its canonical PSL(2,R) representative: the
+    factors are multiplied exactly as integer matrices, and each entry of
+    the unit-determinant multiple is rounded once. Raises
+    NonUnitDeterminant when the exact determinant is not positive."""
+    acc = (1, 0, 0, 1)
+    for m in factors:
+        acc = _mul(acc, int_matrix((m.a, m.b, m.c, m.d)))
+    return normalize_unit(Matrix2(*unit_entries(acc)))
 
 
 def classify_psl(p: ProjectiveMatrix) -> PslType:

@@ -19,7 +19,6 @@ from .cover import (
     cover_mul,
     special_lift,
 )
-from .dd import unit_product
 from .errors import (
     BoundaryElliptic,
     NotHP,
@@ -35,6 +34,7 @@ from .mobius import (
     PslType,
     classify_psl,
     normalize,
+    unit_product,
 )
 from .words import CurveWord, EMPTY_WORD, word
 
@@ -121,7 +121,7 @@ class Representation:
         return eval_word(self, self.surface.peripheral_word(i))
 
     def conjugate(self, g: ProjectiveMatrix) -> "Representation":
-        # compensated products: builders chain conjugations, and plain float
+        # exact products: builders chain conjugations, and plain float
         # sandwiches would accumulate genuine image error at tolerance scale
         gi = g.rep.inv()
         return Representation(self.surface, {
@@ -129,11 +129,11 @@ class Representation:
 
 
 def eval_word(rep: Representation, w: CurveWord) -> ProjectiveMatrix:
-    """Left-to-right product of generator images, accumulated in compensated
-    (double-double) arithmetic with a final determinant renormalization, so
-    image traces are reliable at tolerance scale even through long
-    cancellation-heavy words. The implied last peripheral name (e.g. "c3" on
-    a thrice-punctured sphere) expands to its defining word."""
+    """Left-to-right product of generator images by unit_product: exact in
+    integers and rounded once per entry, so image traces are reliable at
+    tolerance scale even through long cancellation-heavy words. The implied
+    last peripheral name (e.g. "c3" on a thrice-punctured sphere) expands to
+    its defining word."""
     surf = rep.surface
     last_name = surf.c(surf.punctures)
     factors = []

@@ -319,8 +319,10 @@ GOLDEN_AUDITS = {
     "sphere4-counterexample.json":
         "59bb4bc846ada460e2277d9281032cbd9b24365c50a612b09d15ba75c0c62435",
 }
+# the sample's builds conjugate through mobius.unit_product; its bytes were
+# recomputed when that product became exact
 GOLDEN_SAMPLE_CSV = \
-    "2be8bc932dc462d92dbcdfd6c778b5c0f657e68007f3803cef4c74a0a233350f"
+    "d327c6d84ab7b9e11ae6bdc34ca488ef647cdea2d8fc451d77ff0fe467e04771"
 
 
 def _sha256(path: str) -> str:

@@ -4,6 +4,9 @@ and the loader's check of the stored last peripheral; and the Farey trace
 recursion of the four-punctured sphere against the products it replaces."""
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
+import psltilde
 from psltilde import audit, exact, jsonio
 from psltilde.audit import audit_rep
 from psltilde.constructors import (
@@ -182,6 +186,16 @@ def test_int_matrix_is_exact():
     scale = max(v.as_integer_ratio()[1] for v in m)
     got = [Fraction(n, scale) for n in int_matrix(m)]
     assert got == [Fraction(v) for v in m]
+
+
+def test_the_package_loads_without_double_double():
+    # every product is mobius.unit_product; a fresh interpreter that loads
+    # the package and its command line must not load psltilde.dd
+    src = os.path.dirname(os.path.dirname(psltilde.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import psltilde, psltilde.cli; "
+            "sys.exit('psltilde.dd' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0
 
 
 def test_loader_checks_last_peripheral_exactly():

@@ -16,6 +16,7 @@ from psltilde.mobius import (
     fixed_directions,
     normalize,
     rotation,
+    unit_product,
 )
 from psltilde.sampling import random_elliptic, random_hyperbolic, random_parabolic, random_psl
 
@@ -47,6 +48,17 @@ def test_normalize_rejects_non_finite_entries(slot, value):
     entries[slot] = value
     with pytest.raises(NonUnitDeterminant):
         normalize(Matrix2(*entries))
+
+
+def test_unit_product_is_the_canonical_exact_product():
+    assert unit_product().rep.entries() == (1.0, 0.0, 0.0, 1.0)
+    # det 2 and det 1/2: the exact product has det 1, and its canonical
+    # representative negates the leading -1/2
+    m, n = Matrix2(-1.0, 0.0, 0.5, -2.0), Matrix2(0.5, 0.0, 0.0, 1.0)
+    assert unit_product(m, n).rep.entries() == (0.5, 0.0, -0.25, 2.0)
+    # the exact determinant is 0: no unit-determinant multiple exists
+    with pytest.raises(NonUnitDeterminant):
+        unit_product(Matrix2(1.0, 1.0, 1.0, 1.0))
 
 
 def test_normalize_rescales_drift():

@@ -4,14 +4,22 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_reference as ref
 from psltilde.constructors import (
     COMMUTATOR_IMAGE,
     BuildRequest,
+    _conj_exact,
     build_boundary_extremal,
     build_rep,
     pgl_flip,
 )
-from psltilde.cover import Ell, Hyp, cover_classify
+from psltilde.cover import (
+    CoverElement,
+    Ell,
+    Hyp,
+    cover_classify,
+    cover_commutator,
+)
 from psltilde.errors import BoundaryElliptic, NotHP, UnknownGenerator, UnsupportedCurve
 from psltilde.mobius import Matrix2, classify_psl, diag, normalize, rotation
 from psltilde.sampling import random_hyperbolic, random_parabolic, random_psl
@@ -71,41 +79,47 @@ def test_eval_implied_peripheral():
     assert got.rep.maxdiff(expect.rep) < 1e-12
 
 
-def _exact_product(rep, letters):
-    """Exact rational product of the float generator images."""
-    acc = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-    for gen, exp in letters:
-        a, b, c, d = map(Fraction, rep.image(gen).rep.entries())
-        m = (a, b, c, d) if exp == 1 else (d, -b, -c, a)
-        acc = (acc[0] * m[0] + acc[1] * m[2], acc[0] * m[1] + acc[1] * m[3],
-               acc[2] * m[0] + acc[3] * m[2], acc[2] * m[1] + acc[3] * m[3])
-    return acc
+def _assert_exact_unit(got, x):
+    """got is the canonical unit-determinant representative of the exact
+    rational matrix x, each entry rounded once: within an ulp of the exact
+    entry as fraction_reference rounds it from 60 digits."""
+    lead = next((v for v in x[:3] if v), x[3])
+    want = ref.unit_entries(x if lead > 0 else tuple(-v for v in x))
+    for g, w in zip(got.rep.entries(), want):
+        assert abs(g - w) <= math.ulp(w), (got.rep.entries(), want)
 
 
-def _relative_error(got, exact):
-    """Entrywise distance of got to +-exact, over the largest exact entry."""
-    size = max(abs(v) for v in exact)
-    entries = [Fraction(v) for v in got.rep.entries()]
-    dist = min(max(abs(g - s * e) for g, e in zip(entries, exact))
-               for s in (1, -1))
-    return float(size), float(dist / size)
+def _fraction(m):
+    return tuple(map(Fraction, m.rep.entries()))
 
 
 def test_eval_word_against_exact_products():
     rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
-    # c4^-1 expands to c1 c2 c3. Below entries of 1e4 the product is rescaled
-    # by a float determinant, which costs up to ~size^2 * 2^-53 relative
-    size, err = _relative_error(
-        eval_word(rep, parse_word("c2 c4^-1 c1^-1")),
-        _exact_product(rep, [("c2", 1), ("c1", 1), ("c2", 1), ("c3", 1),
-                             ("c1", -1)]))
-    assert size < 1e4
-    assert err <= 2.0 ** -50 * size ** 2
-    # past 1e4 the compensated product is returned unrescaled: a few ulps
-    w = parse_word(" ".join(["c1 c2"] * 20))
-    size, err = _relative_error(eval_word(rep, w), _exact_product(rep, w.letters))
-    assert size > 1e4
-    assert err <= 2.0 ** -50
+    # c4^-1 expands to c1 c2 c3
+    for w in (parse_word("c2 c4^-1 c1^-1"),
+              parse_word(" ".join(["c1 c2"] * 20))):
+        _assert_exact_unit(eval_word(rep, w), ref.image(rep, w))
+
+
+def test_conjugations_and_commutators_against_exact_products():
+    rep = build_rep(BuildRequest(1, 2, 1, (1, -1), 42))
+    rng = random.Random(5)
+    for _ in range(30):
+        g = random_psl(rng)
+        x = CoverElement(random_psl(rng), rng.randint(-2, 2))
+        y = CoverElement(random_psl(rng), rng.randint(-2, 2))
+        G, Gi = _fraction(g), ref.inverse(_fraction(g))
+        conj = rep.conjugate(g)
+        for gen, m in rep.images.items():
+            _assert_exact_unit(conj.image(gen),
+                               ref.mul(ref.mul(G, _fraction(m)), Gi))
+        _assert_exact_unit(
+            _conj_exact(g, x).base,
+            ref.mul(ref.mul(G, _fraction(x.base)), Gi))
+        X, Y = _fraction(x.base), _fraction(y.base)
+        _assert_exact_unit(
+            cover_commutator(x, y).base,
+            ref.mul(ref.mul(X, Y), ref.mul(ref.inverse(X), ref.inverse(Y))))
 
 
 def test_eval_unknown_generator():
