@@ -11,7 +11,6 @@ from .errors import (
     NotHP,
     NotSupported,
     NotTypePreserving,
-    RelatorNotCentral,
 )
 from .exact import (
     CurveList,
@@ -61,21 +60,23 @@ class AuditReport:
 
 
 def _type_preserving_invariants(rep: Representation) -> tuple[int, SignVector]:
-    """invariants(rep), from one evaluation of the peripheral images when
-    every one is parabolic. Otherwise the images are evaluated again, in
-    order, so that NotTypePreserving names the first one that is not."""
+    """invariants(rep), from one walk of the lifted relator when every
+    peripheral image is parabolic. Otherwise the images are evaluated
+    again, in order, so that NotTypePreserving names the first one that is
+    not; that walk's c_p is peripheral_image(p) bit for bit, so one is
+    found."""
     try:
         euler, signs = invariants(rep)
         if 0 not in signs.entries:
             return euler, signs
-    except (NotHP, RelatorNotCentral):
+    except NotHP:
         pass
     for i in range(1, rep.surface.punctures + 1):
         kind = classify_psl(rep.peripheral_image(i))
         if not is_parabolic(kind):
             raise NotTypePreserving(
                 f"peripheral image {i} is {kind.value}, not parabolic")
-    return invariants(rep)  # every image parabolic: raises the relator error
+    raise AssertionError("invariants refused parabolic peripheral images")
 
 
 def _check_depth_and_margin(depth: int, margin: float) -> None:

@@ -36,16 +36,15 @@ from .cover import (
     lift_in_class,
     sl_trace,
     special_lift,
-    with_base,
 )
 from .errors import (
     BoundaryElliptic,
     InfeasibleRequest,
     NonUnitDeterminant,
+    NotConjugate,
     NotHP,
     NotHyperbolic,
     NotSupported,
-    RelatorNotCentral,
     SelfVerificationError,
     SolveFailed,
     TargetOutsideImage,
@@ -61,7 +60,6 @@ from .mobius import (
     normalize,
     normalize_unit,
     rotation,
-    unit_product,
 )
 from .sampling import derive_seed, random_hyperbolic, random_parabolic, random_psl
 from .surface import (
@@ -84,9 +82,10 @@ PRODUCT_TOL = 1e-8
 BISECT_TOL = 1e-12
 
 # the builders' retries: every numerical failure of one attempt, after which
-# a fresh attempt draws new parameters from the same generator
+# a fresh attempt draws new parameters from the same generator; NotConjugate
+# comes from a float product that lands at the edge of the parabolic band
 MAX_ATTEMPTS = 10
-RETRIED = (SolveFailed, NonUnitDeterminant, NotHP, RelatorNotCentral,
+RETRIED = (SolveFailed, NonUnitDeterminant, NotConjugate, NotHP,
            SelfVerificationError)
 
 
@@ -186,13 +185,6 @@ def _class_flip(cls: CoverClass) -> CoverClass:
     return CoverClass(tag, -cls.n)
 
 
-def _conj_exact(g: ProjectiveMatrix, x: CoverElement) -> CoverElement:
-    """Cover conjugation with the base computed exactly (unit_product); the
-    deck index comes from the float chain."""
-    rough = cover_conj(CoverElement(g, 0), x)
-    return with_base(rough, unit_product(g.rep, x.base.rep, g.rep.inv()))
-
-
 _BALANCE_GRID = [(k - 16) * 0.25 for k in range(33)]
 _REBALANCE_GRID = [(k - 12) * 0.25 for k in range(25)]
 _DIAG_GRID = [math.exp((k - 12) * 0.25) for k in range(25)]
@@ -264,8 +256,8 @@ def _balance_on_centralizer(x: CoverElement, y: CoverElement,
     if abs(best_t) < 1e-12:
         return x, y
     try:
-        h = _one_parameter_power(target.base, best_t)
-        return _conj_exact(h, x), _conj_exact(h, y)
+        h = CoverElement(_one_parameter_power(target.base, best_t), 0)
+        return cover_conj(h, x), cover_conj(h, y)
     except NonUnitDeterminant:
         return x, y
 
@@ -275,8 +267,8 @@ def _transport_pair(x: CoverElement, y: CoverElement, target: CoverElement,
     """Conjugate a solved pair so its product becomes the exact target, then
     rebalance along the centralizer for conditioning (plus seeded twist)."""
     prod = cover_mul(x, y)
-    g = conjugator(prod.base, target.base)
-    x2, y2 = _conj_exact(g, x), _conj_exact(g, y)
+    g = CoverElement(conjugator(prod.base, target.base), 0)
+    x2, y2 = cover_conj(g, x), cover_conj(g, y)
     return _balance_on_centralizer(x2, y2, target, rng)
 
 
@@ -286,8 +278,8 @@ def _swap_solution(x: CoverElement, y: CoverElement, target: CoverElement
     (y, x) multiplies to the conjugate x^-1 target x, which a final transport
     returns onto the target."""
     conj_target = cover_mul(cover_mul(cover_inv(x), target), x)
-    g = conjugator(conj_target.base, target.base)
-    return _conj_exact(g, y), _conj_exact(g, x)
+    g = CoverElement(conjugator(conj_target.base, target.base), 0)
+    return cover_conj(g, y), cover_conj(g, x)
 
 
 def _verify_product(x: CoverElement, y: CoverElement, k1: FactorKind,
@@ -514,10 +506,6 @@ def _triple_pair(x: float, y: float, z: float) -> tuple[Matrix2, Matrix2]:
     return a, b
 
 
-def _commutator(x: CoverElement, y: CoverElement) -> CoverElement:
-    return cover_mul(cover_mul(x, y), cover_mul(cover_inv(x), cover_inv(y)))
-
-
 def fricke_commutator_trace(x: float, y: float, z: float) -> float:
     """Trace of the matrix commutator of any pair with traces (x, y, z)."""
     return x * x + y * y + z * z - x * y * z - 2.0
@@ -556,15 +544,15 @@ def solve_commutator(target: CoverElement, rng: random.Random | None = None
         a, b = _triple_pair(3.0, 3.0, zt)
     x = CoverElement(normalize(a), 0)
     y = CoverElement(normalize(b), 0)
-    comm = _commutator(x, y)
+    comm = cover_commutator(x, y)
     if cover_classify(comm) == _class_flip(tcls) and tcls != _class_flip(tcls):
         x, y = cover_flip(x), cover_flip(y)
-        comm = _commutator(x, y)
+        comm = cover_commutator(x, y)
     if cover_classify(comm) != tcls:
         raise SolveFailed(
             f"commutator landed in {cover_classify(comm)}, wanted {tcls}")
-    g = conjugator(comm.base, target.base)
-    x, y = _conj_exact(g, x), _conj_exact(g, y)
+    g = CoverElement(conjugator(comm.base, target.base), 0)
+    x, y = cover_conj(g, x), cover_conj(g, y)
     x, y = _balance_on_centralizer(x, y, target, rng)
     comm = cover_commutator(x, y)
     if not cover_equal(comm, target):

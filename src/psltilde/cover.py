@@ -30,10 +30,13 @@ from .mobius import (
     Matrix2,
     ProjectiveMatrix,
     PslType,
+    _adjugate,
+    _mul,
     _positive_trace_rep,
+    _unit_rep,
     classify_psl,
+    int_matrix,
     normalize,
-    unit_product,
 )
 
 PI = math.pi
@@ -126,8 +129,33 @@ def cover_inv(x: CoverElement) -> CoverElement:
     return CoverElement(x.base.inv(), -x.lift_index - (x.base.rep.c != 0.0))
 
 
+def exact_product(*factors: tuple[CoverElement, int]) -> CoverElement:
+    """Left-to-right product of the factors (x, 1) for x and (x, -1) for its
+    inverse, in integers: each base becomes int_matrix of its entries (an
+    inverse is the adjugate, with cover_inv's index), cover_mul's deck rule
+    is read off the signs of each exact partial product, which it sees
+    through positive scalars and either sign of a representative, and only
+    the finished base is rounded."""
+    acc, index = (1, 0, 0, 1), 0
+    for x, e in factors:
+        y, k = int_matrix(x.base.rep.entries()), x.lift_index
+        if e < 0:
+            y, k = _adjugate(y), -k - (y[2] != 0)
+        p = _mul(acc, y)
+        if y[2] and _up(y[0], y[2]) * _up(p[0], p[2]) != _up(acc[0], acc[2]):
+            k += 1
+        acc, index = p, index + k
+    return CoverElement(_unit_rep(acc), index)
+
+
 def cover_conj(g: CoverElement, x: CoverElement) -> CoverElement:
-    return cover_mul(cover_mul(g, x), cover_inv(g))
+    """g x g^-1, exactly (exact_product)."""
+    return exact_product((g, 1), (x, 1), (g, -1))
+
+
+def cover_commutator(x: CoverElement, y: CoverElement) -> CoverElement:
+    """Commutator x y x^-1 y^-1, exactly (exact_product)."""
+    return exact_product((x, 1), (y, 1), (x, -1), (y, -1))
 
 
 Z = CoverElement(normalize(IDENTITY), -1)  # the deck generator
@@ -174,23 +202,6 @@ def cover_equal(x: CoverElement, y: CoverElement) -> bool:
     if x.base.rep.maxdiff(y.base.rep) >= EQUAL_TOL:
         return False
     return x.lift_index + _shift(x.base, y.base) == y.lift_index
-
-
-def with_base(x: CoverElement, base: ProjectiveMatrix) -> CoverElement:
-    """Re-home a cover element on a nearby (e.g. recomputed more accurately)
-    base, keeping the same homeomorphism; adjusts the lift index if the
-    canonical branch wrapped between the two bases."""
-    return CoverElement(base, x.lift_index + _shift(x.base, base))
-
-
-def cover_commutator(x: CoverElement, y: CoverElement) -> CoverElement:
-    """Commutator x y x^-1 y^-1. The deck index comes from the float cover
-    chain; the base is recomputed exactly (unit_product), because commutator
-    intermediates are exactly the cancellation-heavy products that leak
-    float noise."""
-    rough = cover_mul(cover_mul(x, y), cover_mul(cover_inv(x), cover_inv(y)))
-    a, b = x.base.rep, y.base.rep
-    return with_base(rough, unit_product(a, b, a.inv(), b.inv()))
 
 
 _FIXING_CLASS = {PslType.HYPERBOLIC: Hyp, PslType.PARABOLIC_PLUS: ParPlus,

@@ -31,7 +31,7 @@ class NotHP(PslTildeError):
 
 
 class RelatorNotCentral(PslTildeError):
-    pass
+    """A stored c_p disagrees with the relation; only the loader raises it."""
 
 
 class BoundaryElliptic(PslTildeError):

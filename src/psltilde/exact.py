@@ -18,6 +18,7 @@ from .mobius import (
     IntMatrix,
     Matrix2,
     PslType,
+    _adjugate,
     _mul,
     _sqrt_ratio,
     _trace_det,
@@ -32,11 +33,6 @@ from .words import Alphabet, CurveWord
 IDENTITY: IntMatrix = (1, 0, 0, 1)
 
 BLOCK = 4  # letters per multiplication step of the curve walk
-
-
-def _adjugate(x: IntMatrix) -> IntMatrix:
-    a, b, c, d = x
-    return (d, -b, -c, a)
 
 
 def _alphabet(surf: SurfacePresentation) -> Alphabet:

@@ -116,8 +116,8 @@ class ProjectiveMatrix:
     def __matmul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
         return normalize(self.rep @ other.rep)
 
-    def is_identity(self, tol: float = IDENTITY_TOL) -> bool:
-        return self.rep.maxdiff(IDENTITY) < tol
+    def is_identity(self) -> bool:
+        return self.rep.maxdiff(IDENTITY) < IDENTITY_TOL
 
 
 class PslType(Enum):
@@ -190,6 +190,11 @@ def int_matrix(entries) -> IntMatrix:
     return tuple(n * (den // d) for n, d in ratios)
 
 
+def _adjugate(x: IntMatrix) -> IntMatrix:
+    a, b, c, d = x
+    return (d, -b, -c, a)
+
+
 def _mul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
     a, b, c, d = x
     e, f, g, h = y
@@ -230,6 +235,11 @@ def unit_entries(x: IntMatrix) -> tuple[float, float, float, float]:
                                1.0 if v >= 0 else -1.0) for v in x)
 
 
+def _unit_rep(x: IntMatrix) -> ProjectiveMatrix:
+    """The canonical representative of x, each entry rounded once."""
+    return normalize_unit(Matrix2(*unit_entries(x)))
+
+
 def unit_product(*factors: Matrix2) -> ProjectiveMatrix:
     """Left-to-right product of positive-determinant factors (a factor's
     .inv() is its adjugate) as its canonical PSL(2,R) representative: the
@@ -239,7 +249,7 @@ def unit_product(*factors: Matrix2) -> ProjectiveMatrix:
     acc = (1, 0, 0, 1)
     for m in factors:
         acc = _mul(acc, int_matrix((m.a, m.b, m.c, m.d)))
-    return normalize_unit(Matrix2(*unit_entries(acc)))
+    return _unit_rep(acc)
 
 
 def classify_psl(p: ProjectiveMatrix) -> PslType:

@@ -1,8 +1,9 @@
-"""Built-in property suite: the cover group laws, the image theorems and the
-parabolic/elliptic sign rules. This module is the one implementation of each
-law: `psltilde selftest` runs the checks at a command-line scale, and
-acceptance criteria 1-3 call the same checks at full scale. Each check_*
-takes (trials, seed) and raises AssertionError at the first failure."""
+"""Built-in property suite: the cover group laws, the image theorems, the
+parabolic/elliptic sign rules and the Euler class against its definition.
+This module is the one implementation of each law: `psltilde selftest` runs
+the checks at a command-line scale, and acceptance criteria 1-4 call the
+same checks at full scale. Each check_* takes (trials, seed) and raises
+AssertionError at the first failure."""
 from __future__ import annotations
 
 import math
@@ -19,14 +20,17 @@ from .cover import (
     ParPlus,
     angle_lift,
     cover_classify,
+    cover_commutator,
     cover_conj,
     cover_equal,
     cover_inv,
     cover_mul,
     lift_in_class,
     sl_projection,
+    special_lift,
     z_power,
 )
+from .errors import NotHP
 from .mobius import Matrix2, classify_psl, normalize
 from .sampling import (
     random_cover,
@@ -35,7 +39,9 @@ from .sampling import (
     random_hyperbolic,
     random_par0,
     random_parabolic,
+    random_psl,
 )
+from .surface import Representation, SurfacePresentation, euler_class
 
 CONDITIONING_GUARD = 600  # draws allowed per conditioned product sample
 
@@ -127,8 +133,7 @@ def check_commutator_image(trials: int, seed: int) -> None:
     rng = random.Random(seed)
     for _ in range(trials):
         x, y = random_cover(rng), random_cover(rng)
-        comm = cover_mul(cover_mul(x, y), cover_mul(cover_inv(x), cover_inv(y)))
-        cls = cover_classify(comm)
+        cls = cover_classify(cover_commutator(x, y))
         if cls not in COMMUTATOR_IMAGE:
             raise AssertionError(f"commutator landed outside the image: {cls}")
 
@@ -213,6 +218,44 @@ def check_trace_parity(trials: int, seed: int) -> None:
             raise AssertionError(f"trace parity failed at Hyp({n})")
 
 
+EULER_SURFACES = ((0, 3), (0, 4), (1, 1), (1, 2), (2, 1))
+PERIPHERAL_DRAWS = (random_hyperbolic, random_parabolic,
+                    lambda rng: random_parabolic(rng, -1))
+
+
+def check_euler_composition(trials: int, seed: int) -> None:
+    """euler_class against its definition: the lifted relator
+    [a1,b1]..[ag,bg] c1..cp (handles at index 0, peripherals at their
+    component-index-0 lifts), composed as homeomorphisms of the line, is
+    the translation by -e*pi. Images are random on small surfaces, with
+    c_1..c_{p-1} hyperbolic or parabolic of either sign; a draw whose c_p
+    is elliptic is skipped."""
+    rng = random.Random(seed)
+    done = 0
+    while done < trials:
+        surf = SurfacePresentation(*rng.choice(EULER_SURFACES))
+        rep = Representation(surf, {
+            gen: (rng.choice(PERIPHERAL_DRAWS) if gen[0] == "c"
+                  else random_psl)(rng) for gen in surf.free_generators()})
+        try:
+            euler = euler_class(rep)
+        except NotHP:
+            continue
+        value = 0.7  # the lifts act right to left: c_p first, a1 last
+        for i in range(surf.punctures, 0, -1):
+            value = _lift_value(special_lift(rep.peripheral_image(i)), value)
+        for j in range(surf.genus, 0, -1):
+            a, b = (CoverElement(rep.image(g), 0) for g in (surf.a(j), surf.b(j)))
+            for x in (cover_inv(b), cover_inv(a), b, a):
+                value = _lift_value(x, value)
+        shift = (0.7 - value) / math.pi
+        if abs(shift - euler) > 1e-6:
+            raise AssertionError(
+                f"euler_class {euler}, but the composed relator on {surf} "
+                f"translates by {shift} half-turns")
+        done += 1
+
+
 SUITES = [  # (name, check, trials at scale 1, seed)
     ("cover group laws", check_cover_laws, 1000, 101),
     ("cover composition", check_cover_composition, 2000, 109),
@@ -223,6 +266,7 @@ SUITES = [  # (name, check, trials at scale 1, seed)
     ("parabolic off-diagonal rule", check_offdiag, 150, 106),
     ("elliptic off-diagonal rule", check_offdiag_elliptic, 150, 107),
     ("hyperbolic trace parity", check_trace_parity, 400, 108),
+    ("Euler class by composition", check_euler_composition, 300, 110),
 ]
 
 

@@ -12,18 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cover import (
-    CoverElement,
-    central_index,
-    cover_commutator,
-    cover_mul,
-    special_lift,
-)
+from .cover import CoverElement, exact_product, special_lift
 from .errors import (
     BoundaryElliptic,
     NotHP,
     NotHyperbolic,
-    RelatorNotCentral,
     SelfVerificationError,
     UnknownGenerator,
     UnsupportedCurve,
@@ -32,13 +25,15 @@ from .mobius import (
     Matrix2,
     ProjectiveMatrix,
     PslType,
+    _adjugate,
+    _mul,
+    _unit_rep,
     classify_psl,
+    int_matrix,
     normalize,
     unit_product,
 )
 from .words import CurveWord, EMPTY_WORD, word
-
-EULER_BASE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -121,11 +116,22 @@ class Representation:
         return eval_word(self, self.surface.peripheral_word(i))
 
     def conjugate(self, g: ProjectiveMatrix) -> "Representation":
-        # exact products: builders chain conjugations, and plain float
-        # sandwiches would accumulate genuine image error at tolerance scale
-        gi = g.rep.inv()
-        return Representation(self.surface, {
-            k: unit_product(g.rep, m.rep, gi) for k, m in self.images.items()})
+        return _conjugated(self, g, self.images)
+
+
+def _conjugated(rep: Representation, g: ProjectiveMatrix, gens
+                ) -> Representation:
+    """rep with the images of gens conjugated by g, each as
+    unit_product(g, m, g^-1) would give it: exact in integers and rounded
+    once, with g and its adjugate converted once. Builders chain
+    conjugations, and float sandwiches would accumulate image error at
+    tolerance scale."""
+    left = int_matrix(g.rep.entries())
+    right = _adjugate(left)
+    return Representation(rep.surface, {
+        gen: (_unit_rep(_mul(_mul(left, int_matrix(m.rep.entries())), right))
+              if gen in gens else m)
+        for gen, m in rep.images.items()})
 
 
 def eval_word(rep: Representation, w: CurveWord) -> ProjectiveMatrix:
@@ -176,42 +182,48 @@ class SignVector:
         return len(self.entries)
 
 
-def _peripherals(rep: Representation
-                 ) -> tuple[list[ProjectiveMatrix], SignVector]:
-    """The peripheral images, each evaluated once, and their sign vector;
-    raises NotHP for elliptic or identity images."""
-    table = {PslType.PARABOLIC_PLUS: 1, PslType.PARABOLIC_MINUS: -1,
-             PslType.HYPERBOLIC: 0}
-    images, signs = [], []
-    for i in range(1, rep.surface.punctures + 1):
-        image = rep.peripheral_image(i)
-        kind = classify_psl(image)
-        if kind in (PslType.ELLIPTIC, PslType.IDENTITY):
-            raise NotHP(
-                f"peripheral image {i} is {kind.value}; need hyperbolic or "
-                "parabolic")
-        images.append(image)
-        signs.append(table[kind])
-    return images, SignVector(tuple(signs))
-
-
-def _euler_from(rep: Representation, peripherals: list[ProjectiveMatrix],
-                shifts: dict[str, int]) -> int:
+def _relator_factors(rep: Representation, indices: list[int],
+                     shifts: dict[str, int]) -> list[tuple[CoverElement, int]]:
+    """exact_product factors of W = [a1,b1]..[ag,bg] c1..c_{p-1}: handle
+    generators at index shifts.get(gen, 0), and c_i at index indices[i-1]
+    over its stored image, the factor eval_word multiplies."""
     surf = rep.surface
-    total: CoverElement | None = None
+    factors = []
     for j in range(1, surf.genus + 1):
-        a, b = surf.a(j), surf.b(j)
-        k = cover_commutator(CoverElement(rep.image(a), shifts.get(a, 0)),
-                             CoverElement(rep.image(b), shifts.get(b, 0)))
-        total = k if total is None else cover_mul(total, k)
-    for image in peripherals:
-        ct = special_lift(image, "closure_hyp0")
-        total = ct if total is None else cover_mul(total, ct)
-    if not total.base.is_identity(EULER_BASE_TOL):
-        raise RelatorNotCentral(
-            f"lifted relator base off identity by "
-            f"{total.base.rep.maxdiff(Matrix2(1, 0, 0, 1)):.3e}")
-    return central_index(total)
+        a, b = (CoverElement(rep.image(gen), shifts.get(gen, 0))
+                for gen in (surf.a(j), surf.b(j)))
+        factors += [(a, 1), (b, 1), (a, -1), (b, -1)]
+    for i, k in enumerate(indices, start=1):
+        factors.append((CoverElement(rep.image(surf.c(i)), k), 1))
+    return factors
+
+
+def _sign(i: int, image: ProjectiveMatrix) -> int:
+    """Sign of peripheral image i; NotHP when it is elliptic or central."""
+    kind = classify_psl(image)
+    if kind in (PslType.ELLIPTIC, PslType.IDENTITY):
+        raise NotHP(
+            f"peripheral image {i} is {kind.value}; need hyperbolic or "
+            "parabolic")
+    return {PslType.PARABOLIC_PLUS: 1, PslType.PARABOLIC_MINUS: -1}.get(kind, 0)
+
+
+def _invariants(rep: Representation, shifts: dict[str, int]
+                ) -> tuple[int, SignVector]:
+    """One walk of the lifted relator. The lift of c_p is the exact inverse
+    of the lifted W = [a1,b1]..c_{p-1}, c_1..c_{p-1} at their
+    component-index-0 lifts, so its base is peripheral_image(p) bit for bit
+    and the relator is central by construction; e is how far that lift lies
+    above the component-index-0 lift of c_p."""
+    p = rep.surface.punctures
+    images = [rep.peripheral_image(i) for i in range(1, p)]
+    signs = [_sign(i, m) for i, m in enumerate(images, start=1)]
+    factors = _relator_factors(
+        rep, [special_lift(m).lift_index for m in images], shifts)
+    last = exact_product(*((x, -e) for x, e in reversed(factors)))
+    signs.append(_sign(p, last.base))
+    euler = last.lift_index - special_lift(last.base).lift_index
+    return euler, SignVector(tuple(signs))
 
 
 def euler_class(rep: Representation, ab_lift_shifts: dict[str, int] | None = None) -> int:
@@ -219,22 +231,21 @@ def euler_class(rep: Representation, ab_lift_shifts: dict[str, int] | None = Non
 
     Handle generators are lifted at index 0 (any shift leaves the commutator
     unchanged; ab_lift_shifts exists so tests can exercise exactly that),
-    peripherals at their component-index-0 lifts. Raises NotHP for elliptic
-    peripherals and RelatorNotCentral if the lifted relator does not project
-    to the identity.
+    peripherals at their component-index-0 lifts. The relator is walked
+    once in exact integers, c_p as the exact inverse of the rest, so it is
+    central with no tolerance. Raises NotHP for elliptic peripherals.
     """
-    return _euler_from(rep, _peripherals(rep)[0], ab_lift_shifts or {})
+    return _invariants(rep, ab_lift_shifts or {})[0]
 
 
 def sign_vector(rep: Representation) -> SignVector:
-    return _peripherals(rep)[1]
+    return _invariants(rep, {})[1]
 
 
 def invariants(rep: Representation) -> tuple[int, SignVector]:
-    """(euler_class(rep), sign_vector(rep)) from one evaluation of the
-    peripheral images."""
-    images, signs = _peripherals(rep)
-    return _euler_from(rep, images, {}), signs
+    """(euler_class(rep), sign_vector(rep)) from one walk of the lifted
+    relator."""
+    return _invariants(rep, {})
 
 
 class Feasibility(Enum):
@@ -264,20 +275,12 @@ def mw_bounds(genus: int, punctures: int, n: int, s) -> Feasibility:
 
 def evaluation_map(rep: Representation) -> CoverElement:
     """Lifted product of the handle commutators and the first p-1 peripheral
-    lifts (component-index-0 closure lifts, elliptics at their Ell(1) lift);
-    its base is the inverse of the last peripheral image."""
-    surf = rep.surface
-    total: CoverElement | None = None
-    for j in range(1, surf.genus + 1):
-        k = cover_commutator(CoverElement(rep.image(surf.a(j)), 0),
-                             CoverElement(rep.image(surf.b(j)), 0))
-        total = k if total is None else cover_mul(total, k)
-    for i in range(1, surf.punctures):
-        ct = special_lift(rep.peripheral_image(i), "eval")
-        total = ct if total is None else cover_mul(total, ct)
-    if total is None:  # (g, p) = (0, 1) is excluded by chi < 0
-        raise AssertionError("empty evaluation product")
-    return total
+    lifts (component-index-0 closure lifts, elliptics at their Ell(1) lift),
+    in one exact walk; its base is the inverse of the last peripheral
+    image."""
+    indices = [special_lift(rep.peripheral_image(i), "eval").lift_index
+               for i in range(1, rep.surface.punctures)]
+    return exact_product(*_relator_factors(rep, indices, {}))
 
 
 @dataclass(frozen=True)
@@ -472,7 +475,8 @@ def _expand_last(surf: SurfacePresentation, w: CurveWord) -> CurveWord:
 def _twist(rep: Representation, split: SplittingSpec, t: float
            ) -> Representation:
     """Conjugate side A of a standard splitting by the time-t element of the
-    one-parameter subgroup through the curve's image."""
+    one-parameter subgroup through the curve's image, in exact integer
+    products as Representation.conjugate does."""
     surf = rep.surface
     split.validate(surf)
     boundary = eval_word(rep, split.curve_word(surf))
@@ -483,12 +487,8 @@ def _twist(rep: Representation, split: SplittingSpec, t: float
         raise NotHyperbolic("twist curve image must be hyperbolic")
     if t == 0.0:
         return rep
-    h = _one_parameter_power(boundary, t)
-    side = set(_split_side_a_generators(surf, split))
-    return Representation(surf, {
-        gen: (h @ m @ h.inv() if gen in side else m)
-        for gen, m in rep.images.items()
-    })
+    return _conjugated(rep, _one_parameter_power(boundary, t),
+                       set(_split_side_a_generators(surf, split)))
 
 
 def _checked_twist(rep: Representation, split: SplittingSpec, t: float,

@@ -117,9 +117,12 @@ def test_criterion_4_euler_checks():
             left, right = restrict(rep, split)
             assert euler_class(left) + euler_class(right) == total
             splits_checked += 1
+    selftest.check_euler_composition(1000, 1004)
     _report(4, "forced sphere values e=1/(+,+,0) and e=0/(+,-,0); lift-shift "
                "invariance and PGL flip exact on 1e3 trials; additivity on "
-               f"100 built representations ({splits_checked} splittings)")
+               f"100 built representations ({splits_checked} splittings); "
+               "the relator walk equals the composed homeomorphisms on 1e3 "
+               "random representations")
 
 
 def test_criterion_5_extremal_builders():

@@ -160,6 +160,18 @@ def test_selftest_fails_when_a_product_class_is_dropped(monkeypatch):
     assert run(["selftest", "--scale", "0.05"]) == 1
 
 
+def test_selftest_checks_the_relator_walk(monkeypatch):
+    from psltilde import selftest
+
+    # a walk that lands one half-turn off, as a wrong deck correction would
+    monkeypatch.setattr(selftest, "euler_class",
+                        lambda rep: euler_class(rep) + 1)
+    lines = []
+    assert selftest.run_selftest(scale=0.05, out=lines.append) is False
+    assert any(line.startswith("FAIL Euler class by composition")
+               for line in lines)
+
+
 def test_cli_audit_and_sample_with_no_curves(tmp_path):
     rep_path = str(tmp_path / "rep.json")
     assert run(["construct", "--genus", "0", "--punctures", "3", "--euler",
@@ -245,7 +257,8 @@ def test_cli_audit_restrictions_evaluates_peripherals_once(tmp_path,
     report_path = str(tmp_path / "audit.json")
     assert run(["audit", rep_path, "--depth", "0", "--restrictions",
                 "--report", report_path]) == 0
-    assert len(calls) == 4
+    # c1..c3 once each; c4 is read off the relator walk
+    assert calls == ["c1", "c2", "c3"]
     with open(report_path) as fh:
         restrictions = json.load(fh)["restrictions"]
     assert restrictions["mode"] == "counterexample" and restrictions["passed"]
@@ -319,10 +332,10 @@ GOLDEN_AUDITS = {
     "sphere4-counterexample.json":
         "59bb4bc846ada460e2277d9281032cbd9b24365c50a612b09d15ba75c0c62435",
 }
-# the sample's builds conjugate through mobius.unit_product; its bytes were
-# recomputed when that product became exact
+# the sample's builds conjugate in exact integer products; its bytes were
+# recomputed when the twists joined them
 GOLDEN_SAMPLE_CSV = \
-    "d327c6d84ab7b9e11ae6bdc34ca488ef647cdea2d8fc451d77ff0fe467e04771"
+    "9b299e0891a28da3b6da15e96c038a7dcff9e1e367ec9bca93d0602450b60d9d"
 
 
 def _sha256(path: str) -> str:

@@ -16,11 +16,12 @@ from psltilde.cover import (
     cover_classify,
     cover_inv,
     cover_mul,
+    exact_product,
+    identity_cover,
     lift_in_class,
     sl_projection,
     sl_trace,
     special_lift,
-    with_base,
     z_power,
 )
 from psltilde.errors import EllipticHasNoHyp0Lift
@@ -223,6 +224,23 @@ def test_composition_with_the_homeomorphisms():
     check_cover_composition(3000, 53)
 
 
+def test_exact_product_composes_the_homeomorphisms():
+    # up to five factors, each inverted or not, a third of them across the
+    # horizontal axis; the product's homeomorphism is the composition
+    rng = random.Random(67)
+    for _ in range(500):
+        factors = [(_near_horizontal(rng) if rng.random() < 0.3
+                    else random_cover(rng), rng.choice((1, -1)))
+                   for _ in range(rng.randint(1, 5))]
+        got = exact_product(*factors)
+        for t in (0.3, 1.0, 2.0):
+            value = t
+            for x, e in reversed(factors):
+                value = _lift_value(x if e > 0 else cover_inv(x), value)
+            assert abs(_lift_value(got, t) - value) < 1e-6, factors
+    assert exact_product() == identity_cover()
+
+
 def _displacement_class(x):
     """The component by its definition: the displacement g(t) + k*pi - t
     sampled on a 400-point grid over [0, pi), and 1e-9 to either side of
@@ -257,18 +275,3 @@ def test_classify_agrees_with_the_displacement():
     elements += [_near_horizontal(rng) for _ in range(150)]
     for x in elements:
         assert cover_classify(x) == _displacement_class(x), x
-
-
-def test_with_base_across_the_horizontal_axis():
-    # the two bases differ only in the sign of a c of 1e-17 or 1e-15, so
-    # their canonical lifts start near 0 and near pi; the index absorbs the
-    # half-turn
-    rng = random.Random(61)
-    for _ in range(300):
-        x = _near_horizontal(rng)
-        m = x.base.rep
-        if m.c == 0.0:
-            continue
-        other = normalize(Matrix2(m.a, m.b, -m.c, m.d))
-        moved = with_base(x, other)
-        assert abs(_lift_value(moved, 0.7) - _lift_value(x, 0.7)) < 1e-9

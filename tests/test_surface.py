@@ -8,7 +8,6 @@ import fraction_reference as ref
 from psltilde.constructors import (
     COMMUTATOR_IMAGE,
     BuildRequest,
-    _conj_exact,
     build_boundary_extremal,
     build_rep,
     pgl_flip,
@@ -19,9 +18,17 @@ from psltilde.cover import (
     Hyp,
     cover_classify,
     cover_commutator,
+    cover_conj,
 )
 from psltilde.errors import BoundaryElliptic, NotHP, UnknownGenerator, UnsupportedCurve
-from psltilde.mobius import Matrix2, classify_psl, diag, normalize, rotation
+from psltilde.mobius import (
+    Matrix2,
+    PslType,
+    classify_psl,
+    diag,
+    normalize,
+    rotation,
+)
 from psltilde.sampling import random_hyperbolic, random_parabolic, random_psl
 from psltilde.surface import (
     Feasibility,
@@ -114,7 +121,7 @@ def test_conjugations_and_commutators_against_exact_products():
             _assert_exact_unit(conj.image(gen),
                                ref.mul(ref.mul(G, _fraction(m)), Gi))
         _assert_exact_unit(
-            _conj_exact(g, x).base,
+            cover_conj(CoverElement(g, 0), x).base,
             ref.mul(ref.mul(G, _fraction(x.base)), Gi))
         X, Y = _fraction(x.base), _fraction(y.base)
         _assert_exact_unit(
@@ -177,6 +184,31 @@ def test_conjugation_invariance_of_invariants():
         conj = rep.conjugate(g)
         assert euler_class(conj) == euler_class(rep)
         assert tuple(sign_vector(conj)) == tuple(sign_vector(rep))
+
+
+def test_wide_conjugations_keep_the_euler_class():
+    # conjugators of spread 3 push entries past 10 and some parabolic traces
+    # out of the 1e-8 band; a float walk of the relator then missed the
+    # identity (RelatorNotCentral) or lost its determinant
+    # (NonUnitDeterminant) on about one draw in ten
+    rng = random.Random(14)
+    checked = 0
+    for _ in range(120):
+        g, p = rng.choice([(0, 4), (1, 2), (0, 5), (2, 1)])
+        chi = 2 - 2 * g - p
+        e, signs = rng.choice([(-chi, (1,) * p),
+                               (-chi - 1, (1,) * (p - 1) + (-1,))])
+        rep = build_rep(BuildRequest(g, p, e, signs, rng.randrange(10**6)))
+        conj = rep.conjugate(random_psl(rng, spread=3))
+        try:
+            got_e, got_s = invariants(conj)
+        except NotHP:  # a parabolic image left the band towards elliptic
+            continue
+        assert got_e == e
+        # a sign can only drop to 0, for an image that left the band
+        assert all(after in (before, 0) for before, after in zip(signs, got_s))
+        checked += 1
+    assert checked >= 100
 
 
 def test_pgl_flip_negates():
@@ -242,6 +274,25 @@ def test_evaluation_map_elliptic_bound():
             cls = cover_classify(evaluation_map(rep))
             assert cls.tag == "Ell"
             assert 1 - 2 * g <= cls.n <= 2 * g + p - 2
+
+
+def test_evaluation_map_class_is_the_euler_class():
+    # wide images: float cover chains lost the determinant of the evaluation
+    # map or the centrality of the relator on about one draw in fifty
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(300):
+        surf = SurfacePresentation(*rng.choice(((1, 1), (1, 2), (2, 1),
+                                                (0, 5))))
+        rep = Representation(surf, {
+            gen: (rng.choice((random_parabolic, random_hyperbolic))(rng)
+                  if gen[0] == "c" else random_psl(rng, spread=2.5))
+            for gen in surf.free_generators()})
+        last = classify_psl(rep.peripheral_image(surf.punctures))
+        if last is PslType.HYPERBOLIC:
+            assert cover_classify(evaluation_map(rep)) == Hyp(euler_class(rep))
+            checked += 1
+    assert checked > 100
 
 
 def test_restrict_additivity_torus():
