@@ -60,11 +60,9 @@ class AuditReport:
 
 
 def _type_preserving_invariants(rep: Representation) -> tuple[int, SignVector]:
-    """invariants(rep), from one walk of the lifted relator when every
-    peripheral image is parabolic. Otherwise the images are evaluated
-    again, in order, so that NotTypePreserving names the first one that is
-    not; that walk's c_p is peripheral_image(p) bit for bit, so one is
-    found."""
+    """invariants(rep) when every peripheral image is parabolic. Otherwise
+    the images are classified in order, c_p off the same relator walk, so
+    that NotTypePreserving names the first one that is not."""
     try:
         euler, signs = invariants(rep)
         if 0 not in signs.entries:
@@ -165,15 +163,12 @@ def _split_off_pants_with(rep: Representation, puncture: int
     return pants, [piece1, piece2]
 
 
-def check_restrictions(rep: Representation,
-                       known: tuple[int, SignVector] | None = None
-                       ) -> RestrictionReport:
+def check_restrictions(rep: Representation) -> RestrictionReport:
     """Certify the almost-Fuchsian structure: the pants containing the
     negative puncture carries Euler class 0 and every complementary piece is
     extremal (|e| = -chi, the Fuchsian certificate). Extremal input passes
-    degenerately with every piece extremal. known is invariants(rep) when
-    the caller has it already (an audit of rep has)."""
-    n, s = invariants(rep) if known is None else known
+    degenerately with every piece extremal."""
+    n, s = invariants(rep)
     chi = rep.surface.chi
     if n == -chi - 1 and s.p_minus == 1 and chi <= -2:
         neg = list(s.entries).index(-1) + 1

@@ -18,7 +18,6 @@ from .cover import cover_classify
 from .errors import PslTildeError
 from .mobius import classify_psl
 from .selftest import run_selftest
-from .surface import SignVector
 
 
 def _parse_signs(text: str) -> tuple[int, ...]:
@@ -82,8 +81,7 @@ def _cmd_audit(args) -> int:
     payload = jsonio.audit_report_to_json(report)
     if args.restrictions:
         try:
-            restriction = check_restrictions(
-                rep, (report.euler, SignVector(report.signs)))
+            restriction = check_restrictions(rep)
             payload["restrictions"] = {
                 "mode": restriction.mode,
                 "negative_puncture": restriction.negative_puncture,

@@ -853,15 +853,12 @@ def _build_rep_once(req: BuildRequest, sv: SignVector,
             "supported families")
     if flip:
         rep = pgl_flip(rep)
-    # each twist's output invariants are the next twist's input invariants
-    known = None
     for split in standard_splits(surf):
         try:
-            rep, known = _checked_twist(rep, split, rng.uniform(-0.4, 0.4),
-                                        known)
+            rep = _checked_twist(rep, split, rng.uniform(-0.4, 0.4))
         except (BoundaryElliptic, NotHyperbolic, NonUnitDeterminant):
             continue  # non-hyperbolic splitting image: no twist along it
-    got_e, got_s = known if known is not None else invariants(rep)
+    got_e, got_s = invariants(rep)
     if got_e != req.euler or got_s.entries != sv.entries:
         raise SelfVerificationError(
             f"built (e, s) = ({got_e}, {got_s.entries}), requested "

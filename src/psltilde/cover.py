@@ -35,7 +35,6 @@ from .mobius import (
     _positive_trace_rep,
     _unit_rep,
     classify_psl,
-    int_matrix,
     normalize,
 )
 
@@ -108,37 +107,33 @@ def _up(a: float, c: float) -> int:
 
 
 def cover_mul(x: CoverElement, y: CoverElement) -> CoverElement:
-    """Group law. g_x g_y lifts the action of U_x U_y = +-X @ Y and starts
-    at an angle in [0, 2*pi); the deck correction is 1 exactly when that
-    product is minus the upper representative of the product base, and 0
-    when g_y(0) = 0, that is, when Y.c = 0.
-
-    The rule reads the rounded product. Where rounding moves its first
-    column across the horizontal axis, the orientation of U_x e1 and
-    U_x U_y e1 puts that column near angle pi (unless |X.a * X.d| nears
-    2**53), and the rule then picks the lift nearest g_x g_y."""
-    X, Y = x.base.rep, y.base.rep
-    P = X @ Y
-    d = Y.c != 0.0 and _up(Y.a, Y.c) * _up(P.a, P.c) != _up(X.a, X.c)
-    return CoverElement(normalize(P), x.lift_index + y.lift_index + int(d))
+    """Group law, exactly (exact_product)."""
+    return exact_product((x, 1), (y, 1))
 
 
 def cover_inv(x: CoverElement) -> CoverElement:
-    """Inverse: U_x times the upper representative of the adjugate is -I
-    exactly when c != 0."""
-    return CoverElement(x.base.inv(), -x.lift_index - (x.base.rep.c != 0.0))
+    """Inverse, exactly (exact_product)."""
+    return exact_product((x, -1))
 
 
 def exact_product(*factors: tuple[CoverElement, int]) -> CoverElement:
     """Left-to-right product of the factors (x, 1) for x and (x, -1) for its
-    inverse, in integers: each base becomes int_matrix of its entries (an
-    inverse is the adjugate, with cover_inv's index), cover_mul's deck rule
-    is read off the signs of each exact partial product, which it sees
-    through positive scalars and either sign of a representative, and only
-    the finished base is rounded."""
+    inverse, in integers: each base is its int_rep, and only the finished
+    base is rounded. Raises NonUnitDeterminant when the exact determinant
+    is not positive.
+
+    An inverse is the adjugate: U_x times the upper representative of the
+    adjugate is -I exactly when c != 0, so its index is -k - (c != 0).
+
+    Each step multiplies the partial product A by the next factor Y.
+    g_A g_Y lifts the action of U_A U_Y = +-A @ Y and starts at an angle in
+    [0, 2*pi); the deck correction is 1 exactly when that product is minus
+    the upper representative of the product base, and 0 when g_Y(0) = 0,
+    that is, when Y.c = 0. The rule reads signs of exact integer matrices,
+    which positive scalars and the sign of a representative do not move."""
     acc, index = (1, 0, 0, 1), 0
     for x, e in factors:
-        y, k = int_matrix(x.base.rep.entries()), x.lift_index
+        y, k = x.base.int_rep, x.lift_index
         if e < 0:
             y, k = _adjugate(y), -k - (y[2] != 0)
         p = _mul(acc, y)
@@ -233,23 +228,16 @@ def cover_classify(x: CoverElement) -> CoverClass:
     return _FIXING_CLASS[kind](-(k + (_positive_trace_rep(x.base).c < 0.0)))
 
 
-def special_lift(p: ProjectiveMatrix, mode: str = "closure_hyp0") -> CoverElement:
-    """The distinguished lift of p.
-
-    mode "closure_hyp0": the unique lift with component index 0 (Hyp(0),
-    Par(0) or Center(0)); elliptic input raises EllipticHasNoHyp0Lift.
-    mode "eval": same, except elliptic input gets its unique Ell(1) lift.
-    """
-    if mode not in ("closure_hyp0", "eval"):
-        raise ValueError(f"unknown lift mode {mode!r}")
+def special_lift(p: ProjectiveMatrix) -> CoverElement:
+    """The distinguished lift of p: the unique lift with component index 0
+    (Hyp(0), Par(0) or Center(0)). Elliptic input raises
+    EllipticHasNoHyp0Lift."""
     kind = classify_psl(p)
     if kind is PslType.IDENTITY:
         return CoverElement(p, -_down(p))
     if kind is PslType.ELLIPTIC:
-        if mode == "closure_hyp0":
-            raise EllipticHasNoHyp0Lift(
-                "elliptic elements have no lift with component index 0")
-        return lift_in_class(p, Ell(1))
+        raise EllipticHasNoHyp0Lift(
+            "elliptic elements have no lift with component index 0")
     probe = CoverElement(p, 0)
     cls = cover_classify(probe)
     return CoverElement(p, probe.lift_index + cls.n)

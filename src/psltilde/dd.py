@@ -1,7 +1,7 @@
 """Double-double 2x2 matrix products via error-free transformations.
 
 Nothing in the package calls this module: every product goes through the
-exact integer kernel, mobius.unit_product. It is kept only because the
+exact integer kernel, cover.exact_product. It is kept only because the
 benchmark's tracer wraps DDMatrix.__matmul__, and it goes with the next
 change to the benchmark. Each entry is an unevaluated sum hi + lo with
 |lo| <= ulp(hi)/2.

@@ -1,6 +1,6 @@
 """Exact integer 2x2 products: the audit's curve kernel.
 
-A stored representation is, through mobius.int_matrix, an exact integer
+A stored representation is, through its images' int_rep, an exact integer
 representation of the free group up to positive scalars. The quantities
 read here are invariant under positive scaling: the trace ratio
 |tr|/sqrt(det), the canonical unit-determinant representative, and the PSL
@@ -23,7 +23,6 @@ from .mobius import (
     _sqrt_ratio,
     _trace_det,
     classify_psl,
-    int_matrix,
     normalize_unit,
     unit_entries,
 )
@@ -46,7 +45,7 @@ def letter_matrices(rep: Representation) -> dict[str, IntMatrix]:
     out = {}
     codes = _alphabet(rep.surface).codes
     for gen in rep.surface.free_generators():
-        m = int_matrix(rep.image(gen).rep.entries())
+        m = rep.image(gen).int_rep
         out[codes[gen, 1]], out[codes[gen, -1]] = m, _adjugate(m)
     return out
 
@@ -318,8 +317,7 @@ def _farey_margins(rep: Representation, plan: _FareyPlan, count: int
     (T, M). Slope classes are numbered 0, 1, 2 for (1,0), (0,1), (1,1), so
     that the sum of Farey neighbours of classes i and j has class
     3 - i - j."""
-    A, B, C = (int_matrix(rep.image(g).rep.entries())
-               for g in ("c1", "c2", "c3"))
+    A, B, C = (rep.image(g).int_rep for g in ("c1", "c2", "c3"))
     D = _adjugate(_mul(_mul(A, B), C))
     (tA, dA), (tB, dB), (tC, dC) = map(_trace_det, (A, B, C))
     tD = D[0] + D[3]

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import NonUnitDeterminant, NotConjugate, NotHyperbolic
 
@@ -107,6 +108,11 @@ class ProjectiveMatrix:
 
     rep: Matrix2
 
+    @cached_property
+    def int_rep(self) -> IntMatrix:
+        """rep as an exact integer matrix (int_matrix), converted once."""
+        return int_matrix(self.rep.entries())
+
     def trace_abs(self) -> float:
         return abs(self.rep.trace())
 
@@ -165,7 +171,7 @@ def normalize(m: Matrix2, det_tol: float = DET_PRE_TOL) -> ProjectiveMatrix:
 
 def normalize_unit(m: Matrix2) -> ProjectiveMatrix:
     """Canonical-sign representative of a matrix whose determinant is known
-    to be 1 up to its entries' rounding (e.g. unit_product's rounded
+    to be 1 up to its entries' rounding (e.g. an exact product's rounded
     representative, whose entries may be too large for the determinant to
     be measurable in floats)."""
     return ProjectiveMatrix(_canonical_sign(m))
@@ -238,18 +244,6 @@ def unit_entries(x: IntMatrix) -> tuple[float, float, float, float]:
 def _unit_rep(x: IntMatrix) -> ProjectiveMatrix:
     """The canonical representative of x, each entry rounded once."""
     return normalize_unit(Matrix2(*unit_entries(x)))
-
-
-def unit_product(*factors: Matrix2) -> ProjectiveMatrix:
-    """Left-to-right product of positive-determinant factors (a factor's
-    .inv() is its adjugate) as its canonical PSL(2,R) representative: the
-    factors are multiplied exactly as integer matrices, and each entry of
-    the unit-determinant multiple is rounded once. Raises
-    NonUnitDeterminant when the exact determinant is not positive."""
-    acc = (1, 0, 0, 1)
-    for m in factors:
-        acc = _mul(acc, int_matrix((m.a, m.b, m.c, m.d)))
-    return _unit_rep(acc)
 
 
 def classify_psl(p: ProjectiveMatrix) -> PslType:

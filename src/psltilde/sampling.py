@@ -50,9 +50,9 @@ def random_cover(rng: random.Random) -> CoverElement:
 
 
 def random_hyp0(rng: random.Random) -> CoverElement:
-    return special_lift(random_hyperbolic(rng), "closure_hyp0")
+    return special_lift(random_hyperbolic(rng))
 
 
 def random_par0(rng: random.Random, sign: int = 1) -> CoverElement:
-    return special_lift(random_parabolic(rng, sign), "closure_hyp0")
+    return special_lift(random_parabolic(rng, sign))
 

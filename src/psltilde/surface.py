@@ -11,8 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .cover import CoverElement, exact_product, special_lift
+from .cover import (
+    CoverElement,
+    Ell,
+    cover_conj,
+    exact_product,
+    lift_in_class,
+    special_lift,
+)
 from .errors import (
     BoundaryElliptic,
     NotHP,
@@ -21,18 +29,7 @@ from .errors import (
     UnknownGenerator,
     UnsupportedCurve,
 )
-from .mobius import (
-    Matrix2,
-    ProjectiveMatrix,
-    PslType,
-    _adjugate,
-    _mul,
-    _unit_rep,
-    classify_psl,
-    int_matrix,
-    normalize,
-    unit_product,
-)
+from .mobius import Matrix2, ProjectiveMatrix, PslType, classify_psl, normalize
 from .words import CurveWord, EMPTY_WORD, word
 
 
@@ -98,6 +95,9 @@ class SurfacePresentation:
 
 @dataclass(frozen=True, eq=False)
 class Representation:
+    """Generator images; nothing assigns into images, so what is read off
+    them (the relator walk) is cached on the object."""
+
     surface: SurfacePresentation
     images: dict[str, ProjectiveMatrix]
 
@@ -112,7 +112,16 @@ class Representation:
         except KeyError:
             raise UnknownGenerator(gen) from None
 
+    @cached_property
+    def _relator(self) -> tuple[tuple[PslType, ...], CoverElement]:
+        """The one walk of the lifted relator (_invariants)."""
+        return _invariants(self, {})
+
     def peripheral_image(self, i: int) -> ProjectiveMatrix:
+        """eval_word of the peripheral word; c_p is read off the relator
+        walk, which is that value bit for bit."""
+        if i == self.surface.punctures:
+            return self._relator[1].base
         return eval_word(self, self.surface.peripheral_word(i))
 
     def conjugate(self, g: ProjectiveMatrix) -> "Representation":
@@ -121,21 +130,17 @@ class Representation:
 
 def _conjugated(rep: Representation, g: ProjectiveMatrix, gens
                 ) -> Representation:
-    """rep with the images of gens conjugated by g, each as
-    unit_product(g, m, g^-1) would give it: exact in integers and rounded
-    once, with g and its adjugate converted once. Builders chain
-    conjugations, and float sandwiches would accumulate image error at
-    tolerance scale."""
-    left = int_matrix(g.rep.entries())
-    right = _adjugate(left)
+    """rep with the images of gens conjugated by g, each exact in integers
+    and rounded once (cover_conj). Builders chain conjugations, and float
+    sandwiches would accumulate image error at tolerance scale."""
+    h = CoverElement(g, 0)
     return Representation(rep.surface, {
-        gen: (_unit_rep(_mul(_mul(left, int_matrix(m.rep.entries())), right))
-              if gen in gens else m)
+        gen: cover_conj(h, CoverElement(m, 0)).base if gen in gens else m
         for gen, m in rep.images.items()})
 
 
 def eval_word(rep: Representation, w: CurveWord) -> ProjectiveMatrix:
-    """Left-to-right product of generator images by unit_product: exact in
+    """Left-to-right product of generator images by exact_product: exact in
     integers and rounded once per entry, so image traces are reliable at
     tolerance scale even through long cancellation-heavy words. The implied
     last peripheral name (e.g. "c3" on a thrice-punctured sphere) expands to
@@ -149,10 +154,8 @@ def eval_word(rep: Representation, w: CurveWord) -> ProjectiveMatrix:
             letters = (expansion if exp == 1 else expansion.inv()).letters
         else:
             letters = ((gen, exp),)
-        for g, e in letters:
-            m = rep.image(g).rep
-            factors.append(m if e == 1 else m.inv())
-    return unit_product(*factors)
+        factors += [(CoverElement(rep.image(g), 0), e) for g, e in letters]
+    return exact_product(*factors).base
 
 
 @dataclass(frozen=True)
@@ -198,54 +201,71 @@ def _relator_factors(rep: Representation, indices: list[int],
     return factors
 
 
-def _sign(i: int, image: ProjectiveMatrix) -> int:
-    """Sign of peripheral image i; NotHP when it is elliptic or central."""
-    kind = classify_psl(image)
-    if kind in (PslType.ELLIPTIC, PslType.IDENTITY):
-        raise NotHP(
-            f"peripheral image {i} is {kind.value}; need hyperbolic or "
-            "parabolic")
-    return {PslType.PARABOLIC_PLUS: 1, PslType.PARABOLIC_MINUS: -1}.get(kind, 0)
+def _eval_lift(m: ProjectiveMatrix) -> CoverElement:
+    """The evaluation map's lift of a peripheral image: its special_lift,
+    or its Ell(1) lift when it is elliptic."""
+    if classify_psl(m) is PslType.ELLIPTIC:
+        return lift_in_class(m, Ell(1))
+    return special_lift(m)
+
+
+_SIGN = {PslType.HYPERBOLIC: 0, PslType.PARABOLIC_PLUS: 1,
+         PslType.PARABOLIC_MINUS: -1}
 
 
 def _invariants(rep: Representation, shifts: dict[str, int]
-                ) -> tuple[int, SignVector]:
-    """One walk of the lifted relator. The lift of c_p is the exact inverse
-    of the lifted W = [a1,b1]..c_{p-1}, c_1..c_{p-1} at their
-    component-index-0 lifts, so its base is peripheral_image(p) bit for bit
-    and the relator is central by construction; e is how far that lift lies
-    above the component-index-0 lift of c_p."""
+                ) -> tuple[tuple[PslType, ...], CoverElement]:
+    """One walk of the lifted relator: the types of the p peripheral
+    images, and the lift of c_p. That lift is the exact inverse of the
+    lifted W = [a1,b1]..c_{p-1}, with c_1..c_{p-1} at their evaluation-map
+    lifts, so its base is peripheral_image(p) bit for bit and the relator
+    is central by construction."""
     p = rep.surface.punctures
     images = [rep.peripheral_image(i) for i in range(1, p)]
-    signs = [_sign(i, m) for i, m in enumerate(images, start=1)]
     factors = _relator_factors(
-        rep, [special_lift(m).lift_index for m in images], shifts)
+        rep, [_eval_lift(m).lift_index for m in images], shifts)
     last = exact_product(*((x, -e) for x, e in reversed(factors)))
-    signs.append(_sign(p, last.base))
-    euler = last.lift_index - special_lift(last.base).lift_index
-    return euler, SignVector(tuple(signs))
+    return tuple(classify_psl(m) for m in images + [last.base]), last
+
+
+def _checked(walk: tuple[tuple[PslType, ...], CoverElement]
+             ) -> tuple[int, SignVector]:
+    """(e, signs) of a walk, e being how far the lift of c_p lies above its
+    component-index-0 lift; NotHP names the first peripheral image that is
+    elliptic or central."""
+    kinds, last = walk
+    for i, kind in enumerate(kinds, start=1):
+        if kind not in _SIGN:
+            raise NotHP(
+                f"peripheral image {i} is {kind.value}; need hyperbolic or "
+                "parabolic")
+    return (last.lift_index - special_lift(last.base).lift_index,
+            SignVector(tuple(_SIGN[kind] for kind in kinds)))
 
 
 def euler_class(rep: Representation, ab_lift_shifts: dict[str, int] | None = None) -> int:
     """Relative Euler class: the central power reached by the lifted relator.
 
     Handle generators are lifted at index 0 (any shift leaves the commutator
-    unchanged; ab_lift_shifts exists so tests can exercise exactly that),
-    peripherals at their component-index-0 lifts. The relator is walked
-    once in exact integers, c_p as the exact inverse of the rest, so it is
-    central with no tolerance. Raises NotHP for elliptic peripherals.
+    unchanged; ab_lift_shifts exists so tests can exercise exactly that, and
+    walks afresh), peripherals at their component-index-0 lifts. The
+    relator is walked once per representation in exact integers, c_p as the
+    exact inverse of the rest, so it is central with no tolerance. Raises
+    NotHP for elliptic peripherals.
     """
-    return _invariants(rep, ab_lift_shifts or {})[0]
+    if ab_lift_shifts:
+        return _checked(_invariants(rep, ab_lift_shifts))[0]
+    return invariants(rep)[0]
 
 
 def sign_vector(rep: Representation) -> SignVector:
-    return _invariants(rep, {})[1]
+    return invariants(rep)[1]
 
 
 def invariants(rep: Representation) -> tuple[int, SignVector]:
-    """(euler_class(rep), sign_vector(rep)) from one walk of the lifted
-    relator."""
-    return _invariants(rep, {})
+    """(euler_class(rep), sign_vector(rep)) from the representation's one
+    walk of the lifted relator."""
+    return _checked(rep._relator)
 
 
 class Feasibility(Enum):
@@ -278,7 +298,7 @@ def evaluation_map(rep: Representation) -> CoverElement:
     lifts (component-index-0 closure lifts, elliptics at their Ell(1) lift),
     in one exact walk; its base is the inverse of the last peripheral
     image."""
-    indices = [special_lift(rep.peripheral_image(i), "eval").lift_index
+    indices = [_eval_lift(rep.peripheral_image(i)).lift_index
                for i in range(1, rep.surface.punctures)]
     return exact_product(*_relator_factors(rep, indices, {}))
 
@@ -491,22 +511,16 @@ def _twist(rep: Representation, split: SplittingSpec, t: float
                        set(_split_side_a_generators(surf, split)))
 
 
-def _checked_twist(rep: Representation, split: SplittingSpec, t: float,
-                   before: tuple[int, SignVector] | None = None
-                   ) -> tuple[Representation, tuple[int, SignVector] | None]:
-    """_twist, with the output's invariants asserted equal to the input's.
-    `before` is the input's invariants when the caller already has them;
-    returns the output and its invariants."""
+def _checked_twist(rep: Representation, split: SplittingSpec, t: float
+                   ) -> Representation:
+    """_twist, with the output's invariants asserted equal to the input's."""
     out = _twist(rep, split, t)
-    if out is rep:
-        return rep, before
-    if before is None:
-        before = invariants(rep)
-    after = invariants(out)
-    if before != after:
-        raise SelfVerificationError(
-            f"twist changed invariants: {before} -> {after}")
-    return out, after
+    if out is not rep:
+        before, after = invariants(rep), invariants(out)
+        if before != after:
+            raise SelfVerificationError(
+                f"twist changed invariants: {before} -> {after}")
+    return out
 
 
 def twist_deform(rep: Representation, curve, t: float) -> Representation:
@@ -515,4 +529,4 @@ def twist_deform(rep: Representation, curve, t: float) -> Representation:
     Euler class and sign vector are asserted unchanged."""
     split = curve if isinstance(curve, SplittingSpec) else \
         find_standard_split(rep.surface, curve)
-    return _checked_twist(rep, split, t)[0]
+    return _checked_twist(rep, split, t)

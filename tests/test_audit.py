@@ -36,15 +36,18 @@ def test_audit_requires_type_preserving():
         audit_rep(_thrice_punctured(random_hyperbolic(rng), ell), 1)
 
 
-def test_audit_evaluates_each_peripheral_once(monkeypatch):
+def test_build_and_audit_walk_each_relator_once(monkeypatch):
+    from psltilde import surface
+
+    walked, walk = [], surface._invariants
+    monkeypatch.setattr(surface, "_invariants",
+                        lambda rep, shifts: walked.append(rep) or
+                        walk(rep, shifts))
     rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
-    calls = []
-    original = Representation.peripheral_image
-    monkeypatch.setattr(Representation, "peripheral_image",
-                        lambda self, i: calls.append(i) or original(self, i))
     audit_rep(rep, 1)
-    # c4 is the exact inverse of the relator walk, not a separate evaluation
-    assert calls == [1, 2, 3]
+    # the builder's twist checks and the audit share each object's one walk
+    assert any(r is rep for r in walked)
+    assert len({id(r) for r in walked}) == len(walked)
 
 
 def test_audit_counterexample_zero_violations():

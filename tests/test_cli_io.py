@@ -229,36 +229,36 @@ def test_cli_rejects_unknown_flag():
              "--signs", "+,+,+,-", "--frobnicate"])
 
 
-def test_cli_audit_restrictions_evaluates_peripherals_once(tmp_path,
-                                                            monkeypatch):
-    from psltilde import audit, surface
+def test_cli_construct_and_audit_walk_each_relator_once(tmp_path,
+                                                        monkeypatch):
+    from psltilde import surface
 
-    rep_path = str(tmp_path / "rep.json")
-    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
-    jsonio.atomic_write(rep_path,
-                        jsonio.dumps(jsonio.representation_to_json(rep)))
-    inside, calls = [], []
-    invariants, eval_word = audit.invariants, surface.eval_word
+    # a walk of a representation's relator: surface._invariants, or
+    # eval_word of its whole implied last peripheral
+    walked = []
+    walk, eval_word = surface._invariants, surface.eval_word
 
-    def counted_invariants(r):
-        inside.append(r)
-        try:
-            return invariants(r)
-        finally:
-            inside.pop()
+    def counted_walk(r, shifts):
+        walked.append(r)
+        return walk(r, shifts)
 
     def counted_eval_word(r, w):
-        if inside and r is inside[-1]:
-            calls.append(str(w))
+        if w == r.surface.last_peripheral_word():
+            walked.append(r)
         return eval_word(r, w)
 
-    monkeypatch.setattr(audit, "invariants", counted_invariants)
+    monkeypatch.setattr(surface, "_invariants", counted_walk)
     monkeypatch.setattr(surface, "eval_word", counted_eval_word)
+    rep_path = str(tmp_path / "rep.json")
     report_path = str(tmp_path / "audit.json")
+    assert run(["construct", "--genus", "0", "--punctures", "4", "--euler",
+                "1", "--signs", "+,+,+,-", "--seed", "42",
+                "-o", rep_path]) == 0
     assert run(["audit", rep_path, "--depth", "0", "--restrictions",
                 "--report", report_path]) == 0
-    # c1..c3 once each; c4 is read off the relator walk
-    assert calls == ["c1", "c2", "c3"]
+    # writing c4, loading it against the relation, the audit and the
+    # restriction certificate each reuse their object's one walk
+    assert walked and len({id(r) for r in walked}) == len(walked)
     with open(report_path) as fh:
         restrictions = json.load(fh)["restrictions"]
     assert restrictions["mode"] == "counterexample" and restrictions["passed"]

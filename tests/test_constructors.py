@@ -491,9 +491,9 @@ def test_grid_refine_scores_like_the_min_loop():
 
 
 # sha256 of the written build (jsonio.dumps of representation_to_json with the
-# CLI's meta), seed 5, one per supported family; computed when the twists and
-# the commutator solver's products became exact, so any builder speedup must
-# keep them.
+# CLI's meta), seed 5, one per supported family; computed when the cover group
+# law (cover_mul, cover_inv) became exact, so any builder speedup must keep
+# them.
 # The counterexample-mirror digests are those of the flipped counterexample
 # build
 GOLDEN_BUILDS = {
@@ -513,10 +513,10 @@ GOLDEN_BUILDS = {
     ((1, 3), -3, (-1, -1, -1)): "fa28c0e3d40517e51e2ba6fbb4fee861636ebbc44d82f13fadeb08cb04be35ed",
     ((1, 3), 2, (1, 1, -1)): "adb77b1182336184c65b3762f2be7717df9421d05dca776da035b43dffb5f065",
     ((1, 3), -2, (-1, -1, 1)): "9356c77cfa9e31cb89b10f3159eb044ec87f3c18848ec906284ea722e5f48921",
-    ((2, 1), 3, (1,)): "acd3806e82b5d112650cb6995f65c2da392e3b1a8c1caeff64d32f5791ef5c06",
-    ((2, 1), -3, (-1,)): "b857b9c5746ff00abd5ac65df3f83aaa8c877b08a50d4ab385fb81f86b07a599",
-    ((2, 1), 2, (-1,)): "0a7d067d1885512c8e5cd0c3c4690fad64cfe982022d5811ae803307035f068a",
-    ((2, 1), -2, (1,)): "ae09c1445777ef402eb0eb1056bbb5cac9d1720bc5ff4f1b3c68d51461baca15",
+    ((2, 1), 3, (1,)): "b13f6cc1bba56ef0a26e3d985b1b24f101627a8bfd3c77a22c90af18e06ff746",
+    ((2, 1), -3, (-1,)): "275599002af8d7c5e197944ebf657a4b9a26504e2f6764ef90c2cf1a8b729815",
+    ((2, 1), 2, (-1,)): "d0c2f76b24d890d890bb8ae60faf6e1c05405946b14d5bd525376aa2c96803f8",
+    ((2, 1), -2, (1,)): "bff3cb37858dc37847fcc37b2ff4e8cb7801a9d01edca5d0878755495b8da19a",
 }
 
 

@@ -24,9 +24,10 @@ from psltilde.cover import (
     special_lift,
     z_power,
 )
-from psltilde.errors import EllipticHasNoHyp0Lift
+from psltilde.errors import EllipticHasNoHyp0Lift, NonUnitDeterminant
 from psltilde.mobius import (
     Matrix2,
+    ProjectiveMatrix,
     PslType,
     classify_psl,
     diag,
@@ -53,6 +54,7 @@ from psltilde.selftest import (
     check_offdiag_elliptic,
     check_trace_parity,
 )
+from psltilde.surface import Representation, SurfacePresentation, evaluation_map
 
 PI = math.pi
 
@@ -151,13 +153,35 @@ def test_special_lift_hyperbolic():
 
 
 def test_special_lift_eval_elliptic():
+    # the evaluation map lifts an elliptic peripheral at Ell(1), and the
+    # others at their special lifts
     rot = normalize(rotation(0.8))
-    assert cover_classify(special_lift(rot, "eval")) == Ell(1)
+    par = normalize(Matrix2(1.0, 1.0, 0.0, 1.0))
+    rep = Representation(SurfacePresentation(0, 3), {"c1": rot, "c2": par})
+    ell = lift_in_class(rot, Ell(1))
+    assert cover_classify(ell) == Ell(1)
+    assert evaluation_map(rep) == exact_product((ell, 1),
+                                                (special_lift(par), 1))
 
 
 def test_special_lift_rejects_elliptic_in_closure_mode():
     with pytest.raises(EllipticHasNoHyp0Lift):
-        special_lift(normalize(rotation(0.8)), "closure_hyp0")
+        special_lift(normalize(rotation(0.8)))
+
+
+def test_exact_product_is_the_canonical_exact_product():
+    assert exact_product() == identity_cover()
+    # det 2 and det 1/2: the exact product has det 1, and its canonical
+    # representative negates the leading -1/2
+    m = CoverElement(ProjectiveMatrix(Matrix2(-1.0, 0.0, 0.5, -2.0)), 0)
+    n = CoverElement(ProjectiveMatrix(Matrix2(0.5, 0.0, 0.0, 1.0)), 0)
+    got = exact_product((m, 1), (n, 1))
+    assert (got.base.rep.entries(), got.lift_index) == \
+        ((0.5, 0.0, -0.25, 2.0), 0)
+    # the exact determinant is 0: no unit-determinant multiple exists
+    with pytest.raises(NonUnitDeterminant):
+        exact_product((CoverElement(
+            ProjectiveMatrix(Matrix2(1.0, 1.0, 1.0, 1.0)), 0), 1))
 
 
 def test_special_lift_identity():

@@ -29,11 +29,10 @@ from psltilde.exact import (
     CurveList,
     curve_margins,
     curve_products,
-    int_matrix,
     trace_margin,
     word_product,
 )
-from psltilde.mobius import Matrix2, classify_psl, normalize
+from psltilde.mobius import Matrix2, classify_psl, int_matrix, normalize
 from psltilde.surface import (
     Representation,
     SignVector,
@@ -189,7 +188,7 @@ def test_int_matrix_is_exact():
 
 
 def test_the_package_loads_without_double_double():
-    # every product is mobius.unit_product; a fresh interpreter that loads
+    # every product is exact in integers; a fresh interpreter that loads
     # the package and its command line must not load psltilde.dd
     src = os.path.dirname(os.path.dirname(psltilde.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
