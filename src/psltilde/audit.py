@@ -15,8 +15,8 @@ from .errors import (
 from .exact import (
     CurveList,
     abs_trace,
-    curve_margins,
     curve_products,
+    margins_and_fallbacks,
     psl_type,
 )
 from .mobius import classify_psl, is_parabolic
@@ -53,6 +53,9 @@ class AuditReport:
     violations: tuple[Violation, ...]
     min_margin_curve: str | None  # the first curve attaining the minimum
     words_dropped: int | None     # by MAX_ORBIT_WORD_LEN, when enumerated here
+    # margins the Farey intervals left to the exact walk; None when every
+    # curve was walked (a caller's words, or a surface other than (0,4))
+    exact_fallbacks: int | None
 
     @property
     def passed(self) -> bool:
@@ -95,10 +98,12 @@ def audit_rep(rep: Representation, depth: int,
     Each verdict is exact about the stored float matrices: the margins come
     from exact integers (psltilde.exact), and only each margin is rounded,
     to within a few ulps. Enumerated curves on the four-punctured sphere
-    are decided by their slopes; any other curve, and every word a caller
-    passes, by its integer product. The violation entries of the flagged
-    curves come from one walk of their products. Pass a CurveList to audit
-    many representations of one surface against one prepared list.
+    are decided by their slopes, in fixed precision where that decides
+    them (the rest, counted in exact_fallbacks, by their integer products);
+    any other curve, and every word a caller passes, by its integer
+    product. The violation entries of the flagged curves come from one walk
+    of their products. Pass a CurveList to audit many representations of
+    one surface against one prepared list.
     Deterministic: violations come in the order of the curves, which
     enumeration sorts."""
     _check_depth_and_margin(depth, margin)
@@ -109,7 +114,7 @@ def audit_rep(rep: Representation, depth: int,
         dropped = curves.dropped
     elif not isinstance(curves, CurveList):
         curves = CurveList(rep.surface, curves)
-    margins = curve_margins(rep, curves)
+    margins, fallbacks = margins_and_fallbacks(rep, curves)
     flagged = [i for i, m in enumerate(margins) if m < margin]
     violations = [None] * len(flagged)
     if flagged:
@@ -133,6 +138,7 @@ def audit_rep(rep: Representation, depth: int,
         min_margin_curve=None if worst is None
         else format_word(curves.words[worst]),
         words_dropped=dropped,
+        exact_fallbacks=fallbacks,
     )
 
 

@@ -226,16 +226,18 @@ def psl_type(x: IntMatrix, margin: float) -> PslType:
 # a..d of c1..c4 (Goldman, "Trace coordinates on Fricke spaces of some simple
 # hyperbolic surfaces", 2009; Maloni, Palesi and Tan, Groups Geom. Dyn. 2015).
 # In integers, with D_A..D_C the determinants of the images A..C of c1..c3
-# and t_A..t_D the traces of A..C and D = adj(ABC), a slope of class c keeps
-# (T, M) with x = T / (sigma_c M), sigma_c^2 = D_A D_B, D_B D_C, D_A D_C for
+# and t_A..t_D the traces of A..C and D = adj(ABC), a slope of class c has
+# x = y / sigma_c, sigma_c^2 = D_A D_B, D_B D_C, D_A D_C for
 # c = (1,0), (0,1), (1,1). The roots (1,0) = c1 c2, (0,1) = c2 c3 and
-# (1,1) = c3 c1 have T = their trace and M = 1, and below them
-# T(v + w) = k_c M_v M_w - T_v T_w - T_u M(v + w) / M_u, the division exact,
-# M(v + w) = kappa_c M_v M_w, u = +-(v - w), with (k_c, kappa_c) =
-# (t_A t_B D_C + t_C t_D, D_C), (t_B t_C D_A + t_A t_D, D_A),
-# (t_A t_C D_B + t_B t_D, D_B). T^2 / (sigma_c^2 M^2) is then the same
-# rational number as tr^2/det of the word's integer image, so the margin
-# rounds to the same float.
+# (1,1) = c3 c1 have y = their trace, and below them
+# y(v + w) = (k_c - y_v y_w) / kappa_c - y_u, u = +-(v - w), with
+# (k_c, kappa_c) = (t_A t_B D_C + t_C t_D, D_C), (t_B t_C D_A + t_A t_D, D_A),
+# (t_A t_C D_B + t_B t_D, D_B). y^2 / sigma_c^2 is then the same rational
+# number as tr^2/det of the word's integer image, so the margin rounds to the
+# same float. y itself is a ratio of integers thousands of bits long at depth
+# 6, while a margin needs about 53 bits: each slope keeps an integer interval
+# [m - r, m + r] around Y = 2^PRECISION y instead, r bounding every rounding
+# below it.
 
 SPHERE4 = SurfacePresentation(0, 4)
 
@@ -311,50 +313,48 @@ def _stern_brocot(a: int, b: int) -> str:
     return "".join(path)
 
 
+PRECISION = 128  # fraction bits of the Farey intervals
+
+
 def _farey_margins(rep: Representation, plan: _FareyPlan, count: int
-                   ) -> list[float]:
-    """trace_margin of each planned curve's image, from its slope's
-    (T, M). Slope classes are numbered 0, 1, 2 for (1,0), (0,1), (1,1), so
-    that the sum of Farey neighbours of classes i and j has class
-    3 - i - j."""
+                   ) -> list[float | None]:
+    """trace_margin of each planned curve's image, from its slope's interval
+    around Y, or None where that interval does not decide it. Slope classes
+    are numbered 0, 1, 2 for (1,0), (0,1), (1,1), so that the sum of Farey
+    neighbours of classes i and j has class 3 - i - j."""
     A, B, C = (rep.image(g).int_rep for g in ("c1", "c2", "c3"))
     D = _adjugate(_mul(_mul(A, B), C))
     (tA, dA), (tB, dB), (tC, dC) = map(_trace_det, (A, B, C))
     tD = D[0] + D[3]
-    class_dets = (dA * dB, dB * dC, dA * dC)  # sigma_c^2
-    kappa = (dC, dA, dB)
-    k = (tA * tB * dC + tC * tD, tB * tC * dA + tA * tD,
-         tA * tC * dB + tB * tD)
+    p = PRECISION
+    dens = (dA * dB << 2 * p, dB * dC << 2 * p, dA * dC << 2 * p)
+    # Y(v + w) = (k_c 2^(2p) - Y_v Y_w) / (kappa_c 2^p) - Y_u, kappa_c > 0
+    k = (tA * tB * dC + tC * tD << 2 * p, tB * tC * dA + tA * tD << 2 * p,
+         tA * tC * dB + tB * tD << 2 * p)
+    kappa = (dC << p, dA << p, dB << p)
 
-    # a slope is [T, M, M^2 once needed, class, rho], rho = M / (M_left
-    # M_right) for the neighbours it is the sum of: kappa of its class, or 1
-    # at the root (1, 1), whose T is a trace. The division M(v + w) / M_u is
-    # then kappa_c rho M^2 of the neighbour that stays, so it is never made.
     def child(node, end, u):
         """The slope node + end, for the node of a Stern-Brocot frame, an
-        end of its interval and u = node - end, the other end."""
-        tn, mn, _, cn, rho = node
-        te, me, msq, ce, _ = end
-        if msq is None:
-            msq = end[2] = me * me
+        end of its interval and u = node - end, the other end; a slope is
+        (m, r, class) for Y in [m - r, m + r]."""
+        mn, rn, cn = node
+        me, re, ce = end
         c = 3 - cn - ce
-        p = mn * me
-        return [k[c] * p - tn * te - u[0] * (kappa[c] * rho * msq),
-                kappa[c] * p, None, c, kappa[c]]
+        # |Y_v Y_w - mn me| <= rad, and floor division is off by under 1
+        rad = abs(mn) * re + abs(me) * rn + rn * re
+        return (k[c] - mn * me) // kappa[c] - u[0], \
+            rad // kappa[c] + 2 + u[1], c
 
-    def trace(x: IntMatrix, y: IntMatrix) -> int:
-        a, b, c, d = x
-        e, f, g, h = y
-        return a * e + b * g + c * f + d * h
-
-    x10 = [trace(A, B), 1, 1, 0, 1]
-    x01 = [trace(B, C), 1, 1, 1, 1]
-    x11 = [trace(C, A), 1, 1, 2, 1]
+    # the roots' Y are exact
+    x10, x01, x11 = ((t, 0, c) for c, t in enumerate(
+        sum(_mul(x, y)[::3]) << p for x, y in ((A, B), (B, C), (C, A))))
     x1m = child(x10, x01, x11)  # (1, -1), by the edge {(1, 0), (0, 1)}
     margins = [0.0] * count
 
     def record(i, x):
-        margins[i] = _slope_margin(x[0], x[1], class_dets[x[3]])
+        m, r, c = x
+        m = abs(m)
+        margins[i] = _bracket_margin(max(m - r, 0), m + r, dens[c])
 
     for slope, x in zip(_FareyPlan.ROOTS, (x10, x01, x11, x1m)):
         if slope in plan.roots:
@@ -374,43 +374,38 @@ def _farey_margins(rep: Representation, plan: _FareyPlan, count: int
     return margins
 
 
-GUARD = 128  # leading bits of T and M that almost always decide a margin
-
-
-def _slope_margin(t: int, m: int, sigma2: int) -> float:
-    """trace_margin of a slope, from R = t^2 / (sigma2 m^2), m > 0, mostly
-    read off the leading GUARD bits of t and m. Those bracket R, and when
-    both ends of the bracket give the same _margin_parts, so does R, as
-    each part is monotone in R. Otherwise the squares are formed."""
-    a = max(abs(t).bit_length() - GUARD, 0)
-    b = max(m.bit_length() - GUARD, 0)
-    th, mh = abs(t) >> a, m >> b
-    # R lies in [th^2 / (mh + 1)^2, (th + 1)^2 / mh^2] 4^(a - b) / sigma2,
-    # without the + 1 where nothing was cut off
-    ends = []
-    for num, den in ((th * th, (mh + (b > 0)) ** 2),
-                     ((th + (a > 0)) ** 2, mh * mh)):
-        den *= sigma2
-        if a >= b:
-            num <<= 2 * (a - b)
-        else:
-            den <<= 2 * (b - a)
-        ends.append(_margin_parts(num, den))
-    if ends[0] != ends[1]:
-        return _margin(*_margin_parts(t * t, sigma2 * (m * m)))
-    return _margin(*ends[0])
+def _bracket_margin(a: int, b: int, den: int) -> float | None:
+    """The margin of the rational number tt/den for some tt with
+    a^2 <= tt <= b^2, 0 <= a <= b, or None. When both ends give the same
+    _margin_parts, so does tt/den, as each part is monotone in it, and the
+    margin is exact."""
+    parts = _margin_parts(a * a, den)
+    return _margin(*parts) if parts == _margin_parts(b * b, den) else None
 
 
 def curve_margins(rep: Representation, curves: CurveList) -> list[float]:
-    """trace_margin of every curve's image, by index into curves.words: by
-    the Farey recursion for enumerated curves on the four-punctured sphere,
-    by curve_products otherwise."""
+    """trace_margin of every curve's image, by index into curves.words."""
+    return margins_and_fallbacks(rep, curves)[0]
+
+
+def margins_and_fallbacks(rep: Representation, curves: CurveList
+                          ) -> tuple[list[float], int | None]:
+    """curve_margins, and how many of them the Farey intervals left to the
+    exact walk. Enumerated curves on the four-punctured sphere are decided
+    by the intervals of their slopes, and only the undecided ones walked by
+    curve_products; every other list is walked outright, with None for the
+    count."""
     if curves.surface != rep.surface:
         raise ValueError(f"curves on {curves.surface}, representation on "
                          f"{rep.surface}")
-    if curves.farey is not None:
-        return _farey_margins(rep, curves.farey, len(curves))
-    margins = [0.0] * len(curves)
-    for i, image in curve_products(rep, curves):
-        margins[i] = trace_margin(image)
-    return margins
+    if curves.farey is None:
+        margins = [0.0] * len(curves)
+        todo, walked = range(len(curves)), curves
+    else:
+        margins = _farey_margins(rep, curves.farey, len(curves))
+        todo = [i for i, m in enumerate(margins) if m is None]
+        walked = CurveList(rep.surface, map(curves.words.__getitem__, todo))
+    if todo:
+        for j, image in curve_products(rep, walked):
+            margins[todo[j]] = trace_margin(image)
+    return margins, None if curves.farey is None else len(todo)

@@ -232,39 +232,67 @@ def test_recursion_margins_equal_the_walk():
             rep = build_rep(BuildRequest(0, 4, euler, signs, seed))
             assert curve_margins(rep, curves) == curve_margins(rep, plain), \
                 (euler, signs, seed)
+    # depth 7 has the longest Stern-Brocot paths, so the widest intervals
+    curves = CurveList.enumerated(SPHERE4, 7)
+    plain = _walked(curves)
+    for euler, signs in SPHERE4_FAMILIES[2:]:
+        rep = build_rep(BuildRequest(0, 4, euler, signs, 3))
+        assert curve_margins(rep, curves) == curve_margins(rep, plain), \
+            (euler, signs)
 
 
-def _exact_slope_margin(t, m, sigma2):
-    return exact._margin(*exact._margin_parts(t * t, sigma2 * m * m))
+def _exact_margin(tt, den):
+    return exact._margin(*exact._margin_parts(tt, den))
+
+
+def _bracket(tt, below, above):
+    """An integer bracket [a, b] around sqrt(tt): a^2 <= tt <= b^2."""
+    r = math.isqrt(tt)
+    return max(r - below, 0), r + above + (r * r < tt)
 
 
 big = st.integers(1, 2 ** 600)
+slack = st.integers(0, 2 ** 40) | st.sampled_from((0, 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(big, big, st.integers(1, 2 ** 240), st.integers(-2 ** 40, 2 ** 40),
-       st.integers(0, 200), st.sampled_from((1, -1)))
-def test_slope_margin_reads_leading_bits_exactly(m, s, sigma2, offset, cut,
-                                                 sign):
-    # near-parabolic slopes: t = 2 s m + a small offset with sigma2 = s^2,
-    # so that R - 4 cancels to about 2^-cut, or all the way; then any
-    # sigma2, and traces far from +-2 either way
-    for t, sig in ((2 * s * m + (s * m >> cut) + offset, s * s),
-                   (2 * s * m + offset, s * s), (offset, sigma2),
-                   (s * m, sigma2), (s * m << 700, 1), (s, m * m << 900)):
-        t *= sign
-        assert exact._slope_margin(t, m, sig) == \
-            _exact_slope_margin(t, m, sig), (t, m, sig)
+       st.integers(0, 200), slack, slack)
+def test_bracket_margin_is_exact_or_declines(m, s, sigma2, offset, cut,
+                                             below, above):
+    # near-parabolic slopes: t = 2 s m + a small offset with
+    # den = s^2 m^2, so that tt/den - 4 cancels to about 2^-cut, or all
+    # the way; then any den, and traces far from +-2 either way; tt need
+    # not be a square
+    for t, den in ((2 * s * m + (s * m >> cut) + offset, (s * m) ** 2),
+                   (2 * s * m + offset, (s * m) ** 2), (offset, sigma2),
+                   (s * m, sigma2 * m * m), (s * m << 700, m * m),
+                   (s, m * m << 900)):
+        for tt in (t * t, t * t + abs(offset)):
+            a, b = _bracket(tt, below, above)
+            got = exact._bracket_margin(a, b, den)
+            assert got is None or got == _exact_margin(tt, den), (tt, den)
 
 
-def test_slope_margin_at_parabolic_zero_and_overflow():
-    for t, m, sigma2 in ((2 * 3 ** 300, 3 ** 300, 1), (0, 5 ** 200, 7),
-                         (2 ** 5000, 1, 1), (3 ** 1000, 2 ** 1000, 1),
-                         (1, 2 ** 3000, 3), (-4, 1, 4), (7, 2, 3)):
-        assert exact._slope_margin(t, m, sigma2) == \
-            _exact_slope_margin(t, m, sigma2)
-    assert exact._slope_margin(2 * 3 ** 300, 3 ** 300, 1) == 0.0
-    assert exact._slope_margin(2 ** 5000, 1, 1) == math.inf
+def test_bracket_margin_at_parabolic_zero_and_overflow():
+    cases = ((2 * 3 ** 300, 3 ** 600), (0, 7 * 5 ** 400), (2 ** 5000, 1),
+             (3 ** 1000, 4 ** 1000), (1, 3 * 4 ** 3000), (-4, 4), (7, 12))
+    for t, den in cases:
+        # a point bracket always decides
+        assert exact._bracket_margin(abs(t), abs(t), den) == \
+            _exact_margin(t * t, den)
+        # so does a bracket one unit wide, far enough below the leading
+        # bit, except where the margin is exactly that of a parabolic or
+        # of trace 0: every wider bracket leaves it
+        want = _exact_margin(t * t, den)
+        a = abs(t) << 200
+        got = exact._bracket_margin(a, a + 1, den << 400)
+        assert got == (None if t == 0 or want == 0.0 else want), (t, den)
+    assert exact._bracket_margin(2 * 3 ** 300, 2 * 3 ** 300, 3 ** 600) == 0.0
+    assert exact._bracket_margin(0, 0, 5) == -2.0
+    assert exact._bracket_margin(2 ** 5000, 2 ** 5000, 1) == math.inf
+    # a bracket across a rounding of the margin declines
+    assert exact._bracket_margin(2, 3, 1) is None
 
 
 ENUMERATED = {d: CurveList.enumerated(SPHERE4, d) for d in range(5)}
@@ -296,9 +324,24 @@ def test_gamma2_oracle():
     assert report.curves_checked == 1560
     assert report.min_trace_margin == 4.0
     assert report.violations == ()
+    assert report.exact_fallbacks == 0
     walked = audit_rep(rep, 7,
                        curves=_walked(CurveList.enumerated(SPHERE4, 7)))
-    assert walked == dataclasses.replace(report, words_dropped=None)
+    assert walked.exact_fallbacks is None
+    assert walked == dataclasses.replace(report, words_dropped=None,
+                                         exact_fallbacks=None)
+
+
+def test_undecided_slopes_fall_back_to_the_walk():
+    # with no fraction bits the intervals of small-height images are too
+    # wide for most slopes, which the exact walk then decides
+    curves = CurveList.enumerated(SPHERE4, 5)
+    plain = _walked(curves)
+    with mock.patch.object(exact, "PRECISION", 0):
+        for rep in (_gamma2(), build_negative_control()):
+            margins, fallbacks = exact.margins_and_fallbacks(rep, curves)
+            assert 200 < fallbacks <= len(curves) == 240
+            assert margins == curve_margins(rep, plain)
 
 
 def test_a_slope_does_not_decide_a_caller_word():
@@ -325,17 +368,42 @@ def test_enumerated_audit_walks_only_flagged_curves():
             mock.patch.object(audit, "curve_products", refuse):
         report = audit_rep(rep, 5)
     assert report.violations == () and report.curves_checked > 0
-    # a flagged curve takes its entry from a walk of the flagged words only
-    walked = []
+    assert report.exact_fallbacks == 0
+    # the exact walks take the undecided slopes, then the flagged curves
+    walked = {exact: [], audit: []}
 
-    def counted(r, curves):
-        walked.append(list(curves.words))
-        return curve_products(r, curves)
+    def counted(module):
+        def products(r, curves):
+            walked[module].append(list(curves.words))
+            return curve_products(r, curves)
+        return products
+
+    def audited(rep, depth, threshold, curves):
+        for module in walked:
+            walked[module].clear()
+        with mock.patch.object(exact, "curve_products", counted(exact)), \
+                mock.patch.object(audit, "curve_products", counted(audit)):
+            return audit_rep(rep, depth, threshold, curves=curves)
 
     threshold = sorted(curve_margins(rep, ENUMERATED[4]))[2]
-    with mock.patch.object(audit, "curve_products", counted):
-        report = audit_rep(rep, 4, threshold, curves=ENUMERATED[4])
+    report = audited(rep, 4, threshold, ENUMERATED[4])
     assert len(report.violations) == 2
-    assert walked == [[parse_word(v.curve) for v in report.violations]]
-    assert report == audit_rep(rep, 4, threshold,
-                               curves=_walked(ENUMERATED[4]))
+    assert walked == {exact: [], audit: [[parse_word(v.curve)
+                                          for v in report.violations]]}
+    assert report == dataclasses.replace(
+        audit_rep(rep, 4, threshold, curves=_walked(ENUMERATED[4])),
+        exact_fallbacks=0)
+    # with no fraction bits most of the negative control's slopes are
+    # undecided
+    control, curves = build_negative_control(), ENUMERATED[4]
+    with mock.patch.object(exact, "PRECISION", 0):
+        undecided = [w for w, m in zip(curves.words, exact._farey_margins(
+            control, curves.farey, len(curves))) if m is None]
+        report = audited(control, 4, 1e-6, curves)
+    assert len(undecided) == report.exact_fallbacks > 0
+    assert report.violations
+    flagged = [parse_word(v.curve) for v in report.violations]
+    assert walked == {exact: [undecided], audit: [flagged]}
+    assert report == dataclasses.replace(
+        audit_rep(control, 4, 1e-6, curves=_walked(curves)),
+        exact_fallbacks=len(undecided))
