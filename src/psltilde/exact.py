@@ -340,7 +340,8 @@ def _farey_margins(rep: Representation, plan: _FareyPlan, count: int
         mn, rn, cn = node
         me, re, ce = end
         c = 3 - cn - ce
-        # |Y_v Y_w - mn me| <= rad, and floor division is off by under 1
+        # |Y_v Y_w - mn me| <= rad; rad // kappa + 1 bounds rad / kappa, and
+        # 1 more the floor of the midpoint
         rad = abs(mn) * re + abs(me) * rn + rn * re
         return (k[c] - mn * me) // kappa[c] - u[0], \
             rad // kappa[c] + 2 + u[1], c
