@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     BoundaryElliptic,
@@ -16,8 +17,9 @@ from .exact import (
     CurveList,
     abs_trace,
     curve_products,
-    margins_and_fallbacks,
+    decided_margins,
     psl_type,
+    trace_margin,
 )
 from .mobius import classify_psl, is_parabolic
 from .surface import (
@@ -99,13 +101,16 @@ def audit_rep(rep: Representation, depth: int,
     from exact integers (psltilde.exact), and only each margin is rounded,
     to within a few ulps. Enumerated curves on the four-punctured sphere
     are decided by their slopes, in fixed precision where that decides
-    them (the rest, counted in exact_fallbacks, by their integer products);
-    any other curve, and every word a caller passes, by its integer
-    product. The violation entries of the flagged curves come from one walk
-    of their products. Pass a CurveList to audit many representations of
-    one surface against one prepared list.
-    Deterministic: violations come in the order of the curves, which
-    enumeration sorts."""
+    them, and their words are formed only for the curves that need one:
+    the undecided (counted in exact_fallbacks), the flagged, and those tied
+    at the minimum. Every other curve, and every word a caller passes, is
+    decided by its integer product. One walk of products serves the
+    undecided and the flagged curves, the margins of the one and the
+    violation entries of the other. Pass a CurveList to audit many
+    representations of one surface against one prepared list.
+    Deterministic: violations come in the order of the list's words, which
+    for enumerated curves is that of their code strings, and
+    min_margin_curve is the first of them at the minimum."""
     _check_depth_and_margin(depth, margin)
     euler, signs = _type_preserving_invariants(rep)
     dropped = None
@@ -114,17 +119,25 @@ def audit_rep(rep: Representation, depth: int,
         dropped = curves.dropped
     elif not isinstance(curves, CurveList):
         curves = CurveList(rep.surface, curves)
-    margins, fallbacks = margins_and_fallbacks(rep, curves)
-    flagged = [i for i, m in enumerate(margins) if m < margin]
-    violations = [None] * len(flagged)
-    if flagged:
-        words = [curves.words[i] for i in flagged]
-        for j, image in curve_products(rep, CurveList(rep.surface, words)):
-            m = margins[flagged[j]]
-            violations[j] = Violation(format_word(words[j]),
-                                      psl_type(image, m).value,
-                                      abs_trace(image))
-    worst = min(range(len(margins)), key=margins.__getitem__, default=None)
+    margins = decided_margins(rep, curves)
+    fallbacks = None if curves.farey is None else margins.count(None)
+    todo = [i for i, m in enumerate(margins) if m is None or m < margin]
+    found = []  # (slot key, violation)
+    if todo:
+        walked = curves.sublist(todo)
+        for j, image in curve_products(rep, walked):
+            i = todo[j]
+            m = margins[i]
+            if m is None:
+                m = margins[i] = trace_margin(image)
+            if m < margin:
+                found.append((curves.slot_key(i), Violation(
+                    format_word(walked.words[j]), psl_type(image, m).value,
+                    abs_trace(image))))
+    found.sort(key=itemgetter(0))
+    low = min(margins, default=None)
+    worst = None if low is None else min(
+        (i for i, m in enumerate(margins) if m == low), key=curves.slot_key)
     return AuditReport(
         genus=rep.surface.genus,
         punctures=rep.surface.punctures,
@@ -134,9 +147,9 @@ def audit_rep(rep: Representation, depth: int,
         margin=margin,
         curves_checked=len(curves),
         min_trace_margin=None if worst is None else margins[worst],
-        violations=tuple(violations),
+        violations=tuple(v for _, v in found),
         min_margin_curve=None if worst is None
-        else format_word(curves.words[worst]),
+        else format_word(curves.slot_word(worst)),
         words_dropped=dropped,
         exact_fallbacks=fallbacks,
     )

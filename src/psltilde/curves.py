@@ -12,6 +12,7 @@ claimed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .surface import SurfacePresentation, _expand_last
@@ -19,6 +20,7 @@ from .words import (
     Alphabet,
     CurveWord,
     canonical_form,
+    format_word,
     substitute,
     word,
 )
@@ -212,9 +214,25 @@ def enumerate_scc(surf: SurfacePresentation, depth: int,
     """Orbit of the seed set under the validated automorphisms and their
     inverses, to the given composition depth, canonicalized and deduplicated.
     Words beyond MAX_ORBIT_WORD_LEN letters are dropped (and counted in the
-    stats). Output order is deterministic."""
+    stats). Output order is deterministic: the code strings of the canonical
+    forms, sorted. On the four-punctured sphere the orbit is one of slopes
+    (SlopeOrbit), with the same words and drops."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if surf == SPHERE4:
+        orbit = SlopeOrbit(depth)
+        curves, dropped = orbit.words(), orbit.dropped
+    else:
+        curves, dropped = _word_orbit(surf, depth)
+    if return_stats:
+        return curves, {"dropped": dropped, "depth": depth, "count": len(curves)}
+    return curves
+
+
+def _word_orbit(surf: SurfacePresentation, depth: int
+                ) -> tuple[list[CurveWord], int]:
+    """The curves of enumerate_scc and the number dropped, by a breadth
+    first search on canonical code strings."""
     autos = default_autos(surf)
     alphabet = Alphabet(surf.free_generators())
     tables = [alphabet.substitution(f.images) for f in autos] \
@@ -240,7 +258,158 @@ def enumerate_scc(surf: SurfacePresentation, depth: int,
         if not frontier:
             break
     curves.sort(key=alphabet.tuple_key)
-    curves = list(map(alphabet.decode, curves))
-    if return_stats:
-        return curves, {"dropped": dropped, "depth": depth, "count": len(curves)}
-    return curves
+    return list(map(alphabet.decode, curves)), dropped
+
+
+# -- the four-punctured sphere by slopes --------------------------------------
+#
+# The orbifold homomorphism c_i -> (v -> 2 p_i - v), with the centres p_i of
+# _CENTRES, sends a word of even length to the translation by twice the
+# alternating sum of its letters' centres (the first letter counted +), and a
+# simple closed curve to a translation by +-2 (a, b) with gcd(a, b) = 1: its
+# slope, which decides the curve. An automorphism f of the default set sends
+# each c_i to a conjugate of some c_j, whose image is the point reflection
+# about some q_i; the affine map A with A(p_i) = q_i for i = 1, 2, 3 then
+# satisfies image(f(w)) = A image(w) A^-1 for every word w, so f multiplies
+# the translation vector of every even word by the linear part L_f of A. Its
+# columns are minus the vectors of f(c1 c2) and f(c2 c3), as those of c1 c2
+# and c2 c3 are (-1, 0) and (0, -1).
+#
+# The canonical word of slope (a, b) has |a| letters c1^+-1, |a - b| letters
+# c2^+-1 and |b| letters c3^+-1: 2 max(|a|, |b|, |a - b|) in all, as
+# a + (b - a) - b = 0. The quotient of the plane by the point reflections
+# about Z^2 is a pillowcase with cone points p_1..p_4. Cut it along the
+# segments from p_1 to (0, 1), from p_2 to (2, 1) and from p_3 to (2, 1),
+# three arcs to p_4 of directions d_i = (0, 1), (1, 1), (1, 0) that meet only
+# there. Their complement is a disk, so a closed curve reads a word by its
+# crossings, the letter c_i^+-1 for each crossing of arc i (the tests check
+# the letter counts of every curve through depth 8). The straight line of
+# slope (a, b) and the arcs are geodesics of the flat metric, so they cross
+# minimally, and the line crosses arc i |det((a, b), d_i)| times: |a|,
+# |a - b| and |b|. SlopeOrbit checks the length of every word it forms.
+
+SPHERE4 = SurfacePresentation(0, 4)
+
+_CENTRES = {"c1": (0, 0), "c2": (1, 0), "c3": (1, 1), "c4": (0, 1)}
+
+
+def _code_centres(alphabet: Alphabet) -> dict[str, tuple[int, int]]:
+    return {alphabet.codes[g, e]: p for g, p in _CENTRES.items()
+            for e in (1, -1) if (g, e) in alphabet.codes}
+
+
+def _translation(codes: str, centres: dict[str, tuple[int, int]]
+                 ) -> tuple[int, int]:
+    """The alternating sum of the centres of a coded word's letters: half
+    the translation vector of its orbifold image, when its length is even.
+    Free reduction does not change it."""
+    even, odd = codes[0::2], codes[1::2]
+    a = b = 0
+    for code, (x, y) in centres.items():
+        n = even.count(code) - odd.count(code)
+        a, b = a + n * x, b + n * y
+    return a, b
+
+
+def slope_length(a: int, b: int) -> int:
+    """Letters of the canonical word of slope (a, b)."""
+    return 2 * max(abs(a), abs(b), abs(a - b))
+
+
+def word_slope(w: CurveWord) -> tuple[int, int]:
+    """The slope (a, b) of a word of a simple closed curve on the
+    four-punctured sphere, a > 0 or (a, b) = (0, 1). A slope does not
+    certify that a word is simple: c1 c2 c3^-1 c2^-1 has the slope of
+    c1 c2 c3 c2^-1."""
+    alphabet = Alphabet(_CENTRES)
+    codes = alphabet.encode(w)
+    a, b = _translation(codes, _code_centres(alphabet))
+    if a < 0 or a == 0 and b < 0:
+        a, b = -a, -b
+    if len(codes) % 2 or math.gcd(a, b) != 1:
+        raise AssertionError("not a simple closed curve of the "
+                             f"four-punctured sphere: {format_word(w)!r}")
+    return a, b
+
+
+class SlopeOrbit:
+    """enumerate_scc on the four-punctured sphere, as slopes: the seeds'
+    slopes, then each level's images under the integer matrices L_f of the
+    automorphisms and their inverses, in the order of the word search, with
+    a slope dropped, and counted each time it is reached, where its word
+    would be longer than MAX_ORBIT_WORD_LEN. No word is formed to find a
+    slope. slopes[i] came from slopes[parents[i][0]] by tables[parents[i][1]]
+    (parents[i] is None for a seed), so code(i), the canonical code string
+    of curve i, takes one substitution and one canonical form per level and
+    is kept once formed."""
+
+    def __init__(self, depth: int):
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        autos = default_autos(SPHERE4)
+        self.alphabet = alphabet = Alphabet(SPHERE4.free_generators())
+        self.tables = [alphabet.substitution(f.images) for f in autos] \
+            + [alphabet.substitution(f.inverse_images) for f in autos]
+        self.centres = centres = _code_centres(alphabet)
+        c1c2, c2c3 = alphabet.encode(word("c1", "c2")), \
+            alphabet.encode(word("c2", "c3"))
+        self.maps = []  # L_f of each table, row major
+        for table in self.tables:
+            (p, r), (q, s) = (_translation(alphabet.substitute(w, table),
+                                           centres) for w in (c1c2, c2c3))
+            self.maps.append((-p, -q, -r, -s))
+        seeds = scc_seeds(SPHERE4)
+        self.slopes = list(map(word_slope, seeds))
+        self.parents: list[tuple[int, int] | None] = [None] * len(seeds)
+        self._codes = dict(enumerate(map(alphabet.encode, seeds)))
+        index = {v: i for i, v in enumerate(self.slopes)}
+        frontier = range(len(seeds))
+        dropped = 0
+        for _ in range(depth):
+            start = len(self.slopes)
+            for i in frontier:
+                a, b = self.slopes[i]
+                for t, (p, q, r, s) in enumerate(self.maps):
+                    x, y = p * a + q * b, r * a + s * b
+                    if x < 0 or x == 0 and y < 0:
+                        x, y = -x, -y
+                    if slope_length(x, y) > MAX_ORBIT_WORD_LEN:
+                        dropped += 1
+                    elif (x, y) not in index:
+                        index[x, y] = len(self.slopes)
+                        self.slopes.append((x, y))
+                        self.parents.append((i, t))
+            frontier = range(start, len(self.slopes))
+            if not frontier:
+                break
+        self.dropped = dropped
+
+    def __len__(self) -> int:
+        return len(self.slopes)
+
+    def code(self, i: int) -> str:
+        """The canonical code string of curve i."""
+        codes, chain = self._codes, []
+        while i not in codes:
+            chain.append(i)
+            i = self.parents[i][0]
+        code = codes[i]
+        apply, canonical = self.alphabet.substitute, self.alphabet.canonical
+        for j in reversed(chain):
+            code = canonical(apply(code, self.tables[self.parents[j][1]]))
+            if len(code) != slope_length(*self.slopes[j]):
+                raise AssertionError(f"slope {self.slopes[j]} has a word of "
+                                     f"{len(code)} letters")
+            codes[j] = code
+        return code
+
+    def key(self, i: int) -> str:
+        """Sort key of curve i: enumerate_scc's order."""
+        return self.alphabet.tuple_key(self.code(i))
+
+    def word(self, i: int) -> CurveWord:
+        return self.alphabet.decode(self.code(i))
+
+    def words(self) -> list[CurveWord]:
+        """Every curve's canonical word, in enumerate_scc's order."""
+        return [self.word(i) for i in sorted(range(len(self)), key=self.key)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
+from .curves import SPHERE4
 from .mobius import (
     PAR_BAND,
     IntMatrix,
@@ -73,19 +74,28 @@ class CurveList:
     per letter (codes, in the order of words). The walk of curve_products
     takes the words in the sorted order of those strings, so that each
     word shares a prefix with the one before, and keeps for each word only
-    the prefix products that a later word resumes from; that plan (walk)
-    is made on first use."""
+    the prefix products that a later word resumes from; codes and that
+    plan (walk) are made on first use.
+
+    An audit takes the curves by slot, which is the index into words here
+    and a slope of the orbit for the enumerated four-punctured sphere
+    (_SlopeCurves): slot_word and slot_key form the word of one slot and
+    its place in words, and in_index_order puts values by slot in the
+    order of words."""
 
     def __init__(self, surf: SurfacePresentation, words):
         self.surface = surf
         self.words = list(words)
-        alphabet = _alphabet(surf)
-        cp = surf.c(surf.punctures)
-        expand = alphabet.substitution({cp: surf.last_peripheral_word()})
-        self.codes = [alphabet.substitute(alphabet.encode(w), expand)
-                      for w in self.words]
         self.farey = None  # set for enumerated curves on the (0,4) surface
         self.dropped = None  # words the enumeration dropped, when enumerated
+
+    @cached_property
+    def codes(self) -> list[str]:
+        alphabet = _alphabet(self.surface)
+        cp = self.surface.c(self.surface.punctures)
+        expand = alphabet.substitution({cp: self.surface.last_peripheral_word()})
+        return [alphabet.substitute(alphabet.encode(w), expand)
+                for w in self.words]
 
     @cached_property
     def walk(self) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -114,18 +124,69 @@ class CurveList:
     def enumerated(cls, surf: SurfacePresentation, depth: int) -> "CurveList":
         """The curves of enumerate_scc(surf, depth). These are simple, so on
         the four-punctured sphere each is decided by its slope (_FareyPlan)
-        and not by its word."""
-        from .curves import enumerate_scc
+        and not by its word, and the list holds the slopes of the orbit."""
+        from .curves import SlopeOrbit, enumerate_scc
 
+        if surf == SPHERE4:
+            return _SlopeCurves(SlopeOrbit(depth))
         words, stats = enumerate_scc(surf, depth, return_stats=True)
         curves = cls(surf, words)
         curves.dropped = stats["dropped"]
-        if surf == SPHERE4:
-            curves.farey = _FareyPlan(curves)
         return curves
 
     def __len__(self) -> int:
         return len(self.words)
+
+    def slot_word(self, slot: int) -> CurveWord:
+        return self.words[slot]
+
+    def slot_key(self, slot: int):
+        """Sort key of a slot: the order of words."""
+        return slot
+
+    def in_index_order(self, values: list) -> list:
+        return values
+
+    def sublist(self, slots: list[int]) -> "CurveList":
+        """The curves in the given slots as a list of words to walk; this
+        list itself when they are all of its words."""
+        if self.farey is None and len(slots) == len(self):
+            return self
+        return CurveList(self.surface, map(self.slot_word, slots))
+
+
+class _SlopeCurves(CurveList):
+    """CurveList.enumerated on the four-punctured sphere: slot i is curve i
+    of a SlopeOrbit, decided by its slope (farey). A word is formed only
+    when asked for, by slot_word or slot_key, or for every curve, sorted as
+    enumerate_scc sorts them, on the first use of words."""
+
+    def __init__(self, orbit):
+        self.surface = SPHERE4
+        self.orbit = orbit
+        self.farey = _FareyPlan(orbit.slopes)
+        self.dropped = orbit.dropped
+
+    @cached_property
+    def order(self) -> list[int]:
+        """The slots in the order of words."""
+        return sorted(range(len(self)), key=self.slot_key)
+
+    @cached_property
+    def words(self) -> list[CurveWord]:
+        return list(map(self.orbit.word, self.order))
+
+    def __len__(self) -> int:
+        return len(self.orbit)
+
+    def slot_word(self, slot: int) -> CurveWord:
+        return self.orbit.word(slot)
+
+    def slot_key(self, slot: int) -> str:
+        return self.orbit.key(slot)
+
+    def in_index_order(self, values: list) -> list:
+        return list(map(values.__getitem__, self.order))
 
 
 def _run_product(blocks: dict, run: str) -> IntMatrix:
@@ -219,10 +280,10 @@ def psl_type(x: IntMatrix, margin: float) -> PslType:
 #
 # The orbifold homomorphism c_i -> (v -> 2 p_i - v) sends a simple closed
 # curve to a translation by +-2 (a, b) with gcd(a, b) = 1, its slope, and the
-# slope decides the curve. With x(v) the trace of the unit-determinant image
-# of slope v, sign kept, Farey neighbours v, w satisfy the edge relation
-# x(v + w) + x(v - w) + x(v) x(w) = K_c, with c = v + w mod 2 and
-# K_(1,0) = ab + cd, K_(0,1) = bc + ad, K_(1,1) = ac + bd for the traces
+# slope decides the curve (psltilde.curves, SlopeOrbit). With x(v) the trace
+# of the unit-determinant image of slope v, sign kept, Farey neighbours v, w
+# satisfy the edge relation x(v + w) + x(v - w) + x(v) x(w) = K_c, with
+# c = v + w mod 2 and K_(1,0) = ab + cd, K_(0,1) = bc + ad, K_(1,1) = ac + bd for the traces
 # a..d of c1..c4 (Goldman, "Trace coordinates on Fricke spaces of some simple
 # hyperbolic surfaces", 2009; Maloni, Palesi and Tan, Groups Geom. Dyn. 2015).
 # In integers, with D_A..D_C the determinants of the images A..C of c1..c3
@@ -239,29 +300,20 @@ def psl_type(x: IntMatrix, margin: float) -> PslType:
 # [m - r, m + r] around Y = 2^PRECISION y instead, r bounding every rounding
 # below it.
 
-SPHERE4 = SurfacePresentation(0, 4)
-
-_CENTRES = {"c1": (0, 0), "c2": (1, 0), "c3": (1, 1), "c4": (0, 1)}
-
 
 class _FareyPlan:
-    """The slopes of a CurveList of simple curves on the four-punctured
-    sphere, as a depth-first walk of the Stern-Brocot trees below (1, 1)
-    and below its mirror (1, -1), both between (1, 0) and (0, 1); a slope
-    (a, b) with b < 0 is the mirror image of (a, -b), by the same path. The
-    plan depends on the curves only, so one plan serves every
-    representation."""
+    """Slopes of simple curves on the four-punctured sphere, by slot, as a
+    depth-first walk of the Stern-Brocot trees below (1, 1) and below its
+    mirror (1, -1), both between (1, 0) and (0, 1); a slope (a, b) with
+    b < 0 is the mirror image of (a, -b), by the same path. The plan
+    depends on the slopes only, so one plan serves every representation."""
 
     ROOTS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
-    def __init__(self, curves: CurveList):
-        alphabet = _alphabet(curves.surface)
-        centres = {alphabet.codes[g, e]: p for g, p in _CENTRES.items()
-                   for e in (1, -1)}
-        self.roots = {}  # root slope -> word index
-        trees = ({}, {})  # below (1, 1), below (1, -1): path -> word index
-        for i, codes in enumerate(curves.codes):
-            a, b = _slope(codes, centres)
+    def __init__(self, slopes):
+        self.roots = {}  # root slope -> slot
+        trees = ({}, {})  # below (1, 1), below (1, -1): path -> slot
+        for i, (a, b) in enumerate(slopes):
             if (a, b) in self.ROOTS:
                 target, key = self.roots, (a, b)
             else:
@@ -273,43 +325,22 @@ class _FareyPlan:
             if target.get(key) is not None:
                 raise AssertionError(f"two curves of slope {(a, b)}")
             target[key] = i
-        # (path length, right turn, word index or None) in preorder, which
-        # is the string order of the paths
+        # (path length, right turn, slot or None) in preorder, which is the
+        # string order of the paths
         self.walks = tuple(tuple((len(p), p[-1] == "1", tree[p])
                                  for p in sorted(tree)) for tree in trees)
 
 
-def _slope(codes: str, centres: dict[str, tuple[int, int]]) -> tuple[int, int]:
-    """The slope (a, b) of a coded word, a > 0 or (a, b) = (0, 1): the
-    product of the point reflections about its letters' centres is the
-    translation by twice the alternating sum of the centres."""
-    even, odd = codes[0::2], codes[1::2]
-    a = b = 0
-    for code, (x, y) in centres.items():
-        n = even.count(code) - odd.count(code)
-        a, b = a + n * x, b + n * y
-    if a < 0 or a == 0 and b < 0:
-        a, b = -a, -b
-    if len(codes) % 2 or math.gcd(a, b) != 1:
-        raise AssertionError("not a simple closed curve of the "
-                             f"four-punctured sphere: {codes!r}")
-    return a, b
-
-
 def _stern_brocot(a: int, b: int) -> str:
     """Path from (1, 1) to (a, b), a, b > 0, in the Stern-Brocot tree
-    between (1, 0) and (0, 1): '0' toward (1, 0), '1' toward (0, 1)."""
-    path = []
-    la, lb, ra, rb = 1, 0, 0, 1
-    na, nb = 1, 1
-    while (na, nb) != (a, b):
-        if b * na < nb * a:
-            ra, rb = na, nb
-            path.append("0")
-        else:
-            la, lb = na, nb
-            path.append("1")
-        na, nb = la + ra, lb + rb
+    between (1, 0) and (0, 1): '0' toward (1, 0), '1' toward (0, 1). With
+    a/b = [q_0; q_1, ..., q_k] it is q_0 '0's, q_1 '1's, and so on
+    alternating, the last run one shorter."""
+    path, turn, other = [], "0", "1"
+    while b:
+        q, r = divmod(a, b)
+        path.append(turn * (q if r else q - 1))
+        a, b, turn, other = b, r, other, turn
     return "".join(path)
 
 
@@ -318,7 +349,7 @@ PRECISION = 128  # fraction bits of the Farey intervals
 
 def _farey_margins(rep: Representation, plan: _FareyPlan, count: int
                    ) -> list[float | None]:
-    """trace_margin of each planned curve's image, from its slope's interval
+    """trace_margin of each planned slot's image, from its slope's interval
     around Y, or None where that interval does not decide it. Slope classes
     are numbered 0, 1, 2 for (1,0), (0,1), (1,1), so that the sum of Farey
     neighbours of classes i and j has class 3 - i - j."""
@@ -384,29 +415,27 @@ def _bracket_margin(a: int, b: int, den: int) -> float | None:
     return _margin(*parts) if parts == _margin_parts(b * b, den) else None
 
 
-def curve_margins(rep: Representation, curves: CurveList) -> list[float]:
-    """trace_margin of every curve's image, by index into curves.words."""
-    return margins_and_fallbacks(rep, curves)[0]
-
-
-def margins_and_fallbacks(rep: Representation, curves: CurveList
-                          ) -> tuple[list[float], int | None]:
-    """curve_margins, and how many of them the Farey intervals left to the
-    exact walk. Enumerated curves on the four-punctured sphere are decided
-    by the intervals of their slopes, and only the undecided ones walked by
-    curve_products; every other list is walked outright, with None for the
-    count."""
+def decided_margins(rep: Representation, curves: CurveList
+                    ) -> list[float | None]:
+    """trace_margin of each slot's image where the Farey interval of its
+    slope decides it, and None elsewhere: everywhere on a list that is not
+    the enumerated four-punctured sphere's."""
     if curves.surface != rep.surface:
         raise ValueError(f"curves on {curves.surface}, representation on "
                          f"{rep.surface}")
     if curves.farey is None:
-        margins = [0.0] * len(curves)
-        todo, walked = range(len(curves)), curves
-    else:
-        margins = _farey_margins(rep, curves.farey, len(curves))
-        todo = [i for i, m in enumerate(margins) if m is None]
-        walked = CurveList(rep.surface, map(curves.words.__getitem__, todo))
+        return [None] * len(curves)
+    return _farey_margins(rep, curves.farey, len(curves))
+
+
+def curve_margins(rep: Representation, curves: CurveList) -> list[float]:
+    """trace_margin of every curve's image, by index into curves.words.
+    Enumerated curves on the four-punctured sphere are decided by the
+    intervals of their slopes, and only the undecided ones walked by
+    curve_products; every other list is walked outright."""
+    margins = decided_margins(rep, curves)
+    todo = [i for i, m in enumerate(margins) if m is None]
     if todo:
-        for j, image in curve_products(rep, walked):
+        for j, image in curve_products(rep, curves.sublist(todo)):
             margins[todo[j]] = trace_margin(image)
-    return margins, None if curves.farey is None else len(todo)
+    return curves.in_index_order(margins)

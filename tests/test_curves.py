@@ -1,14 +1,22 @@
 import hashlib
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psltilde.curves import (
+    MAX_ORBIT_WORD_LEN,
     McgAuto,
+    SlopeOrbit,
+    _translation,
+    _word_orbit,
     classify_curve,
     default_autos,
     enumerate_scc,
     scc_seeds,
+    slope_length,
     validate_auto,
+    word_slope,
 )
 from psltilde.surface import SurfacePresentation
 from psltilde.words import format_word, parse_word, word
@@ -122,6 +130,9 @@ GOLDEN = {
     (0, 4, 7): (1560, 0, "ad1d54eda460584a62d3acc702d2649338a6a954e4ca3dc9cc1c29c65965e072"),
     (1, 3, 6): (607, 0, "68006621d278fb885141a1666c12f744fb00f3a9649f63ce2df5109e1a4371ba"),
     (1, 3, 7): (1409, 2, "57f5dd118c014ce226bfdaa4e8873fffdefad2c15e050c4f43b5b946f93d66c1"),
+    # recorded with the word BFS, before (0,4) enumerated slopes; it pins
+    # the two words the length cap drops
+    (0, 4, 8): (3984, 2, "43483aad30e1ec7a6fd037a332eb845a9aae4a6a15f8384da67fcd35141c4d23"),
 }
 
 
@@ -159,3 +170,51 @@ def test_fuchsian_soundness_oracle():
     rep = build_rep(BuildRequest(0, 4, 2, (1, 1, 1, 1), 7))
     for w in enumerate_scc(S04, 4):
         assert classify_psl(eval_word(rep, w)) is PslType.HYPERBOLIC
+
+
+# -- the four-punctured sphere by slopes --------------------------------------
+
+@pytest.mark.parametrize("depth", range(9))
+def test_slope_orbit_matches_the_word_search(depth):
+    orbit = SlopeOrbit(depth)
+    words, dropped = _word_orbit(S04, depth)
+    assert orbit.dropped == dropped
+    assert orbit.words() == words == enumerate_scc(S04, depth)
+    assert len(set(orbit.slopes)) == len(orbit) == len(words)
+    assert set(orbit.slopes) == set(map(word_slope, words))
+
+
+def test_slope_word_length_identity():
+    # the canonical word of slope (a, b) has |a| letters c1, |a - b| letters
+    # c2 and |b| letters c3, 2 max(|a|, |b|, |a - b|) in all
+    orbit = SlopeOrbit(8)
+    assert orbit.dropped == 2
+    longest = 0
+    for i, (a, b) in enumerate(orbit.slopes):
+        w = orbit.word(i)
+        counts = Counter(g for g, _ in w.letters)
+        assert (counts["c1"], counts["c2"], counts["c3"]) == \
+            (abs(a), abs(a - b), abs(b)), (a, b)
+        assert len(w) == slope_length(a, b) == \
+            2 * max(abs(a), abs(b), abs(a - b))
+        longest = max(longest, len(w))
+    assert longest <= MAX_ORBIT_WORD_LEN
+
+
+ORBIT = SlopeOrbit(0)
+even_codes = st.lists(st.integers(0, 5), max_size=40).map(
+    lambda ks: "".join(map(chr, ks[:len(ks) // 2 * 2])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(even_codes, st.lists(st.integers(0, len(ORBIT.tables) - 1),
+                            max_size=6))
+def test_automorphisms_act_on_slopes_by_their_matrices(codes, tables):
+    # any word of even length, reduced or not, and any composition of the
+    # default automorphisms and their inverses
+    x, y = _translation(codes, ORBIT.centres)
+    for t in tables:
+        codes = ORBIT.alphabet.substitute(codes, ORBIT.tables[t])
+        p, q, r, s = ORBIT.maps[t]
+        x, y = p * x + q * y, r * x + s * y
+    assert _translation(codes, ORBIT.centres) == (x, y)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -23,7 +24,7 @@ from psltilde.constructors import (
     build_negative_control,
     build_rep,
 )
-from psltilde.curves import enumerate_scc
+from psltilde.curves import enumerate_scc, word_slope
 from psltilde.errors import RelatorNotCentral
 from psltilde.exact import (
     CurveList,
@@ -40,7 +41,7 @@ from psltilde.surface import (
     eval_word,
     invariants,
 )
-from psltilde.words import CurveWord, format_word, parse_word, word
+from psltilde.words import Alphabet, CurveWord, format_word, parse_word, word
 
 SPHERE4 = SurfacePresentation(0, 4)
 
@@ -241,6 +242,28 @@ def test_recursion_margins_equal_the_walk():
             (euler, signs)
 
 
+def _mediant_path(a, b):
+    """The Stern-Brocot path to (a, b) one mediant at a time."""
+    path = []
+    left, right, node = (1, 0), (0, 1), (1, 1)
+    while node != (a, b):
+        if b * node[0] < node[1] * a:
+            right = node
+            path.append("0")
+        else:
+            left = node
+            path.append("1")
+        node = (left[0] + right[0], left[1] + right[1])
+    return "".join(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 3000))
+def test_stern_brocot_path_by_continued_fraction(a, b):
+    g = math.gcd(a, b)
+    assert exact._stern_brocot(a // g, b // g) == _mediant_path(a // g, b // g)
+
+
 def _exact_margin(tt, den):
     return exact._margin(*exact._margin_parts(tt, den))
 
@@ -332,6 +355,47 @@ def test_gamma2_oracle():
                                          exact_fallbacks=None)
 
 
+def test_enumerated_audit_forms_only_the_words_it_reports():
+    # with no violations and no fallbacks, the only words an enumerated
+    # (0,4) audit forms are those of the curves tied at the minimum, to
+    # choose and name min_margin_curve: the canonical forms along their
+    # orbit paths, and one decoded word
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(Alphabet, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return counted
+
+    for rep, depth in ((_gamma2(), 7),
+                       (build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42)),
+                        6)):
+        curves = CurveList.enumerated(SPHERE4, depth)
+        orbit = curves.orbit
+        seeds = set(orbit._codes)
+        calls.clear()
+        with mock.patch.object(Alphabet, "canonical", counting("canonical")), \
+                mock.patch.object(Alphabet, "decode", counting("decode")):
+            report = audit_rep(rep, depth, curves=curves)
+        assert report.violations == () and report.exact_fallbacks == 0
+        tied = [i for i, m in enumerate(exact.decided_margins(rep, curves))
+                if m == report.min_trace_margin]
+        paths = set()
+        for i in tied:
+            while i is not None:
+                paths.add(i)
+                i = orbit.parents[i] and orbit.parents[i][0]
+        assert set(orbit._codes) == seeds | paths
+        assert calls == {"canonical": len(paths - seeds), "decode": 1}
+        walked = audit_rep(rep, depth, curves=_walked(curves))
+        assert report == dataclasses.replace(walked, exact_fallbacks=0)
+        assert report.min_margin_curve == format_word(min(
+            map(curves.slot_word, tied), key=curves.words.index))
+
+
 def test_undecided_slopes_fall_back_to_the_walk():
     # with no fraction bits the intervals of small-height images are too
     # wide for most slopes, which the exact walk then decides
@@ -339,9 +403,9 @@ def test_undecided_slopes_fall_back_to_the_walk():
     plain = _walked(curves)
     with mock.patch.object(exact, "PRECISION", 0):
         for rep in (_gamma2(), build_negative_control()):
-            margins, fallbacks = exact.margins_and_fallbacks(rep, curves)
+            fallbacks = exact.decided_margins(rep, curves).count(None)
             assert 200 < fallbacks <= len(curves) == 240
-            assert margins == curve_margins(rep, plain)
+            assert curve_margins(rep, curves) == curve_margins(rep, plain)
 
 
 def test_a_slope_does_not_decide_a_caller_word():
@@ -350,8 +414,9 @@ def test_a_slope_does_not_decide_a_caller_word():
     rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
     gens = ref.generator_images(rep)
     odd, simple = parse_word("c1 c2 c3^-1 c2^-1"), parse_word("c1 c2 c3 c2^-1")
+    assert word_slope(odd) == word_slope(simple) == (1, -1)
     with pytest.raises(AssertionError, match=r"two curves of slope \(1, -1\)"):
-        exact._FareyPlan(CurveList(SPHERE4, [odd, simple]))
+        exact._FareyPlan([word_slope(odd), word_slope(simple)])
     margins = [audit_rep(rep, 0, curves=[w]).min_trace_margin
                for w in (odd, simple)]
     assert margins[0] != margins[1]
@@ -369,7 +434,7 @@ def test_enumerated_audit_walks_only_flagged_curves():
         report = audit_rep(rep, 5)
     assert report.violations == () and report.curves_checked > 0
     assert report.exact_fallbacks == 0
-    # the exact walks take the undecided slopes, then the flagged curves
+    # one exact walk takes the undecided slopes and the flagged curves
     walked = {exact: [], audit: []}
 
     def counted(module):
@@ -385,25 +450,30 @@ def test_enumerated_audit_walks_only_flagged_curves():
                 mock.patch.object(audit, "curve_products", counted(audit)):
             return audit_rep(rep, depth, threshold, curves=curves)
 
+    def names(ws):
+        return sorted(map(format_word, ws))
+
     threshold = sorted(curve_margins(rep, ENUMERATED[4]))[2]
     report = audited(rep, 4, threshold, ENUMERATED[4])
     assert len(report.violations) == 2
-    assert walked == {exact: [], audit: [[parse_word(v.curve)
-                                          for v in report.violations]]}
+    assert walked[exact] == [] and len(walked[audit]) == 1
+    assert names(walked[audit][0]) == sorted(v.curve for v in report.violations)
     assert report == dataclasses.replace(
         audit_rep(rep, 4, threshold, curves=_walked(ENUMERATED[4])),
         exact_fallbacks=0)
     # with no fraction bits most of the negative control's slopes are
-    # undecided
+    # undecided, and some of them are flagged: each is walked once
     control, curves = build_negative_control(), ENUMERATED[4]
     with mock.patch.object(exact, "PRECISION", 0):
-        undecided = [w for w, m in zip(curves.words, exact._farey_margins(
-            control, curves.farey, len(curves))) if m is None]
+        undecided = [curves.slot_word(i) for i, m in enumerate(
+            exact._farey_margins(control, curves.farey, len(curves)))
+            if m is None]
         report = audited(control, 4, 1e-6, curves)
     assert len(undecided) == report.exact_fallbacks > 0
-    assert report.violations
     flagged = [parse_word(v.curve) for v in report.violations]
-    assert walked == {exact: [undecided], audit: [flagged]}
+    assert set(names(flagged)) & set(names(undecided))
+    assert walked[exact] == [] and len(walked[audit]) == 1
+    assert names(walked[audit][0]) == sorted(set(names(undecided + flagged)))
     assert report == dataclasses.replace(
         audit_rep(control, 4, 1e-6, curves=_walked(curves)),
         exact_fallbacks=len(undecided))
