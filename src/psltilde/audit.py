@@ -5,23 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .errors import (
-    BoundaryElliptic,
-    NotHP,
-    NotSupported,
-    NotTypePreserving,
-)
-from .exact import (
-    CurveList,
-    abs_trace,
-    curve_products,
-    decided_margins,
-    psl_type,
-    trace_margin,
-)
-from .mobius import classify_psl, is_parabolic
+from .errors import BoundaryElliptic, NotSupported, NotTypePreserving
+from .exact import CurveList, abs_trace, curve_margins, psl_type
+from .mobius import is_parabolic
 from .surface import (
     Representation,
     SignVector,
@@ -54,7 +41,7 @@ class AuditReport:
     min_trace_margin: float | None  # None, like the curve, when none checked
     violations: tuple[Violation, ...]
     min_margin_curve: str | None  # the first curve attaining the minimum
-    words_dropped: int | None     # by MAX_ORBIT_WORD_LEN, when enumerated here
+    words_dropped: int | None     # by MAX_ORBIT_WORD_LEN, when enumerated
     # margins the Farey intervals left to the exact walk; None when every
     # curve was walked (a caller's words, or a surface other than (0,4))
     exact_fallbacks: int | None
@@ -66,20 +53,13 @@ class AuditReport:
 
 def _type_preserving_invariants(rep: Representation) -> tuple[int, SignVector]:
     """invariants(rep) when every peripheral image is parabolic. Otherwise
-    the images are classified in order, c_p off the same relator walk, so
-    that NotTypePreserving names the first one that is not."""
-    try:
-        euler, signs = invariants(rep)
-        if 0 not in signs.entries:
-            return euler, signs
-    except NotHP:
-        pass
-    for i in range(1, rep.surface.punctures + 1):
-        kind = classify_psl(rep.peripheral_image(i))
+    NotTypePreserving names the first one that is not, by the types of the
+    same relator walk."""
+    for i, kind in enumerate(rep._relator[0], start=1):
         if not is_parabolic(kind):
             raise NotTypePreserving(
                 f"peripheral image {i} is {kind.value}, not parabolic")
-    raise AssertionError("invariants refused parabolic peripheral images")
+    return invariants(rep)
 
 
 def _check_depth_and_margin(depth: int, margin: float) -> None:
@@ -98,43 +78,27 @@ def audit_rep(rep: Representation, depth: int,
     identity images included).
 
     Each verdict is exact about the stored float matrices: the margins come
-    from exact integers (psltilde.exact), and only each margin is rounded,
-    to within a few ulps. Enumerated curves on the four-punctured sphere
-    are decided by their slopes, in fixed precision where that decides
-    them, and their words are formed only for the curves that need one:
-    the undecided (counted in exact_fallbacks), the flagged, and those tied
-    at the minimum. Every other curve, and every word a caller passes, is
-    decided by its integer product. One walk of products serves the
-    undecided and the flagged curves, the margins of the one and the
-    violation entries of the other. Pass a CurveList to audit many
-    representations of one surface against one prepared list.
-    Deterministic: violations come in the order of the list's words, which
-    for enumerated curves is that of their code strings, and
-    min_margin_curve is the first of them at the minimum."""
+    from exact integers (psltilde.exact.curve_margins), and only each
+    margin is rounded, to within a few ulps. Enumerated curves on the
+    four-punctured sphere are decided by their slopes, in fixed precision
+    where that decides them, and their words are formed only for the curves
+    that need one: the undecided (counted in exact_fallbacks), the flagged,
+    and those tied at the minimum. Every other curve, and every word a
+    caller passes, is decided by its integer product. Pass a CurveList to
+    audit many representations of one surface against one prepared list;
+    words_dropped is that of an enumerated list (CurveList.enumerated),
+    None for a caller's words. Deterministic: violations come in the order
+    of the list's slot keys, which for enumerated curves is that of their
+    code strings, and min_margin_curve is the first of them at the
+    minimum."""
     _check_depth_and_margin(depth, margin)
     euler, signs = _type_preserving_invariants(rep)
-    dropped = None
     if curves is None:
         curves = CurveList.enumerated(rep.surface, depth)
-        dropped = curves.dropped
     elif not isinstance(curves, CurveList):
         curves = CurveList(rep.surface, curves)
-    margins = decided_margins(rep, curves)
-    fallbacks = None if curves.farey is None else margins.count(None)
-    todo = [i for i, m in enumerate(margins) if m is None or m < margin]
-    found = []  # (slot key, violation)
-    if todo:
-        walked = curves.sublist(todo)
-        for j, image in curve_products(rep, walked):
-            i = todo[j]
-            m = margins[i]
-            if m is None:
-                m = margins[i] = trace_margin(image)
-            if m < margin:
-                found.append((curves.slot_key(i), Violation(
-                    format_word(walked.words[j]), psl_type(image, m).value,
-                    abs_trace(image))))
-    found.sort(key=itemgetter(0))
+    margins, fallbacks, flagged = curve_margins(rep, curves, margin)
+    flagged.sort(key=lambda slot_image: curves.slot_key(slot_image[0]))
     low = min(margins, default=None)
     worst = None if low is None else min(
         (i for i, m in enumerate(margins) if m == low), key=curves.slot_key)
@@ -147,10 +111,13 @@ def audit_rep(rep: Representation, depth: int,
         margin=margin,
         curves_checked=len(curves),
         min_trace_margin=None if worst is None else margins[worst],
-        violations=tuple(v for _, v in found),
+        violations=tuple(
+            Violation(format_word(curves.slot_word(i)),
+                      psl_type(image, margins[i]).value, abs_trace(image))
+            for i, image in flagged),
         min_margin_curve=None if worst is None
         else format_word(curves.slot_word(worst)),
-        words_dropped=dropped,
+        words_dropped=curves.dropped,
         exact_fallbacks=fallbacks,
     )
 

@@ -37,6 +37,7 @@ from .cover import (
     sl_trace,
     special_lift,
 )
+from .curves import _braid_images
 from .errors import (
     BoundaryElliptic,
     InfeasibleRequest,
@@ -76,7 +77,7 @@ from .surface import (
     sign_vector,
     standard_splits,
 )
-from .words import CurveWord, word
+from .words import CurveWord
 
 PRODUCT_TOL = 1e-8
 BISECT_TOL = 1e-12
@@ -731,18 +732,6 @@ def _peel_last(surf: SurfacePresentation, last_sign: int,
     x, y = _solve_pair(FactorKind.HYP0, FactorKind.HYP0, target,
                        cover_classify(target), rng)
     return _glue_handles(surf, x.base, y.base, rng)
-
-
-def _braid_images(surf: SurfacePresentation, i: int) -> dict[str, CurveWord]:
-    """Generator substitution of the half-twist braiding punctures i, i+1
-    (i = punctures-1 allowed: the implied last peripheral expands)."""
-    images = {gen: word(gen) for gen in surf.free_generators()}
-    ci = surf.c(i)
-    cnext = surf.peripheral_word(i + 1)
-    images[ci] = word(ci) * cnext * word((ci, -1))
-    if i + 1 < surf.punctures:
-        images[surf.c(i + 1)] = word(ci)
-    return images
 
 
 def _precompose(rep: Representation, images: dict[str, CurveWord]

@@ -15,7 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .surface import SurfacePresentation, _expand_last
+from .surface import (
+    SurfacePresentation,
+    _expand_last,
+    _split_side_a_generators,
+    standard_splits,
+)
 from .words import (
     Alphabet,
     CurveWord,
@@ -75,9 +80,6 @@ class McgAuto:
     def apply(self, w: CurveWord) -> CurveWord:
         return substitute(w, self.images)
 
-    def inverse(self) -> "McgAuto":
-        return McgAuto(f"{self.name}^-1", self.inverse_images, self.images)
-
 
 def _identity_images(surf: SurfacePresentation) -> dict[str, CurveWord]:
     return {g: word(g) for g in surf.free_generators()}
@@ -125,6 +127,17 @@ def _handle_twists(surf: SurfacePresentation) -> list[McgAuto]:
     return out
 
 
+def _braid_images(surf: SurfacePresentation, i: int) -> dict[str, CurveWord]:
+    """Generator substitution of the half-twist braiding punctures i, i+1
+    (i = punctures-1 allowed: the implied last peripheral expands)."""
+    images = _identity_images(surf)
+    ci = surf.c(i)
+    images[ci] = word(ci) * surf.peripheral_word(i + 1) * word((ci, -1))
+    if i + 1 < surf.punctures:
+        images[surf.c(i + 1)] = word(ci)
+    return images
+
+
 def _braids(surf: SurfacePresentation) -> list[McgAuto]:
     # sigma_i for i <= p-2 only: the half-twist swapping the last two
     # punctures moves the relator class to a peripheral class, so it cannot
@@ -132,21 +145,16 @@ def _braids(surf: SurfacePresentation) -> list[McgAuto]:
     out = []
     for i in range(1, surf.punctures - 1):
         ci, cj = surf.c(i), surf.c(i + 1)
-        fwd = _identity_images(surf)
-        fwd[ci] = word(ci, cj, (ci, -1))
-        fwd[cj] = word(ci)
         bwd = _identity_images(surf)
         bwd[ci] = word(cj)
         bwd[cj] = word((cj, -1), ci, cj)
-        out.append(McgAuto(f"sigma_{i}", fwd, bwd))
+        out.append(McgAuto(f"sigma_{i}", _braid_images(surf, i), bwd))
     return out
 
 
 def _prefix_twists(surf: SurfacePresentation) -> list[McgAuto]:
     """Dehn twists about the standard separating prefix curves: fix the
     prefix generators, conjugate the rest by the curve word."""
-    from .surface import SplittingSpec, standard_splits
-
     out = []
     for split in standard_splits(surf):
         if split.kind != "prefix":
@@ -154,10 +162,7 @@ def _prefix_twists(surf: SurfacePresentation) -> list[McgAuto]:
         curve = surf.gamma_word(split.j, split.k)
         if classify_curve(curve, surf).kind != "separating":
             continue
-        prefix_gens = set()
-        for jj in range(1, split.j + 1):
-            prefix_gens |= {surf.a(jj), surf.b(jj)}
-        prefix_gens |= {surf.c(i) for i in range(1, split.k + 1)}
+        prefix_gens = set(_split_side_a_generators(surf, split))
         fwd = {}
         bwd = {}
         for g in surf.free_generators():
@@ -229,14 +234,22 @@ def enumerate_scc(surf: SurfacePresentation, depth: int,
     return curves
 
 
+def _orbit_tables(surf: SurfacePresentation
+                  ) -> tuple[Alphabet, list[dict[int, str]]]:
+    """The alphabet of surf's free generators and the substitution tables
+    of the default automorphisms, then of their inverses: the maps of the
+    orbit search, in its order."""
+    autos = default_autos(surf)
+    alphabet = Alphabet(surf.free_generators())
+    return alphabet, [alphabet.substitution(f.images) for f in autos] \
+        + [alphabet.substitution(f.inverse_images) for f in autos]
+
+
 def _word_orbit(surf: SurfacePresentation, depth: int
                 ) -> tuple[list[CurveWord], int]:
     """The curves of enumerate_scc and the number dropped, by a breadth
     first search on canonical code strings."""
-    autos = default_autos(surf)
-    alphabet = Alphabet(surf.free_generators())
-    tables = [alphabet.substitution(f.images) for f in autos] \
-        + [alphabet.substitution(f.inverse_images) for f in autos]
+    alphabet, tables = _orbit_tables(surf)
     apply, canonical = alphabet.substitute, alphabet.canonical
     frontier = [alphabet.encode(w) for w in scc_seeds(surf)]
     curves = list(frontier)
@@ -346,10 +359,8 @@ class SlopeOrbit:
     def __init__(self, depth: int):
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        autos = default_autos(SPHERE4)
-        self.alphabet = alphabet = Alphabet(SPHERE4.free_generators())
-        self.tables = [alphabet.substitution(f.images) for f in autos] \
-            + [alphabet.substitution(f.inverse_images) for f in autos]
+        alphabet, self.tables = _orbit_tables(SPHERE4)
+        self.alphabet = alphabet
         self.centres = centres = _code_centres(alphabet)
         c1c2, c2c3 = alphabet.encode(word("c1", "c2")), \
             alphabet.encode(word("c2", "c3"))

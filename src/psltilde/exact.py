@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .curves import SPHERE4
+from .curves import SPHERE4, SlopeOrbit, enumerate_scc
 from .mobius import (
     PAR_BAND,
     IntMatrix,
@@ -77,11 +77,11 @@ class CurveList:
     the prefix products that a later word resumes from; codes and that
     plan (walk) are made on first use.
 
-    An audit takes the curves by slot, which is the index into words here
-    and a slope of the orbit for the enumerated four-punctured sphere
-    (_SlopeCurves): slot_word and slot_key form the word of one slot and
-    its place in words, and in_index_order puts values by slot in the
-    order of words."""
+    curve_margins takes the curves by slot, which is the index into words
+    here and a slope of the orbit for the enumerated four-punctured sphere
+    (_SlopeCurves), which holds no word list: slot_word forms the word of
+    one slot, and slot_key its sort key, the order of words here and that
+    of enumerate_scc there."""
 
     def __init__(self, surf: SurfacePresentation, words):
         self.surface = surf
@@ -125,8 +125,6 @@ class CurveList:
         """The curves of enumerate_scc(surf, depth). These are simple, so on
         the four-punctured sphere each is decided by its slope (_FareyPlan)
         and not by its word, and the list holds the slopes of the orbit."""
-        from .curves import SlopeOrbit, enumerate_scc
-
         if surf == SPHERE4:
             return _SlopeCurves(SlopeOrbit(depth))
         words, stats = enumerate_scc(surf, depth, return_stats=True)
@@ -144,9 +142,6 @@ class CurveList:
         """Sort key of a slot: the order of words."""
         return slot
 
-    def in_index_order(self, values: list) -> list:
-        return values
-
     def sublist(self, slots: list[int]) -> "CurveList":
         """The curves in the given slots as a list of words to walk; this
         list itself when they are all of its words."""
@@ -158,23 +153,13 @@ class CurveList:
 class _SlopeCurves(CurveList):
     """CurveList.enumerated on the four-punctured sphere: slot i is curve i
     of a SlopeOrbit, decided by its slope (farey). A word is formed only
-    when asked for, by slot_word or slot_key, or for every curve, sorted as
-    enumerate_scc sorts them, on the first use of words."""
+    when asked for, by slot_word or slot_key."""
 
     def __init__(self, orbit):
         self.surface = SPHERE4
         self.orbit = orbit
         self.farey = _FareyPlan(orbit.slopes)
         self.dropped = orbit.dropped
-
-    @cached_property
-    def order(self) -> list[int]:
-        """The slots in the order of words."""
-        return sorted(range(len(self)), key=self.slot_key)
-
-    @cached_property
-    def words(self) -> list[CurveWord]:
-        return list(map(self.orbit.word, self.order))
 
     def __len__(self) -> int:
         return len(self.orbit)
@@ -184,9 +169,6 @@ class _SlopeCurves(CurveList):
 
     def slot_key(self, slot: int) -> str:
         return self.orbit.key(slot)
-
-    def in_index_order(self, values: list) -> list:
-        return list(map(values.__getitem__, self.order))
 
 
 def _run_product(blocks: dict, run: str) -> IntMatrix:
@@ -415,27 +397,33 @@ def _bracket_margin(a: int, b: int, den: int) -> float | None:
     return _margin(*parts) if parts == _margin_parts(b * b, den) else None
 
 
-def decided_margins(rep: Representation, curves: CurveList
-                    ) -> list[float | None]:
-    """trace_margin of each slot's image where the Farey interval of its
-    slope decides it, and None elsewhere: everywhere on a list that is not
-    the enumerated four-punctured sphere's."""
+def curve_margins(rep: Representation, curves: CurveList, below: float
+                  ) -> tuple[list[float], int | None,
+                             list[tuple[int, IntMatrix]]]:
+    """(margins, fallbacks, flagged): trace_margin of every slot's image;
+    the number of slots the Farey intervals left to the walk, None when
+    every slot was walked; and (slot, integer image) of each slot whose
+    margin is below `below`, in walk order.
+
+    Enumerated curves on the four-punctured sphere are decided by the
+    intervals of their slopes; every other list is walked outright. One
+    walk of curve_products takes the undecided slots and the flagged ones,
+    so that each flagged slot's image comes with its margin."""
     if curves.surface != rep.surface:
         raise ValueError(f"curves on {curves.surface}, representation on "
                          f"{rep.surface}")
     if curves.farey is None:
-        return [None] * len(curves)
-    return _farey_margins(rep, curves.farey, len(curves))
-
-
-def curve_margins(rep: Representation, curves: CurveList) -> list[float]:
-    """trace_margin of every curve's image, by index into curves.words.
-    Enumerated curves on the four-punctured sphere are decided by the
-    intervals of their slopes, and only the undecided ones walked by
-    curve_products; every other list is walked outright."""
-    margins = decided_margins(rep, curves)
-    todo = [i for i, m in enumerate(margins) if m is None]
+        margins, fallbacks = [None] * len(curves), None
+    else:
+        margins = _farey_margins(rep, curves.farey, len(curves))
+        fallbacks = margins.count(None)
+    todo = [i for i, m in enumerate(margins) if m is None or m < below]
+    flagged = []
     if todo:
         for j, image in curve_products(rep, curves.sublist(todo)):
-            margins[todo[j]] = trace_margin(image)
-    return curves.in_index_order(margins)
+            i = todo[j]
+            if margins[i] is None:
+                margins[i] = trace_margin(image)
+            if margins[i] < below:
+                flagged.append((i, image))
+    return margins, fallbacks, flagged

@@ -358,24 +358,12 @@ class SplittingSpec:
 
 
 def standard_splits(surf: SurfacePresentation) -> list[SplittingSpec]:
-    out = []
     g, p = surf.genus, surf.punctures
-    for j in range(1, g + 1):
-        spec = SplittingSpec.prefix(j, 0)
-        try:
-            spec.validate(surf)
-        except UnsupportedCurve:
-            continue
-        out.append(spec)
-    for k in range(1, p - 1):
-        spec = SplittingSpec.prefix(g, k)
-        try:
-            spec.validate(surf)
-        except UnsupportedCurve:
-            continue
-        out.append(spec)
-    for i in range(1, p):
-        spec = SplittingSpec.pants_pair(i)
+    candidates = [SplittingSpec.prefix(j, 0) for j in range(1, g + 1)] \
+        + [SplittingSpec.prefix(g, k) for k in range(1, p - 1)] \
+        + [SplittingSpec.pants_pair(i) for i in range(1, p)]
+    out = []
+    for spec in candidates:
         try:
             spec.validate(surf)
         except UnsupportedCurve:

@@ -23,6 +23,7 @@ from psltilde.constructors import (
     BuildRequest,
     build_negative_control,
     build_rep,
+    sample,
 )
 from psltilde.curves import enumerate_scc, word_slope
 from psltilde.errors import RelatorNotCentral
@@ -179,6 +180,11 @@ def test_audit_reports_words_dropped_and_min_curve():
     assert payload["words_dropped"] == 2
     assert payload["min_margin_curve"] == report.min_margin_curve
     assert jsonio.audit_report_to_json(again)["words_dropped"] is None
+    # sample audits its builds on one enumerated list, and reports its drops
+    reps, reports, _ = sample(BuildRequest(0, 4, 1, (1, 1, 1, -1), 7), 2,
+                              depth=8)
+    assert [r.words_dropped for r in reports] == [2, 2] == \
+        [audit_rep(x, 8).words_dropped for x in reps]
 
 
 def test_int_matrix_is_exact():
@@ -217,11 +223,23 @@ SPHERE4_FAMILIES = ((2, (1, 1, 1, 1)), (-2, (-1, -1, -1, -1)),
                     (1, (1, 1, 1, -1)), (-1, (-1, -1, -1, 1)))
 
 
+def _by_key(curves: CurveList) -> list[int]:
+    return sorted(range(len(curves)), key=curves.slot_key)
+
+
 def _walked(curves: CurveList) -> CurveList:
-    """The same words as a caller's list, which the prefix walk decides."""
-    plain = CurveList(curves.surface, curves.words)
+    """The same words as a caller's list, in slot_key order, which the
+    prefix walk decides."""
+    plain = CurveList(curves.surface, map(curves.slot_word, _by_key(curves)))
     assert curves.farey is not None and plain.farey is None
     return plain
+
+
+def _margins(rep, curves: CurveList) -> list[float]:
+    """Every margin of curve_margins, in slot_key order."""
+    margins, _, flagged = curve_margins(rep, curves, -math.inf)
+    assert flagged == []
+    return [margins[i] for i in _by_key(curves)]
 
 
 def test_recursion_margins_equal_the_walk():
@@ -231,15 +249,14 @@ def test_recursion_margins_equal_the_walk():
     for euler, signs in SPHERE4_FAMILIES:
         for seed in range(10):
             rep = build_rep(BuildRequest(0, 4, euler, signs, seed))
-            assert curve_margins(rep, curves) == curve_margins(rep, plain), \
+            assert _margins(rep, curves) == _margins(rep, plain), \
                 (euler, signs, seed)
     # depth 7 has the longest Stern-Brocot paths, so the widest intervals
     curves = CurveList.enumerated(SPHERE4, 7)
     plain = _walked(curves)
     for euler, signs in SPHERE4_FAMILIES[2:]:
         rep = build_rep(BuildRequest(0, 4, euler, signs, 3))
-        assert curve_margins(rep, curves) == curve_margins(rep, plain), \
-            (euler, signs)
+        assert _margins(rep, curves) == _margins(rep, plain), (euler, signs)
 
 
 def _mediant_path(a, b):
@@ -327,7 +344,7 @@ def test_recursion_is_algebraic(gens, depth):
     # the edge relation holds for any images, type-preserving or not
     rep = Representation(SPHERE4, dict(zip(("c1", "c2", "c3"), gens)))
     curves = ENUMERATED[depth]
-    assert curve_margins(rep, curves) == curve_margins(rep, _walked(curves))
+    assert _margins(rep, curves) == _margins(rep, _walked(curves))
 
 
 def _gamma2():
@@ -381,8 +398,9 @@ def test_enumerated_audit_forms_only_the_words_it_reports():
                 mock.patch.object(Alphabet, "decode", counting("decode")):
             report = audit_rep(rep, depth, curves=curves)
         assert report.violations == () and report.exact_fallbacks == 0
-        tied = [i for i, m in enumerate(exact.decided_margins(rep, curves))
-                if m == report.min_trace_margin]
+        tied = [i for i, m in enumerate(
+            exact._farey_margins(rep, curves.farey, len(curves)))
+            if m == report.min_trace_margin]
         paths = set()
         for i in tied:
             while i is not None:
@@ -391,9 +409,10 @@ def test_enumerated_audit_forms_only_the_words_it_reports():
         assert set(orbit._codes) == seeds | paths
         assert calls == {"canonical": len(paths - seeds), "decode": 1}
         walked = audit_rep(rep, depth, curves=_walked(curves))
-        assert report == dataclasses.replace(walked, exact_fallbacks=0)
-        assert report.min_margin_curve == format_word(min(
-            map(curves.slot_word, tied), key=curves.words.index))
+        assert report == dataclasses.replace(walked, exact_fallbacks=0,
+                                             words_dropped=0)
+        assert report.min_margin_curve == format_word(
+            curves.slot_word(min(tied, key=curves.slot_key)))
 
 
 def test_undecided_slopes_fall_back_to_the_walk():
@@ -403,9 +422,9 @@ def test_undecided_slopes_fall_back_to_the_walk():
     plain = _walked(curves)
     with mock.patch.object(exact, "PRECISION", 0):
         for rep in (_gamma2(), build_negative_control()):
-            fallbacks = exact.decided_margins(rep, curves).count(None)
+            fallbacks = curve_margins(rep, curves, -math.inf)[1]
             assert 200 < fallbacks <= len(curves) == 240
-            assert curve_margins(rep, curves) == curve_margins(rep, plain)
+            assert _margins(rep, curves) == _margins(rep, plain)
 
 
 def test_a_slope_does_not_decide_a_caller_word():
@@ -429,38 +448,33 @@ def test_enumerated_audit_walks_only_flagged_curves():
         raise AssertionError("curve_products called")
 
     rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
-    with mock.patch.object(exact, "curve_products", refuse), \
-            mock.patch.object(audit, "curve_products", refuse):
+    with mock.patch.object(exact, "curve_products", refuse):
         report = audit_rep(rep, 5)
     assert report.violations == () and report.curves_checked > 0
     assert report.exact_fallbacks == 0
     # one exact walk takes the undecided slopes and the flagged curves
-    walked = {exact: [], audit: []}
+    walked = []
 
-    def counted(module):
-        def products(r, curves):
-            walked[module].append(list(curves.words))
-            return curve_products(r, curves)
-        return products
+    def products(r, curves):
+        walked.append(list(curves.words))
+        return curve_products(r, curves)
 
     def audited(rep, depth, threshold, curves):
-        for module in walked:
-            walked[module].clear()
-        with mock.patch.object(exact, "curve_products", counted(exact)), \
-                mock.patch.object(audit, "curve_products", counted(audit)):
+        walked.clear()
+        with mock.patch.object(exact, "curve_products", products):
             return audit_rep(rep, depth, threshold, curves=curves)
 
     def names(ws):
         return sorted(map(format_word, ws))
 
-    threshold = sorted(curve_margins(rep, ENUMERATED[4]))[2]
+    threshold = sorted(_margins(rep, ENUMERATED[4]))[2]
     report = audited(rep, 4, threshold, ENUMERATED[4])
     assert len(report.violations) == 2
-    assert walked[exact] == [] and len(walked[audit]) == 1
-    assert names(walked[audit][0]) == sorted(v.curve for v in report.violations)
+    assert len(walked) == 1
+    assert names(walked[0]) == sorted(v.curve for v in report.violations)
     assert report == dataclasses.replace(
         audit_rep(rep, 4, threshold, curves=_walked(ENUMERATED[4])),
-        exact_fallbacks=0)
+        exact_fallbacks=0, words_dropped=0)
     # with no fraction bits most of the negative control's slopes are
     # undecided, and some of them are flagged: each is walked once
     control, curves = build_negative_control(), ENUMERATED[4]
@@ -472,8 +486,51 @@ def test_enumerated_audit_walks_only_flagged_curves():
     assert len(undecided) == report.exact_fallbacks > 0
     flagged = [parse_word(v.curve) for v in report.violations]
     assert set(names(flagged)) & set(names(undecided))
-    assert walked[exact] == [] and len(walked[audit]) == 1
-    assert names(walked[audit][0]) == sorted(set(names(undecided + flagged)))
+    assert len(walked) == 1
+    assert names(walked[0]) == sorted(set(names(undecided + flagged)))
     assert report == dataclasses.replace(
         audit_rep(control, 4, 1e-6, curves=_walked(curves)),
-        exact_fallbacks=len(undecided))
+        exact_fallbacks=len(undecided), words_dropped=0)
+
+
+def _flagged_in_one_walk(rep, curves, below):
+    """curve_margins with the length of each walk it takes."""
+    walks = []
+
+    def products(r, walked):
+        walks.append(len(walked))
+        return curve_products(r, walked)
+
+    with mock.patch.object(exact, "curve_products", products):
+        return curve_margins(rep, curves, below), walks
+
+
+def test_curve_margins_flags_exactly_the_slots_below():
+    # the flagged slots are those below the bound, each with its image, and
+    # one walk takes them together with the undecided slots: on a caller's
+    # list every slot, on the enumerated one with no fraction bits those
+    # its intervals leave
+    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
+    plain = CurveList(SPHERE4, enumerate_scc(SPHERE4, 4))
+    control, enumerated = build_negative_control(), ENUMERATED[4]
+    for r, curves, precision in ((rep, plain, exact.PRECISION),
+                                 (control, plain, exact.PRECISION),
+                                 (rep, enumerated, 0),
+                                 (control, enumerated, 0)):
+        with mock.patch.object(exact, "PRECISION", precision):
+            undecided = set(range(len(curves))) if curves.farey is None \
+                else {i for i, m in enumerate(exact._farey_margins(
+                    r, curves.farey, len(curves))) if m is None}
+            (margins, _, _), _ = _flagged_in_one_walk(r, curves, -math.inf)
+            for below in (1e-6, sorted(margins)[len(margins) // 2], 5.0):
+                (got, fallbacks, flagged), walks = \
+                    _flagged_in_one_walk(r, curves, below)
+                assert got == margins
+                want = [i for i, m in enumerate(margins) if m < below]
+                assert sorted(i for i, _ in flagged) == want
+                todo = undecided | set(want)
+                assert walks == ([len(todo)] if todo else [])
+                assert fallbacks == (None if curves.farey is None
+                                     else len(undecided))
+                for i, image in flagged:
+                    assert image == word_product(r, curves.slot_word(i))
