@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BoundaryElliptic, NotSupported, NotTypePreserving
-from .exact import CurveList, abs_trace, curve_margins, psl_type
+from .exact import CurveList, Curves, abs_trace, curve_margins, psl_type
 from .mobius import is_parabolic
 from .surface import (
     Representation,
@@ -42,9 +42,9 @@ class AuditReport:
     violations: tuple[Violation, ...]
     min_margin_curve: str | None  # the first curve attaining the minimum
     words_dropped: int | None     # by MAX_ORBIT_WORD_LEN, when enumerated
-    # margins the Farey intervals left to the exact walk; None when every
-    # curve was walked (a caller's words, or a surface other than (0,4))
-    exact_fallbacks: int | None
+    # margins the fixed-precision pass (Farey intervals of (0,4) slopes, or
+    # the fixed-point word walk) left to the exact walk; not serialized
+    exact_fallbacks: int
 
     @property
     def passed(self) -> bool:
@@ -71,7 +71,7 @@ def _check_depth_and_margin(depth: int, margin: float) -> None:
 
 def audit_rep(rep: Representation, depth: int,
               margin: float = DEFAULT_MARGIN,
-              curves: list[CurveWord] | CurveList | None = None
+              curves: list[CurveWord] | Curves | None = None
               ) -> AuditReport:
     """Decide every curve class: a violation is any image whose
     unit-determinant |trace| clears 2 by less than the margin (elliptic and
@@ -79,23 +79,25 @@ def audit_rep(rep: Representation, depth: int,
 
     Each verdict is exact about the stored float matrices: the margins come
     from exact integers (psltilde.exact.curve_margins), and only each
-    margin is rounded, to within a few ulps. Enumerated curves on the
-    four-punctured sphere are decided by their slopes, in fixed precision
-    where that decides them, and their words are formed only for the curves
-    that need one: the undecided (counted in exact_fallbacks), the flagged,
-    and those tied at the minimum. Every other curve, and every word a
-    caller passes, is decided by its integer product. Pass a CurveList to
-    audit many representations of one surface against one prepared list;
-    words_dropped is that of an enumerated list (CurveList.enumerated),
-    None for a caller's words. Deterministic: violations come in the order
-    of the list's slot keys, which for enumerated curves is that of their
-    code strings, and min_margin_curve is the first of them at the
+    margin is rounded, to within a few ulps. Every curve is first decided
+    in fixed precision where that decides it: enumerated curves on the
+    four-punctured sphere by their slopes, and every other curve, including
+    every word a caller passes, by a fixed-point walk of its word with a
+    proven error bound. The undecided (counted in exact_fallbacks) and the
+    flagged are then walked in exact integers; the words of enumerated
+    slopes are formed only for those and for the curves tied at the
+    minimum. Pass a Curves list (such as
+    Curves.enumerated) to audit many representations of one surface
+    against one prepared list; words_dropped is that of an enumerated
+    list, None for a caller's words. Deterministic: violations come in the
+    order of the list's slot keys, which for enumerated curves is that of
+    their code strings, and min_margin_curve is the first of them at the
     minimum."""
     _check_depth_and_margin(depth, margin)
     euler, signs = _type_preserving_invariants(rep)
     if curves is None:
-        curves = CurveList.enumerated(rep.surface, depth)
-    elif not isinstance(curves, CurveList):
+        curves = Curves.enumerated(rep.surface, depth)
+    elif not isinstance(curves, Curves):
         curves = CurveList(rep.surface, curves)
     margins, fallbacks, flagged = curve_margins(rep, curves, margin)
     flagged.sort(key=lambda slot_image: curves.slot_key(slot_image[0]))

@@ -889,7 +889,7 @@ def sample(req: BuildRequest, count: int, depth: int = 4,
     the enumerated curves at the given depth; returns (reps, reports,
     summary), with reports[i] the AuditReport of reps[i]."""
     from .audit import _check_depth_and_margin, audit_rep
-    from .exact import CurveList
+    from .exact import Curves
 
     if count < 0:
         raise ValueError(f"count {count} must be non-negative")
@@ -904,7 +904,7 @@ def sample(req: BuildRequest, count: int, depth: int = 4,
         rep = build_rep(child)
         reps.append(rep)
         if curves is None:
-            curves = CurveList.enumerated(rep.surface, depth)
+            curves = Curves.enumerated(rep.surface, depth)
         report = audit_rep(rep, depth, margin, curves=curves)
         reports.append(report)
         if not report.violations:

@@ -85,29 +85,42 @@ def _identity_images(surf: SurfacePresentation) -> dict[str, CurveWord]:
     return {g: word(g) for g in surf.free_generators()}
 
 
+def _gate(surf: SurfacePresentation):
+    """validate_auto on surf as a function of the automorphism, with the
+    relator and the peripheral words coded once in one Alphabet of the
+    free generators."""
+    gens = set(surf.free_generators())
+    alphabet = Alphabet(gens)
+    apply, canonical = alphabet.substitute, alphabet.canonical
+    letters = [alphabet.codes[g, 1] for g in gens]
+    relator = canonical(alphabet.encode(
+        surf.gamma_word(surf.genus, surf.punctures - 1)))
+    peripherals = [alphabet.encode(surf.peripheral_word(i))
+                   for i in range(1, surf.punctures + 1)]
+    targets = {canonical(w): i for i, w in enumerate(peripherals)}
+
+    def gate(f: McgAuto) -> bool:
+        if set(f.images) != gens or set(f.inverse_images) != gens:
+            return False
+        if not all(w.generators() <= gens for w in
+                   (*f.images.values(), *f.inverse_images.values())):
+            return False
+        fwd = alphabet.substitution(f.images)
+        bwd = alphabet.substitution(f.inverse_images)
+        if any(apply(apply(x, fwd), bwd) != x or apply(apply(x, bwd), fwd) != x
+               for x in letters):
+            return False
+        if canonical(apply(relator, fwd)) != relator:
+            return False
+        hits = {targets.get(canonical(apply(w, fwd))) for w in peripherals}
+        return None not in hits and len(hits) == len(peripherals)
+    return gate
+
+
 def validate_auto(f: McgAuto, surf: SurfacePresentation) -> bool:
     """Soundness gate: automorphism + relator class fixed up to conjugacy and
     inversion + peripheral classes permuted."""
-    gens = surf.free_generators()
-    if set(f.images) != set(gens) or set(f.inverse_images) != set(gens):
-        return False
-    for g in gens:
-        if substitute(f.images[g], f.inverse_images) != word(g):
-            return False
-        if substitute(f.inverse_images[g], f.images) != word(g):
-            return False
-    relator = surf.gamma_word(surf.genus, surf.punctures - 1)
-    if canonical_form(f.apply(relator)) != canonical_form(relator):
-        return False
-    targets = _peripheral_canonicals(surf)
-    seen = set()
-    for i in range(1, surf.punctures + 1):
-        img = canonical_form(f.apply(surf.peripheral_word(i)))
-        hit = targets.get(img)
-        if hit is None or hit in seen:
-            return False
-        seen.add(hit)
-    return True
+    return _gate(surf)(f)
 
 
 def _handle_twists(surf: SurfacePresentation) -> list[McgAuto]:
@@ -180,8 +193,9 @@ def default_autos(surf: SurfacePresentation) -> list[McgAuto]:
     """Handle twists, braids away from the last puncture, and separating
     prefix-curve twists; every one is validated before registration."""
     autos = _handle_twists(surf) + _braids(surf) + _prefix_twists(surf)
+    gate = _gate(surf)
     for f in autos:
-        if not validate_auto(f, surf):
+        if not gate(f):
             raise AssertionError(f"default automorphism {f.name} failed validation")
     return autos
 

@@ -6,7 +6,10 @@ read here are invariant under positive scaling: the trace ratio
 |tr|/sqrt(det), the canonical unit-determinant representative, and the PSL
 type. So words are multiplied out in Python integers, inverses are
 adjugates, and only the numbers read off a finished product are rounded to
-floats.
+floats. Those integers grow with every letter, so the audit's margins are
+first sought in fixed precision with a proven error bound, by slopes on
+the four-punctured sphere and by words elsewhere, and only the curves that
+pass leaves undecided are multiplied out.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .words import Alphabet, CurveWord
 
 IDENTITY: IntMatrix = (1, 0, 0, 1)
 
-BLOCK = 4  # letters per multiplication step of the curve walk
+BLOCK = 8  # letters per multiplication step of the curve walks
 
 
 def _alphabet(surf: SurfacePresentation) -> Alphabet:
@@ -67,27 +70,57 @@ def _common_prefix(u: str, v: str) -> int:
     return k
 
 
-class CurveList:
-    """Curve words prepared once for any number of audits on one surface.
+class Curves:
+    """Curves by slot, prepared once for any number of audits on one
+    surface: a list of words (CurveList), or the enumerated curves of the
+    four-punctured sphere by slope (_SlopeCurves). curve_margins takes
+    either; the walks of words take a CurveList only, which sublist makes
+    of any slots. slot_word forms the word of one slot, and slot_key its
+    sort key: the order of words in a CurveList, that of enumerate_scc for
+    slopes."""
+
+    surface: SurfacePresentation
+    dropped: int | None = None  # words the enumeration dropped, if enumerated
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def slot_word(self, slot: int) -> CurveWord:
+        raise NotImplementedError
+
+    def slot_key(self, slot: int):
+        raise NotImplementedError
+
+    def sublist(self, slots: list[int]) -> "CurveList":
+        """The curves in the given slots as a list of words to walk."""
+        return CurveList(self.surface, map(self.slot_word, slots))
+
+    @staticmethod
+    def enumerated(surf: SurfacePresentation, depth: int) -> "Curves":
+        """The curves of enumerate_scc(surf, depth). These are simple, so on
+        the four-punctured sphere each is decided by its slope (_FareyPlan)
+        and not by its word, and the list holds the slopes of the orbit."""
+        if surf == SPHERE4:
+            return _SlopeCurves(SlopeOrbit(depth))
+        words, stats = enumerate_scc(surf, depth, return_stats=True)
+        curves = CurveList(surf, words)
+        curves.dropped = stats["dropped"]
+        return curves
+
+
+class CurveList(Curves):
+    """Curve words; slot i is words[i].
 
     Each word has its implied last peripheral written out, one character
-    per letter (codes, in the order of words). The walk of curve_products
-    takes the words in the sorted order of those strings, so that each
-    word shares a prefix with the one before, and keeps for each word only
-    the prefix products that a later word resumes from; codes and that
-    plan (walk) are made on first use.
-
-    curve_margins takes the curves by slot, which is the index into words
-    here and a slope of the orbit for the enumerated four-punctured sphere
-    (_SlopeCurves), which holds no word list: slot_word forms the word of
-    one slot, and slot_key its sort key, the order of words here and that
-    of enumerate_scc there."""
+    per letter (codes, in the order of words). The walks of words take them
+    in the sorted order of those strings, so that each word shares a prefix
+    with the one before, and keep for each word only the prefix products
+    that a later word resumes from; codes and that plan (walk) are made on
+    first use."""
 
     def __init__(self, surf: SurfacePresentation, words):
         self.surface = surf
         self.words = list(words)
-        self.farey = None  # set for enumerated curves on the (0,4) surface
-        self.dropped = None  # words the enumeration dropped, when enumerated
 
     @cached_property
     def codes(self) -> list[str]:
@@ -120,38 +153,23 @@ class CurveList:
                 minima.append(r)
         return list(zip(order, resume, keep))
 
-    @classmethod
-    def enumerated(cls, surf: SurfacePresentation, depth: int) -> "CurveList":
-        """The curves of enumerate_scc(surf, depth). These are simple, so on
-        the four-punctured sphere each is decided by its slope (_FareyPlan)
-        and not by its word, and the list holds the slopes of the orbit."""
-        if surf == SPHERE4:
-            return _SlopeCurves(SlopeOrbit(depth))
-        words, stats = enumerate_scc(surf, depth, return_stats=True)
-        curves = cls(surf, words)
-        curves.dropped = stats["dropped"]
-        return curves
-
     def __len__(self) -> int:
         return len(self.words)
 
     def slot_word(self, slot: int) -> CurveWord:
         return self.words[slot]
 
-    def slot_key(self, slot: int):
-        """Sort key of a slot: the order of words."""
+    def slot_key(self, slot: int) -> int:
         return slot
 
     def sublist(self, slots: list[int]) -> "CurveList":
-        """The curves in the given slots as a list of words to walk; this
-        list itself when they are all of its words."""
-        if self.farey is None and len(slots) == len(self):
-            return self
-        return CurveList(self.surface, map(self.slot_word, slots))
+        """As Curves.sublist; this list itself when the slots are all of
+        its words."""
+        return self if len(slots) == len(self) else super().sublist(slots)
 
 
-class _SlopeCurves(CurveList):
-    """CurveList.enumerated on the four-punctured sphere: slot i is curve i
+class _SlopeCurves(Curves):
+    """Curves.enumerated on the four-punctured sphere: slot i is curve i
     of a SlopeOrbit, decided by its slope (farey). A word is formed only
     when asked for, by slot_word or slot_key."""
 
@@ -180,32 +198,48 @@ def _run_product(blocks: dict, run: str) -> IntMatrix:
     return m
 
 
+def _check_surface(rep: Representation, curves: Curves) -> None:
+    if curves.surface != rep.surface:
+        raise ValueError(f"curves on {curves.surface}, representation on "
+                         f"{rep.surface}")
+
+
+def _walk(curves: CurveList, start, step):
+    """(index into curves.words, state) of every word in walk order. The
+    state of a word is step(state, run) folded over its runs of up to BLOCK
+    letters from start, resumed from the state of the prefix it shares
+    with the word before."""
+    stack = [(0, start)]  # (prefix length, state) kept for later words
+    for i, r, keep in curves.walk:
+        codes = curves.codes[i]
+        while stack[-1][0] > r:
+            stack.pop()
+        pos, state = stack[-1]
+        for stop in keep + (len(codes),):
+            while pos < stop:
+                run = codes[pos:min(pos + BLOCK, stop)]
+                state = step(state, run)
+                pos += len(run)
+            stack.append((pos, state))
+        yield i, state
+
+
 def curve_products(rep: Representation, curves: CurveList):
     """(index into curves.words, integer image) of every curve, in walk
     order. Each image starts from the product of the prefix it shares with
     the previous word and goes on in steps of up to BLOCK letters, whose
     products are formed once per representation. Fewer, wider steps take a
     third less time than letter by letter on (0,4) at depth 7, as the
-    accumulated entries are much longer than a block's."""
-    if curves.surface != rep.surface:
-        raise ValueError(f"curves on {curves.surface}, representation on "
-                         f"{rep.surface}")
+    accumulated entries are much longer than a block's; 8 letters a step
+    take about a tenth less than 4 there and on (1,3) at depth 6, and the
+    fixed-point walk, whose entries are short, about 40% less."""
+    _check_surface(rep, curves)
+    if not isinstance(curves, CurveList):
+        raise TypeError(f"{type(curves).__name__} holds no words to walk; "
+                        "walk its sublist(slots)")
     blocks = letter_matrices(rep)  # grows by each run of letters met
-    stack = [(0, IDENTITY)]  # (prefix length, product) kept for later words
-    for i, r, keep in curves.walk:
-        codes = curves.codes[i]
-        while stack[-1][0] > r:
-            stack.pop()
-        pos, (a, b, c, d) = stack[-1]
-        for stop in keep + (len(codes),):
-            while pos < stop:
-                run = codes[pos:min(pos + BLOCK, stop)]
-                e, f, g, h = _run_product(blocks, run)
-                a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, \
-                    c * f + d * h
-                pos += len(run)
-            stack.append((pos, (a, b, c, d)))
-        yield i, (a, b, c, d)
+    return _walk(curves, IDENTITY,
+                 lambda x, run: _mul(x, _run_product(blocks, run)))
 
 
 def trace_margin(x: IntMatrix) -> float:
@@ -388,35 +422,111 @@ def _farey_margins(rep: Representation, plan: _FareyPlan, count: int
     return margins
 
 
-def _bracket_margin(a: int, b: int, den: int) -> float | None:
-    """The margin of the rational number tt/den for some tt with
-    a^2 <= tt <= b^2, 0 <= a <= b, or None. When both ends give the same
-    _margin_parts, so does tt/den, as each part is monotone in it, and the
+def _bracket_margin(a: int, b: int, den: int, den_high: int | None = None
+                    ) -> float | None:
+    """The margin of the rational number tt/det for some tt and det with
+    a^2 <= tt <= b^2, 0 <= a <= b, and den <= det <= den_high (den_high
+    defaults to den), or None. When both extremes of tt/det give the same
+    _margin_parts, so does tt/det, as each part is monotone in it, and the
     margin is exact."""
-    parts = _margin_parts(a * a, den)
+    parts = _margin_parts(a * a, den if den_high is None else den_high)
     return _margin(*parts) if parts == _margin_parts(b * b, den) else None
 
 
-def curve_margins(rep: Representation, curves: CurveList, below: float
-                  ) -> tuple[list[float], int | None,
-                             list[tuple[int, IntMatrix]]]:
+# -- any word in fixed point --------------------------------------------------
+#
+# The exact integers of a word's image grow by about 130 bits per letter,
+# while a margin needs about 53. _fixed_margins walks the words as
+# curve_products does, with the same exact block products M_k = B_k / 4^s_k
+# (B_k the integer product of a run of letters, s_k = bitlen(det B_k) // 2,
+# so det M_k is in [1/2, 2)), but keeps each prefix as an integer matrix X_k
+# near A_k = 2^P M_1 ... M_k: X_0 = 2^P I = A_0, X_k = floor(X_(k-1) B_k /
+# 2^s_k) = X_(k-1) M_k + G_k, each entry of G_k in (-1, 0]. Then
+#     X_n - A_n = sum_k G_k S_k,  S_k = M_(k+1) ... M_n = A_k^-1 A_n,
+# and with Frobenius norms, |adj A| = |A| and A^-1 = adj A / det A,
+#     |X_n - A_n| <= |A_n| sigma_n,  sigma_n = sum_k |G_k| |A_k| / det A_k.
+# Each term is bounded from the walk itself: |G_k| < 2; det A_k =
+# 4^P det M_1 ... det M_k >= 2^P lo_k, for the integer interval
+# [lo_k, hi_k] around 2^P det M_1 ... det M_k that the walk carries,
+# rounded outward at each step; and as A_k = (X_(k-1) - (X_(k-1) -
+# A_(k-1))) M_k, whose second part is at most |A_k| sigma_(k-1) by the same
+# sum, |A_k| <= |X_(k-1) M_k| / (1 - sigma_(k-1)) <= 2 (|X_k| + 2) <
+# 2^(m_k + 3) while sigma_(k-1) <= 1/2, m_k the largest bit length of an
+# entry of X_k (|X_k| < 2^(m_k + 1)). So each term is below
+# 2^(m_k + 5 - bitlen(lo_k) - P), and the walk sums these powers of two in
+# an integer at scale 2^P. At the end, while sigma_n <= 1/2,
+# |A_n| <= |X_n| / (1 - sigma_n), so |X_n - A_n| < 2^(m_n + 2) sigma_n <= r
+# and |tr A_n - tr X_n| <= sqrt(2) r < 2 r: tr^2/det of A_n, which is that
+# of the word's integer image, lies between (|tr X_n| - 2 r)^2 / (2^P hi_n)
+# and (|tr X_n| + 2 r)^2 / (2^P lo_n). The error is bounded by the norms of
+# the true prefixes and suffixes, not by products of block norms: a word
+# that goes out and comes back (x^n y x^-n) needs bits in proportion to the
+# size of its largest prefix, not to the product of its letters' norms.
+
+FIXED_PRECISION = 256  # fraction bits of the fixed-point word walk
+
+
+def _fixed_margins(rep: Representation, curves: CurveList
+                   ) -> list[float | None]:
+    """trace_margin of each word's image, from a fixed-point walk with a
+    proven error bound (above), or None where that bound does not decide
+    it."""
+    p = FIXED_PRECISION
+    mats = letter_matrices(rep)
+    if any(a * d <= b * c for a, b, c, d in mats.values()):
+        return [None] * len(curves)  # the bound needs det > 0: walk exactly
+    blocks = {}  # run -> (B, s, det M rounded down and up at scale 2^p)
+
+    def step(state, run):
+        a, b, c, d, lo, hi, sigma = state
+        block = blocks.get(run)
+        if block is None:
+            e, f, g, h = _run_product(mats, run)
+            det = e * h - f * g
+            s = det.bit_length() >> 1
+            block = blocks[run] = (e, f, g, h, s, (det << p) >> 2 * s,
+                                   -((-det << p) >> 2 * s))
+        e, f, g, h, s, det_lo, det_hi = block
+        a, b, c, d = (a * e + b * g >> s, a * f + b * h >> s,
+                      c * e + d * g >> s, c * f + d * h >> s)
+        lo, hi = lo * det_lo >> p, -(-hi * det_hi >> p)
+        m = max(a.bit_length(), b.bit_length(), c.bit_length(),
+                d.bit_length())
+        sigma += 1 << max(m + 5 - lo.bit_length(), 0)
+        return a, b, c, d, lo, hi, sigma
+
+    one = 1 << p
+    margins = [None] * len(curves)
+    for i, (a, b, c, d, lo, hi, sigma) in _walk(
+            curves, (one, 0, 0, one, one, one, 0), step):
+        if 2 * sigma > one or lo <= 0:
+            continue
+        m = max(a.bit_length(), b.bit_length(), c.bit_length(),
+                d.bit_length())
+        r2 = 2 * ((sigma << m + 2 >> p) + 1)
+        t = abs(a + d)
+        margins[i] = _bracket_margin(max(t - r2, 0), t + r2, lo << p, hi << p)
+    return margins
+
+
+def curve_margins(rep: Representation, curves: Curves, below: float
+                  ) -> tuple[list[float], int, list[tuple[int, IntMatrix]]]:
     """(margins, fallbacks, flagged): trace_margin of every slot's image;
-    the number of slots the Farey intervals left to the walk, None when
-    every slot was walked; and (slot, integer image) of each slot whose
-    margin is below `below`, in walk order.
+    the number of slots the fixed-precision pass left to the exact walk;
+    and (slot, integer image) of each slot whose margin is below `below`,
+    in walk order.
 
     Enumerated curves on the four-punctured sphere are decided by the
-    intervals of their slopes; every other list is walked outright. One
-    walk of curve_products takes the undecided slots and the flagged ones,
-    so that each flagged slot's image comes with its margin."""
-    if curves.surface != rep.surface:
-        raise ValueError(f"curves on {curves.surface}, representation on "
-                         f"{rep.surface}")
-    if curves.farey is None:
-        margins, fallbacks = [None] * len(curves), None
-    else:
+    intervals of their slopes (_farey_margins), every other list by a
+    fixed-point walk of its words (_fixed_margins). One walk of
+    curve_products takes the undecided slots and the flagged ones, so that
+    each flagged slot's image comes with its margin."""
+    _check_surface(rep, curves)
+    if isinstance(curves, _SlopeCurves):
         margins = _farey_margins(rep, curves.farey, len(curves))
-        fallbacks = margins.count(None)
+    else:
+        margins = _fixed_margins(rep, curves)
+    fallbacks = margins.count(None)
     todo = [i for i, m in enumerate(margins) if m is None or m < below]
     flagged = []
     if todo:

@@ -332,6 +332,11 @@ GOLDEN_AUDITS = {
     "sphere4-counterexample.json":
         "59bb4bc846ada460e2277d9281032cbd9b24365c50a612b09d15ba75c0c62435",
 }
+# sha256 of the depth-6 audit of a (1,3) build (construct --seed 9), whose
+# curves are decided by their words, written while every word was walked in
+# exact integers; the fixed-point word walk must leave every byte in place
+GOLDEN_WORD_AUDIT = \
+    "1c906c466d955214ae8ba595b2202d53030ffe8214763060bf7c2829d6034bf1"
 # the sample's builds conjugate in exact integer products; its bytes were
 # recomputed when the twists joined them
 GOLDEN_SAMPLE_CSV = \
@@ -343,12 +348,21 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _audit_digest(tmp_path, name: str, depth: int) -> str:
+    report = str(tmp_path / "report.json")
+    assert run(["audit", os.path.join(DATA, name), "--depth", str(depth),
+                "--restrictions", "--report", report]) == 0
+    return _sha256(report)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_AUDITS))
 def test_cli_audit_golden_bytes(tmp_path, name):
-    report = str(tmp_path / "report.json")
-    assert run(["audit", os.path.join(DATA, name), "--depth", "7",
-                "--restrictions", "--report", report]) == 0
-    assert _sha256(report) == GOLDEN_AUDITS[name]
+    assert _audit_digest(tmp_path, name, 7) == GOLDEN_AUDITS[name]
+
+
+def test_cli_word_audit_golden_bytes(tmp_path):
+    assert _audit_digest(tmp_path, "torus3-counterexample.json", 6) == \
+        GOLDEN_WORD_AUDIT
 
 
 def test_cli_sample_golden_bytes(tmp_path):

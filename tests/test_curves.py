@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,9 @@ def test_non_automorphism_rejected():
     images["a1"] = parse_word("a1 a1")
     bad = McgAuto("square", images, images)
     assert not validate_auto(bad, S12)
+    # an image in a letter that is not a free generator of the surface
+    images["a1"] = parse_word("a1 c2")
+    assert not validate_auto(McgAuto("implied", images, images), S12)
 
 
 def test_peripheral_shuffling_to_relator_rejected():
@@ -86,6 +90,18 @@ def test_default_autos_validated_everywhere():
         assert autos
         for f in autos:
             assert validate_auto(f, surf)
+
+
+def test_default_autos_pass_the_gate_on_every_call():
+    # nothing is remembered between calls: a default automorphism that
+    # fails the gate is refused each time
+    images = {g: word(g) for g in S12.free_generators()}
+    images["a1"] = parse_word("a1 a1")
+    square = McgAuto("square", images, images)
+    with mock.patch("psltilde.curves._braids", lambda surf: [square]):
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="square"):
+                default_autos(S12)
 
 
 def test_seeds_are_nonperipheral_classes():

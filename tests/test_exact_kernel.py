@@ -1,8 +1,11 @@
 """The audit's exact integer kernel against an independent Fraction
 recomputation: margins, verdicts, traces past the float range, type names,
 and the loader's check of the stored last peripheral; and the Farey trace
-recursion of the four-punctured sphere against the products it replaces."""
+recursion of the four-punctured sphere and the fixed-point word walk
+against the products they replace."""
 import dataclasses
+import functools
+import json
 import math
 import os
 import subprocess
@@ -29,6 +32,7 @@ from psltilde.curves import enumerate_scc, word_slope
 from psltilde.errors import RelatorNotCentral
 from psltilde.exact import (
     CurveList,
+    Curves,
     curve_margins,
     curve_products,
     trace_margin,
@@ -223,40 +227,48 @@ SPHERE4_FAMILIES = ((2, (1, 1, 1, 1)), (-2, (-1, -1, -1, -1)),
                     (1, (1, 1, 1, -1)), (-1, (-1, -1, -1, 1)))
 
 
-def _by_key(curves: CurveList) -> list[int]:
+def _by_key(curves: Curves) -> list[int]:
     return sorted(range(len(curves)), key=curves.slot_key)
 
 
-def _walked(curves: CurveList) -> CurveList:
+def _walked(curves: Curves) -> CurveList:
     """The same words as a caller's list, in slot_key order, which the
-    prefix walk decides."""
-    plain = CurveList(curves.surface, map(curves.slot_word, _by_key(curves)))
-    assert curves.farey is not None and plain.farey is None
-    return plain
+    fixed-point word walk decides."""
+    assert not isinstance(curves, CurveList)
+    return CurveList(curves.surface, map(curves.slot_word, _by_key(curves)))
 
 
-def _margins(rep, curves: CurveList) -> list[float]:
+def _margins(rep, curves: Curves) -> list[float]:
     """Every margin of curve_margins, in slot_key order."""
     margins, _, flagged = curve_margins(rep, curves, -math.inf)
     assert flagged == []
     return [margins[i] for i in _by_key(curves)]
 
 
+def _exact_margins(rep, curves: CurveList) -> list[float]:
+    """trace_margin of every word's integer product, in slot order."""
+    margins = [None] * len(curves)
+    for i, image in curve_products(rep, curves):
+        margins[i] = trace_margin(image)
+    return margins
+
+
 def test_recursion_margins_equal_the_walk():
-    curves = CurveList.enumerated(SPHERE4, 6)
+    curves = Curves.enumerated(SPHERE4, 6)
     plain = _walked(curves)
     assert len(curves) == 610
     for euler, signs in SPHERE4_FAMILIES:
         for seed in range(10):
             rep = build_rep(BuildRequest(0, 4, euler, signs, seed))
-            assert _margins(rep, curves) == _margins(rep, plain), \
-                (euler, signs, seed)
+            assert _margins(rep, curves) == _exact_margins(rep, plain) \
+                == _margins(rep, plain), (euler, signs, seed)
     # depth 7 has the longest Stern-Brocot paths, so the widest intervals
-    curves = CurveList.enumerated(SPHERE4, 7)
+    curves = Curves.enumerated(SPHERE4, 7)
     plain = _walked(curves)
     for euler, signs in SPHERE4_FAMILIES[2:]:
         rep = build_rep(BuildRequest(0, 4, euler, signs, 3))
-        assert _margins(rep, curves) == _margins(rep, plain), (euler, signs)
+        assert _margins(rep, curves) == _exact_margins(rep, plain) \
+            == _margins(rep, plain), (euler, signs)
 
 
 def _mediant_path(a, b):
@@ -335,7 +347,7 @@ def test_bracket_margin_at_parabolic_zero_and_overflow():
     assert exact._bracket_margin(2, 3, 1) is None
 
 
-ENUMERATED = {d: CurveList.enumerated(SPHERE4, d) for d in range(5)}
+ENUMERATED = {d: Curves.enumerated(SPHERE4, d) for d in range(5)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -344,7 +356,9 @@ def test_recursion_is_algebraic(gens, depth):
     # the edge relation holds for any images, type-preserving or not
     rep = Representation(SPHERE4, dict(zip(("c1", "c2", "c3"), gens)))
     curves = ENUMERATED[depth]
-    assert _margins(rep, curves) == _margins(rep, _walked(curves))
+    plain = _walked(curves)
+    assert _margins(rep, curves) == _exact_margins(rep, plain) \
+        == _margins(rep, plain)
 
 
 def _gamma2():
@@ -365,11 +379,12 @@ def test_gamma2_oracle():
     assert report.min_trace_margin == 4.0
     assert report.violations == ()
     assert report.exact_fallbacks == 0
-    walked = audit_rep(rep, 7,
-                       curves=_walked(CurveList.enumerated(SPHERE4, 7)))
-    assert walked.exact_fallbacks is None
-    assert walked == dataclasses.replace(report, words_dropped=None,
-                                         exact_fallbacks=None)
+    plain = _walked(Curves.enumerated(SPHERE4, 7))
+    walked = audit_rep(rep, 7, curves=plain)
+    assert walked.exact_fallbacks == \
+        exact._fixed_margins(rep, plain).count(None)
+    assert walked == dataclasses.replace(
+        report, words_dropped=None, exact_fallbacks=walked.exact_fallbacks)
 
 
 def test_enumerated_audit_forms_only_the_words_it_reports():
@@ -390,7 +405,7 @@ def test_enumerated_audit_forms_only_the_words_it_reports():
     for rep, depth in ((_gamma2(), 7),
                        (build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42)),
                         6)):
-        curves = CurveList.enumerated(SPHERE4, depth)
+        curves = Curves.enumerated(SPHERE4, depth)
         orbit = curves.orbit
         seeds = set(orbit._codes)
         calls.clear()
@@ -418,7 +433,7 @@ def test_enumerated_audit_forms_only_the_words_it_reports():
 def test_undecided_slopes_fall_back_to_the_walk():
     # with no fraction bits the intervals of small-height images are too
     # wide for most slopes, which the exact walk then decides
-    curves = CurveList.enumerated(SPHERE4, 5)
+    curves = Curves.enumerated(SPHERE4, 5)
     plain = _walked(curves)
     with mock.patch.object(exact, "PRECISION", 0):
         for rep in (_gamma2(), build_negative_control()):
@@ -505,32 +520,143 @@ def _flagged_in_one_walk(rep, curves, below):
         return curve_margins(rep, curves, below), walks
 
 
+def _undecided(rep, curves: Curves) -> set[int]:
+    """The slots that curve_margins's fixed-precision pass leaves."""
+    margins = exact._fixed_margins(rep, curves) \
+        if isinstance(curves, CurveList) \
+        else exact._farey_margins(rep, curves.farey, len(curves))
+    return {i for i, m in enumerate(margins) if m is None}
+
+
 def test_curve_margins_flags_exactly_the_slots_below():
     # the flagged slots are those below the bound, each with its image, and
-    # one walk takes them together with the undecided slots: on a caller's
-    # list every slot, on the enumerated one with no fraction bits those
-    # its intervals leave
+    # one walk takes them together with the undecided slots: those the
+    # fixed-point word walk leaves on a caller's list, and those the slope
+    # intervals leave on the enumerated one; with few fraction bits most
+    # slots are undecided, and the margins do not change
     rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
     plain = CurveList(SPHERE4, enumerate_scc(SPHERE4, 4))
     control, enumerated = build_negative_control(), ENUMERATED[4]
-    for r, curves, precision in ((rep, plain, exact.PRECISION),
-                                 (control, plain, exact.PRECISION),
-                                 (rep, enumerated, 0),
-                                 (control, enumerated, 0)):
-        with mock.patch.object(exact, "PRECISION", precision):
-            undecided = set(range(len(curves))) if curves.farey is None \
-                else {i for i, m in enumerate(exact._farey_margins(
-                    r, curves.farey, len(curves))) if m is None}
-            (margins, _, _), _ = _flagged_in_one_walk(r, curves, -math.inf)
-            for below in (1e-6, sorted(margins)[len(margins) // 2], 5.0):
-                (got, fallbacks, flagged), walks = \
-                    _flagged_in_one_walk(r, curves, below)
-                assert got == margins
-                want = [i for i, m in enumerate(margins) if m < below]
-                assert sorted(i for i, _ in flagged) == want
-                todo = undecided | set(want)
-                assert walks == ([len(todo)] if todo else [])
-                assert fallbacks == (None if curves.farey is None
-                                     else len(undecided))
-                for i, image in flagged:
-                    assert image == word_product(r, curves.slot_word(i))
+    counts = []
+    for curves, name, bits in ((plain, "FIXED_PRECISION", 256),
+                               (plain, "FIXED_PRECISION", 80),
+                               (plain, "FIXED_PRECISION", 12),
+                               (enumerated, "PRECISION", 0)):
+        for r in (rep, control):
+            with mock.patch.object(exact, name, bits):
+                undecided = _undecided(r, curves)
+                counts.append(len(undecided))
+                (margins, _, _), _ = _flagged_in_one_walk(r, curves,
+                                                          -math.inf)
+                for below in (1e-6, sorted(margins)[len(margins) // 2], 5.0):
+                    (got, fallbacks, flagged), walks = \
+                        _flagged_in_one_walk(r, curves, below)
+                    assert got == margins
+                    want = [i for i, m in enumerate(margins) if m < below]
+                    assert sorted(i for i, _ in flagged) == want
+                    todo = undecided | set(want)
+                    assert walks == ([len(todo)] if todo else [])
+                    assert fallbacks == len(undecided)
+                    for i, image in flagged:
+                        assert image == word_product(r, curves.slot_word(i))
+            if curves is plain:
+                assert margins == _exact_margins(r, curves)
+    # (rep, control) at 256, 80 and 12 bits for words, at 0 for slopes
+    n = len(plain)
+    assert max(counts[:2]) <= 1 and all(0 < k < n for k in counts[2:4])
+    assert counts[4:6] == [n, n] and counts[7] > n // 2
+
+
+def test_a_slope_list_has_no_words_to_walk():
+    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
+    slopes = ENUMERATED[2]
+    assert not any(hasattr(slopes, name) for name in ("words", "codes",
+                                                      "walk"))
+    with pytest.raises(TypeError, match="sublist"):
+        curve_products(rep, slopes)  # refused before any iteration
+    walked = [image for _, image in
+              curve_products(rep, slopes.sublist(range(len(slopes))))]
+    assert len(walked) == len(slopes)
+
+
+# -- the fixed-point word walk ------------------------------------------------
+
+WORD_SURFACES = {  # a build of each surface, made on first use
+    (1, 2): BuildRequest(1, 2, 1, (1, -1), 5),
+    (1, 3): BuildRequest(1, 3, 2, (1, 1, -1), 3),
+    (0, 5): BuildRequest(0, 5, 2, (1, 1, 1, 1, -1), 4),
+    (2, 1): BuildRequest(2, 1, 3, (1,), 3),
+}
+
+
+@functools.cache
+def _built(surface):
+    return build_rep(WORD_SURFACES[surface])
+
+
+@st.composite
+def _surface_words(draw):
+    """A build and random reduced words over its free generators and the
+    implied last peripheral, with powers, so that some images are large,
+    and conjugates u w u^-1 of some, whose images are much larger than
+    their traces."""
+    rep = _built(draw(st.sampled_from(sorted(WORD_SURFACES))))
+    surf = rep.surface
+    gens = surf.free_generators() + (surf.c(surf.punctures),)
+    token = st.tuples(st.sampled_from(gens),
+                      st.sampled_from((1, 2, 5, -1, -2, -5)))
+    piece = st.lists(token, min_size=1, max_size=12).map(CurveWord)
+    conjugate = st.tuples(piece, piece).map(lambda uw: uw[0] * uw[1]
+                                            * uw[0].inv())
+    ws = draw(st.lists(piece | conjugate, min_size=1, max_size=6))
+    return rep, [w for w in ws if w]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_surface_words(), st.sampled_from((64, 96, 128, 160, 256)))
+def test_fixed_margins_are_exact_or_undecided(rep_words, bits):
+    # with fewer fraction bits the roundings are larger against the
+    # margins, so that a bound too small would decide a wrong margin
+    rep, ws = rep_words
+    with mock.patch.object(exact, "FIXED_PRECISION", bits):
+        margins = exact._fixed_margins(rep, CurveList(rep.surface, ws))
+    for w, m in zip(ws, margins):
+        assert m is None or m == trace_margin(word_product(rep, w)), \
+            format_word(w)
+
+
+def test_fixed_margins_on_the_stored_audit_inputs():
+    # the enumerated words of the (1,3) fixture at depth 6, and of the
+    # (0,4) fixtures at depth 5 as a caller's words: every decided margin
+    # is the exact walk's, and few are left
+    for name, depth in (("torus3-counterexample.json", 6),
+                        ("sphere4-counterexample.json", 5),
+                        ("sphere4-fuchsian.json", 5)):
+        with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
+            rep = jsonio.representation_from_json(json.load(fh))
+        curves = CurveList(rep.surface, enumerate_scc(rep.surface, depth))
+        margins = exact._fixed_margins(rep, curves)
+        want = _exact_margins(rep, curves)
+        assert all(m is None or m == x for m, x in zip(margins, want)), name
+        assert margins.count(None) <= len(curves) // 100, name
+
+
+def test_an_excursion_is_decided_by_its_true_suffixes():
+    # a1^n b1 a1^-n: its trace is that of b1, while its prefixes grow like
+    # |tr a1|^n and the product of its letters' norms like 63.5^(2n + 1).
+    # An error bound by products of block norms needs more than 256 more
+    # bits at n = 30; the bound by true prefixes and suffixes decides it,
+    # and a longer excursion falls back to the exact walk
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "torus3-counterexample.json")) as fh:
+        rep = jsonio.representation_from_json(json.load(fh))
+    norm = math.hypot(*rep.image("a1").rep.entries())
+    for n, decided in ((30, True), (80, False)):
+        w = word(*[("a1", 1)] * n, "b1", *[("a1", -1)] * n)
+        assert (2 * n + 1) * math.log2(norm) > exact.FIXED_PRECISION + 100
+        want = trace_margin(word_product(rep, w))
+        curves = CurveList(rep.surface, [w])
+        (got,) = exact._fixed_margins(rep, curves)
+        assert got == want if decided else got is None
+        assert curve_margins(rep, curves, 0.0) == ([want], int(not decided),
+                                                    [])
