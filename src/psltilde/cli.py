@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import jsonio
-from .audit import audit_rep, check_restrictions
+from .audit import DEFAULT_MARGIN, audit_rep, check_restrictions
 from .constructors import BuildRequest, build_rep, sample
 from .cover import cover_classify
 from .errors import PslTildeError
@@ -92,10 +92,7 @@ def _cmd_audit(args) -> int:
             }
         except PslTildeError as exc:
             payload["restrictions"] = {"error": str(exc)}
-    if args.report:
-        jsonio.atomic_write(args.report, jsonio.dumps(payload))
-    else:
-        sys.stdout.write(jsonio.dumps(payload))
+    _write_json(args.report, payload)
     return 1 if report.violations else 0
 
 
@@ -151,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "simple closed curves")
     c.add_argument("input")
     c.add_argument("--depth", type=int, default=4)
-    c.add_argument("--margin", type=float, default=1e-6)
+    c.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     c.add_argument("--report", default=None)
     c.add_argument("--restrictions", action="store_true",
                    help="also certify the pants/complement restriction "
@@ -166,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--count", type=int, default=10)
     c.add_argument("--depth", type=int, default=4)
-    c.add_argument("--margin", type=float, default=1e-6)
+    c.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     c.add_argument("--csv", default=None)
     c.add_argument("-o", "--output", default=None)
     c.set_defaults(fn=_cmd_sample)

@@ -3,11 +3,13 @@ components, extremal builders with a prescribed boundary, full (euler, sign)
 builders for the supported component families, twist deformations, and seeded
 sampling.
 
-All constructors self-verify in the cover before returning. The builders
-(build_rep, build_boundary_extremal) retry every numerical failure with
-fresh draws, a failed self-verification included, and raise SolveFailed
-after MAX_ATTEMPTS; the solvers raise SelfVerificationError when their own
-check fails.
+All constructors self-verify in the cover before returning. A builder
+(build_rep, build_boundary_extremal) verifies each finished attempt once, in
+its one relator walk; its gluing twists go unchecked, while twist_deform
+asserts on every call. The builders retry every numerical failure with fresh
+draws, a failed self-verification included, and raise SolveFailed after
+MAX_ATTEMPTS; the solvers raise SelfVerificationError when their own check
+fails.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
+from .audit import DEFAULT_MARGIN, _check_depth_and_margin, audit_rep
 from .cover import (
     Center,
     CoverClass,
@@ -51,6 +54,7 @@ from .errors import (
     TargetOutsideImage,
     UnreachableTarget,
 )
+from .exact import Curves
 from .mobius import (
     Matrix2,
     ProjectiveMatrix,
@@ -68,9 +72,9 @@ from .surface import (
     Representation,
     SignVector,
     SurfacePresentation,
-    _checked_twist,
     _one_parameter_power,
     _power_frame,
+    _twist,
     eval_word,
     invariants,
     mw_bounds,
@@ -88,6 +92,18 @@ BISECT_TOL = 1e-12
 MAX_ATTEMPTS = 10
 RETRIED = (SolveFailed, NonUnitDeterminant, NotConjugate, NotHP,
            SelfVerificationError)
+
+
+def _retried(attempt, what: str) -> Representation:
+    """attempt() until it returns, retrying RETRIED failures; after
+    MAX_ATTEMPTS, SolveFailed naming what failed and the last error."""
+    last_err: Exception | None = None
+    for _ in range(MAX_ATTEMPTS):
+        try:
+            return attempt()
+        except RETRIED as e:
+            last_err = e
+    raise SolveFailed(f"{what} failed repeatedly: {last_err}")
 
 
 class FactorKind(Enum):
@@ -589,16 +605,14 @@ def build_boundary_extremal(genus: int, punctures: int,
         raise SolveFailed("extremal boundary must be hyperbolic")
     surf = SurfacePresentation(genus, punctures)
     local = rng if rng is not None else random.Random(7 ** 9)
-    last_err: Exception | None = None
-    for _ in range(MAX_ATTEMPTS):
-        try:
-            rep = _rebalance_along_boundary(
-                _extremal_recursive(surf, boundary, local), boundary)
-            _check_extremal(rep, boundary)
-            return rep
-        except RETRIED as e:
-            last_err = e
-    raise SolveFailed(f"extremal assembly failed repeatedly: {last_err}")
+
+    def attempt() -> Representation:
+        rep = _rebalance_along_boundary(
+            _extremal_recursive(surf, boundary, local), boundary)
+        _check_extremal(rep, boundary)
+        return rep
+
+    return _retried(attempt, "extremal assembly")
 
 
 def _diagonal_model(boundary: ProjectiveMatrix
@@ -796,11 +810,12 @@ def build_rep(req: BuildRequest) -> Representation:
     euler = -chi - 1 with exactly one negative puncture (and the mirror at
     chi + 1 with exactly one positive puncture). A mirrored family is built
     as pgl_flip of its positive family's untwisted build, with the same seed
-    and the same twists, so it fails exactly when that build fails. Output
-    is verified (euler, signs, Milnor-Wood) before return; free parameters
-    and gluing twists are drawn from the seeded generator. An attempt that
-    fails numerically (RETRIED) is followed by a fresh one, and after
-    MAX_ATTEMPTS the request raises SolveFailed.
+    and the same twists, so it fails exactly when that build fails. The
+    finished build is verified once against the requested euler and signs,
+    which puts it inside Milnor-Wood; free parameters and gluing twists are
+    drawn from the seeded generator. An attempt that fails numerically
+    (RETRIED) is followed by a fresh one, and after MAX_ATTEMPTS the request
+    raises SolveFailed.
     """
     _check_feasible(req)
     sv = req.sign_vector()
@@ -809,13 +824,8 @@ def build_rep(req: BuildRequest) -> Representation:
     surf = req.surface()
     chi = surf.chi
     rng = random.Random(derive_seed(req.seed, 0))
-    last_err: Exception | None = None
-    for _ in range(MAX_ATTEMPTS):
-        try:
-            return _build_rep_once(req, sv, surf, chi, rng)
-        except RETRIED as e:
-            last_err = e
-    raise SolveFailed(f"component build failed repeatedly: {last_err}")
+    return _retried(lambda: _build_rep_once(req, sv, surf, chi, rng),
+                    "component build")
 
 
 def _build_rep_once(req: BuildRequest, sv: SignVector,
@@ -842,9 +852,11 @@ def _build_rep_once(req: BuildRequest, sv: SignVector,
             "supported families")
     if flip:
         rep = pgl_flip(rep)
+    # twists fix e and the signs, so only the finished build is checked; a
+    # request that passed _check_feasible and matches lies in [chi, -chi]
     for split in standard_splits(surf):
         try:
-            rep = _checked_twist(rep, split, rng.uniform(-0.4, 0.4))
+            rep = _twist(rep, split, rng.uniform(-0.4, 0.4))
         except (BoundaryElliptic, NotHyperbolic, NonUnitDeterminant):
             continue  # non-hyperbolic splitting image: no twist along it
     got_e, got_s = invariants(rep)
@@ -852,8 +864,6 @@ def _build_rep_once(req: BuildRequest, sv: SignVector,
         raise SelfVerificationError(
             f"built (e, s) = ({got_e}, {got_s.entries}), requested "
             f"({req.euler}, {sv.entries})")
-    if not (chi <= got_e <= -chi):
-        raise SelfVerificationError("Milnor-Wood violated by a built representation")
     return rep
 
 
@@ -884,13 +894,10 @@ def build_negative_control() -> Representation:
 
 
 def sample(req: BuildRequest, count: int, depth: int = 4,
-           margin: float = 1e-6):
+           margin: float = DEFAULT_MARGIN):
     """count independent builds with counter-derived seeds, each audited on
     the enumerated curves at the given depth; returns (reps, reports,
     summary), with reports[i] the AuditReport of reps[i]."""
-    from .audit import _check_depth_and_margin, audit_rep
-    from .exact import Curves
-
     if count < 0:
         raise ValueError(f"count {count} must be non-negative")
     _check_depth_and_margin(depth, margin)

@@ -173,8 +173,6 @@ def _prefix_twists(surf: SurfacePresentation) -> list[McgAuto]:
         if split.kind != "prefix":
             continue
         curve = surf.gamma_word(split.j, split.k)
-        if classify_curve(curve, surf).kind != "separating":
-            continue
         prefix_gens = set(_split_side_a_generators(surf, split))
         fwd = {}
         bwd = {}

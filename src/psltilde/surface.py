@@ -499,9 +499,12 @@ def _twist(rep: Representation, split: SplittingSpec, t: float
                        set(_split_side_a_generators(surf, split)))
 
 
-def _checked_twist(rep: Representation, split: SplittingSpec, t: float
-                   ) -> Representation:
-    """_twist, with the output's invariants asserted equal to the input's."""
+def twist_deform(rep: Representation, curve, t: float) -> Representation:
+    """Conjugate one side of a standard splitting by the time-t element of
+    the one-parameter subgroup through the curve's image. Peripheral types,
+    Euler class and sign vector are asserted unchanged."""
+    split = curve if isinstance(curve, SplittingSpec) else \
+        find_standard_split(rep.surface, curve)
     out = _twist(rep, split, t)
     if out is not rep:
         before, after = invariants(rep), invariants(out)
@@ -509,12 +512,3 @@ def _checked_twist(rep: Representation, split: SplittingSpec, t: float
             raise SelfVerificationError(
                 f"twist changed invariants: {before} -> {after}")
     return out
-
-
-def twist_deform(rep: Representation, curve, t: float) -> Representation:
-    """Conjugate one side of a standard splitting by the time-t element of
-    the one-parameter subgroup through the curve's image. Peripheral types,
-    Euler class and sign vector are asserted unchanged."""
-    split = curve if isinstance(curve, SplittingSpec) else \
-        find_standard_split(rep.surface, curve)
-    return _checked_twist(rep, split, t)

@@ -37,17 +37,29 @@ def test_audit_requires_type_preserving():
 
 
 def test_build_and_audit_walk_each_relator_once(monkeypatch):
-    from psltilde import surface
+    from psltilde import constructors, surface
 
     walked, walk = [], surface._invariants
     monkeypatch.setattr(surface, "_invariants",
                         lambda rep, shifts: walked.append(rep) or
                         walk(rep, shifts))
-    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
-    audit_rep(rep, 1)
-    # the builder's twist checks and the audit share each object's one walk
-    assert any(r is rep for r in walked)
-    assert len({id(r) for r in walked}) == len(walked)
+    attempts, once = [], constructors._build_rep_once
+    monkeypatch.setattr(constructors, "_build_rep_once",
+                        lambda *args: attempts.append(1) or once(*args))
+    # (1,4) extremal seed 2 builds at its third attempt
+    for req in (BuildRequest(0, 4, 1, (1, 1, 1, -1), 42),
+                BuildRequest(1, 4, 4, (1, 1, 1, 1), 2)):
+        walked.clear()
+        attempts.clear()
+        rep = build_rep(req)
+        # each attempt walks its relator once, in the final request check;
+        # the twists inside an attempt walk nothing
+        assert len(walked) == len(attempts)
+        assert walked[-1] is rep
+        # the audit shares the returned object's one walk
+        audit_rep(rep, 1)
+        assert len(walked) == len(attempts)
+    assert len(attempts) == 3
 
 
 def test_audit_counterexample_zero_violations():

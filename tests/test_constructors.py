@@ -332,13 +332,21 @@ def test_build_rep_deterministic():
 
 
 def test_build_rep_rejects_twist_that_changes_invariants(monkeypatch):
-    from psltilde import surface
+    from psltilde import constructors
 
-    twist = surface._twist
-    monkeypatch.setattr(surface, "_twist",
-                        lambda rep, split, t: pgl_flip(twist(rep, split, t)))
-    # every attempt fails its check, and the retries end in SolveFailed
-    with pytest.raises(SolveFailed, match="twist changed invariants"):
+    twist = constructors._twist
+
+    def flipping_twist(rep, split, t):
+        # flip at the one prefix split of (0,4), so the flips do not cancel
+        out = twist(rep, split, t)
+        return pgl_flip(out) if split.kind == "prefix" else out
+
+    monkeypatch.setattr(constructors, "_twist", flipping_twist)
+    # the twists go unchecked, the final request check fails every attempt,
+    # and the retries end in SolveFailed
+    with pytest.raises(SolveFailed, match=r"^component build failed "
+                       r"repeatedly: built \(e, s\) = \(-1, \(-1, -1, -1, 1\)\), "
+                       r"requested \(1, \(1, 1, 1, -1\)\)$"):
         build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
 
 
@@ -531,6 +539,6 @@ def test_build_golden_digest():
     # a failing request fails with the same message, digits included
     with pytest.raises(SolveFailed) as err:
         build_rep(BuildRequest(1, 5, 5, (1, 1, 1, 1, 1), 1))
-    assert str(err.value) == ("component build failed repeatedly: peripheral "
-                              "image 5 is Elliptic; need hyperbolic or "
-                              "parabolic")
+    assert str(err.value) == ("component build failed repeatedly: built "
+                              "(e, s) = (5, (1, 1, 1, 1, 0)), requested "
+                              "(5, (1, 1, 1, 1, 1))")

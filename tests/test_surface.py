@@ -20,7 +20,13 @@ from psltilde.cover import (
     cover_commutator,
     cover_conj,
 )
-from psltilde.errors import BoundaryElliptic, NotHP, UnknownGenerator, UnsupportedCurve
+from psltilde.errors import (
+    BoundaryElliptic,
+    NotHP,
+    SelfVerificationError,
+    UnknownGenerator,
+    UnsupportedCurve,
+)
 from psltilde.mobius import (
     Matrix2,
     PslType,
@@ -356,6 +362,20 @@ def test_twist_preserves_invariants():
         for i in range(1, 5):
             assert classify_psl(out.peripheral_image(i)) \
                 is classify_psl(rep.peripheral_image(i))
+
+
+def test_twist_deform_rejects_a_twist_that_changes_invariants(monkeypatch):
+    from psltilde import surface
+
+    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
+    twist = surface._twist
+    monkeypatch.setattr(surface, "_twist",
+                        lambda r, split, t: pgl_flip(twist(r, split, t)))
+    # builds twist unchecked; the public twist still asserts on every call
+    with pytest.raises(SelfVerificationError, match=(
+            r"^twist changed invariants: \(1, SignVector\(entries=\(1, 1, 1, "
+            r"-1\)\)\) -> \(-1, SignVector\(entries=\(-1, -1, -1, 1\)\)\)$")):
+        twist_deform(rep, SplittingSpec.pants_pair(1), 0.3)
 
 
 def test_twist_by_curve_word():
