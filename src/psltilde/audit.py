@@ -115,7 +115,7 @@ def audit_rep(rep: Representation, depth: int,
         min_trace_margin=None if worst is None else margins[worst],
         violations=tuple(
             Violation(format_word(curves.slot_word(i)),
-                      psl_type(image, margins[i]).value, abs_trace(image))
+                      psl_type(image).value, abs_trace(image))
             for i, image in flagged),
         min_margin_curve=None if worst is None
         else format_word(curves.slot_word(worst)),

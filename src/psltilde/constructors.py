@@ -59,7 +59,6 @@ from .mobius import (
     Matrix2,
     ProjectiveMatrix,
     PslType,
-    _unit_scale,
     classify_psl,
     conjugator,
     normalize,
@@ -73,6 +72,7 @@ from .surface import (
     SignVector,
     SurfacePresentation,
     _one_parameter_power,
+    _power_entries,
     _power_frame,
     _twist,
     eval_word,
@@ -92,6 +92,10 @@ BISECT_TOL = 1e-12
 MAX_ATTEMPTS = 10
 RETRIED = (SolveFailed, NonUnitDeterminant, NotConjugate, NotHP,
            SelfVerificationError)
+
+# the seed of the generator a solver or an extremal build draws from when
+# called without one
+DEFAULT_SEED = 7 ** 9
 
 
 def _retried(attempt, what: str) -> Representation:
@@ -207,18 +211,6 @@ _REBALANCE_GRID = [(k - 12) * 0.25 for k in range(25)]
 _DIAG_GRID = [math.exp((k - 12) * 0.25) for k in range(25)]
 
 
-def _power_entries(lam: float, f: Matrix2, fi: Matrix2, t: float) -> tuple:
-    """_one_parameter_power(m, t).rep up to sign, from _power_frame(m), in its
-    float operations less diag's zero products and the sign (neither moves
-    h m h^-1). Raises NonUnitDeterminant alike, into build_rep's retries."""
-    da, dd = lam ** t, lam ** (-t)
-    pa, pb, pc, pd = f.a * da, f.b * dd, f.c * da, f.d * dd
-    a, b = pa * fi.a + pb * fi.c, pa * fi.b + pb * fi.d
-    c, d = pc * fi.a + pd * fi.c, pc * fi.b + pd * fi.d
-    k = _unit_scale(a, b, c, d)  # x * 1.0 == x: no rescale is exact
-    return a * k, b * k, c * k, d * k
-
-
 def _conj_probe(h: tuple[float, float, float, float], mats) -> float:
     """The searches' conditioning score: max |entry| of (h @ m) @ h.inv()
     over mats (entry 4-tuples), in the same float operations, bit for bit."""
@@ -256,7 +248,7 @@ def _centralizer_search(m: ProjectiveMatrix, mats, grid, steps) -> float:
 
 def _balance_on_centralizer(x: CoverElement, y: CoverElement,
                             target: CoverElement,
-                            rng: random.Random | None
+                            rng: random.Random
                             ) -> tuple[CoverElement, CoverElement]:
     """Slide the pair along the target's centralizer (the twist freedom) to
     the best-conditioned position; a small random offset keeps the solution
@@ -268,8 +260,7 @@ def _balance_on_centralizer(x: CoverElement, y: CoverElement,
         return x, y  # eigenframe too ill-conditioned to help
     best_t = _centralizer_search(target.base, (x.base.rep, y.base.rep),
                                  _BALANCE_GRID, (0.1, 0.03, 0.01))
-    if rng is not None:
-        best_t += rng.uniform(-0.3, 0.3)
+    best_t += rng.uniform(-0.3, 0.3)
     if abs(best_t) < 1e-12:
         return x, y
     try:
@@ -280,7 +271,7 @@ def _balance_on_centralizer(x: CoverElement, y: CoverElement,
 
 
 def _transport_pair(x: CoverElement, y: CoverElement, target: CoverElement,
-                    rng: random.Random | None) -> tuple[CoverElement, CoverElement]:
+                    rng: random.Random) -> tuple[CoverElement, CoverElement]:
     """Conjugate a solved pair so its product becomes the exact target, then
     rebalance along the centralizer for conditioning (plus seeded twist)."""
     prod = cover_mul(x, y)
@@ -334,12 +325,12 @@ def _par_par_pair(s1: int, s2: int, tau: float) -> tuple[CoverElement, CoverElem
     return x, y
 
 
-def _hyp_par_pair(sign: int, tau: float, rng: random.Random | None
+def _hyp_par_pair(sign: int, tau: float, rng: random.Random
                   ) -> tuple[CoverElement, CoverElement]:
     """Hyp0 x Par0^sign pair with product SL trace tau (closed form)."""
     # keep the hyperbolic factor away from the parabolic boundary: its base
     # becomes a gluing boundary downstream and conditions later conjugations
-    m = rng.uniform(1.7, 3.0) if rng is not None else 2.0
+    m = rng.uniform(1.7, 3.0)
     if sign > 0:
         u = m + 1.0 / m - tau
         a = normalize(Matrix2(m, 0.0, -u, 1.0 / m))
@@ -362,9 +353,9 @@ def _par_ell_pair(sign: int, tau: float) -> tuple[CoverElement, CoverElement]:
     return special_lift(par), ell
 
 
-def _hyp_ell_pair(tau: float, rng: random.Random | None
+def _hyp_ell_pair(tau: float, rng: random.Random
                   ) -> tuple[CoverElement, CoverElement]:
-    m = rng.uniform(1.4, 3.0) if rng is not None else 2.0
+    m = rng.uniform(1.4, 3.0)
     th = math.acos(tau / (m + 1.0 / m))
     hyp = special_lift(normalize(Matrix2(m, 0.0, 0.0, 1.0 / m)))
     ell = lift_in_class(normalize(rotation(th)), Ell(1))
@@ -388,7 +379,7 @@ def _ell_ell_pair(target_n: int, tau: float) -> tuple[CoverElement, CoverElement
 
 
 def _hyp_hyp_pair(tcls: CoverClass, target: CoverElement,
-                  rng: random.Random | None
+                  rng: random.Random
                   ) -> tuple[CoverElement, CoverElement]:
     """Hyp0 x Hyp0 pair whose product lies in the target's component with the
     target's SL trace. One-parameter trace shooting: with A = diag(m, 1/m)
@@ -403,7 +394,7 @@ def _hyp_hyp_pair(tcls: CoverClass, target: CoverElement,
         for tb in (3.0, 2.4, 5.0, 7.5):
             for eps in (1.0, -1.0):
                 variants.append((m, tb, eps))
-    jitter = rng.uniform(0.0, 0.15) if rng is not None else 0.0
+    jitter = rng.uniform(0.0, 0.15)
     for m, tb, eps in variants:
         m = m + jitter
         w = (tau - tb / m) / (m - 1.0 / m)
@@ -429,7 +420,7 @@ _NORMAL_ORDER = (FactorKind.HYP0, FactorKind.PAR_PLUS0, FactorKind.PAR_MINUS0,
 
 
 def _normal_form_pair(k1: FactorKind, k2: FactorKind, target: CoverElement,
-                      tcls: CoverClass, rng: random.Random | None
+                      tcls: CoverClass, rng: random.Random
                       ) -> tuple[CoverElement, CoverElement]:
     """Closed-form pair of the kinds {k1, k2}, in _NORMAL_ORDER, whose
     product is conjugate to the target."""
@@ -452,7 +443,7 @@ def _normal_form_pair(k1: FactorKind, k2: FactorKind, target: CoverElement,
 
 
 def _solve_pair(k1: FactorKind, k2: FactorKind, target: CoverElement,
-                tcls: CoverClass, rng: random.Random | None
+                tcls: CoverClass, rng: random.Random
                 ) -> tuple[CoverElement, CoverElement]:
     """Verified (x, y) of kinds (k1, k2) with x*y = target: the normal-form
     pair transported onto the target, swapped when the requested order is
@@ -470,12 +461,14 @@ def solve_product(k1: FactorKind, k2: FactorKind, target: CoverElement,
                   ) -> tuple[CoverElement, CoverElement]:
     """Pair (x, y) with the requested component kinds and x*y = target
     exactly (base within 1e-8, deck index exact). UnreachableTarget when the
-    target's component is off the product-image tables."""
+    target's component is off the product-image tables. Without rng the
+    free parameters come from random.Random(DEFAULT_SEED)."""
     tcls = cover_classify(target)
     if tcls not in _reachable_classes(k1, k2):
         raise UnreachableTarget(
             f"{tcls} not reachable from ({k1.value}, {k2.value})")
-    return _solve_pair(k1, k2, target, tcls, rng)
+    return _solve_pair(k1, k2, target, tcls,
+                       rng or random.Random(DEFAULT_SEED))
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -531,13 +524,15 @@ def fricke_commutator_trace(x: float, y: float, z: float) -> float:
 def solve_commutator(target: CoverElement, rng: random.Random | None = None
                      ) -> tuple[CoverElement, CoverElement]:
     """Pair (x, y) with [x, y] = target exactly. TargetOutsideImage for
-    components outside the commutator image."""
+    components outside the commutator image. Without rng the free
+    parameters come from random.Random(DEFAULT_SEED)."""
     tcls = cover_classify(target)
     if tcls not in COMMUTATOR_IMAGE:
         raise TargetOutsideImage(f"{tcls} is outside the commutator image")
     if tcls == Center(0):
         ident = identity_cover()
         return ident, ident
+    rng = rng or random.Random(DEFAULT_SEED)
     kappa = sl_trace(target)
     if tcls in (Hyp(1), Hyp(-1)):
         # equal-trace slice: t^3 - 3 t^2 + (2 + kappa) = 0 has a unique root
@@ -549,7 +544,7 @@ def solve_commutator(target: CoverElement, rng: random.Random | None = None
         t = _bisect(poly, 3.0, hi)
         a, b = _triple_pair(t, t, t)
     elif tcls in (ParPlus(0), ParMinus(0)):
-        m = rng.uniform(1.5, 2.5) if rng is not None else 2.0
+        m = rng.uniform(1.5, 2.5)
         w = -1.0 if tcls == ParPlus(0) else 1.0
         a, b = Matrix2(1.0, w, 0.0, 1.0), Matrix2(m, 0.0, 0.0, 1.0 / m)
     else:
@@ -600,15 +595,16 @@ def build_boundary_extremal(genus: int, punctures: int,
     to a positive parabolic. Recursive pants peeling; every level solves a
     product or commutator with a prescribed component, runs against a
     diagonal model of its boundary, and rebalances before conjugating into
-    place so conditioning does not chain through the peel depth."""
+    place so conditioning does not chain through the peel depth. Without
+    rng the draws come from random.Random(DEFAULT_SEED)."""
     if classify_psl(boundary) is not PslType.HYPERBOLIC:
         raise SolveFailed("extremal boundary must be hyperbolic")
     surf = SurfacePresentation(genus, punctures)
-    local = rng if rng is not None else random.Random(7 ** 9)
+    rng = rng or random.Random(DEFAULT_SEED)
 
     def attempt() -> Representation:
         rep = _rebalance_along_boundary(
-            _extremal_recursive(surf, boundary, local), boundary)
+            _extremal_recursive(surf, boundary, rng), boundary)
         _check_extremal(rep, boundary)
         return rep
 
@@ -654,14 +650,14 @@ def _rebalance_diag(rep: Representation) -> Representation:
 
 def _extremal_recursive(surf: SurfacePresentation,
                         boundary: ProjectiveMatrix,
-                        rng: random.Random | None) -> Representation:
+                        rng: random.Random) -> Representation:
     model, gmove = _diagonal_model(boundary)
     rep = _rebalance_diag(_extremal_core(surf, model, rng))
     return rep.conjugate(gmove)
 
 
 def _glue_handles(surf: SurfacePresentation, x: ProjectiveMatrix,
-                  y: ProjectiveMatrix, rng: random.Random | None
+                  y: ProjectiveMatrix, rng: random.Random
                   ) -> Representation:
     """One-punctured genus-g representation from a pants with boundaries
     x^-1, y^-1: an extremal one-holed torus bounded by x^-1 carries the first
@@ -678,7 +674,7 @@ def _glue_handles(surf: SurfacePresentation, x: ProjectiveMatrix,
 
 def _extremal_core(surf: SurfacePresentation,
                    boundary: ProjectiveMatrix,
-                   rng: random.Random | None) -> Representation:
+                   rng: random.Random) -> Representation:
     g, p = surf.genus, surf.punctures
     target = lift_in_class(boundary.inv(), Hyp(1))
     if (g, p) == (1, 1):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .surface import (
     SurfacePresentation,
     _expand_last,
-    _split_side_a_generators,
     standard_splits,
 )
 from .words import (
@@ -173,7 +172,7 @@ def _prefix_twists(surf: SurfacePresentation) -> list[McgAuto]:
         if split.kind != "prefix":
             continue
         curve = surf.gamma_word(split.j, split.k)
-        prefix_gens = set(_split_side_a_generators(surf, split))
+        prefix_gens = set(split.side_a_generators(surf))
         fwd = {}
         bwd = {}
         for g in surf.free_generators():

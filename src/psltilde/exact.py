@@ -13,22 +13,18 @@ pass leaves undecided are multiplied out.
 """
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 from .curves import SPHERE4, SlopeOrbit, enumerate_scc
 from .mobius import (
     PAR_BAND,
     IntMatrix,
-    Matrix2,
     PslType,
     _adjugate,
     _mul,
     _sqrt_ratio,
     _trace_det,
-    classify_psl,
-    normalize_unit,
-    unit_entries,
+    _unit_rep,
 )
 from .surface import Representation, SurfacePresentation
 from .words import Alphabet, CurveWord
@@ -274,30 +270,35 @@ def abs_trace(x: IntMatrix) -> float:
     return _sqrt_ratio(t * t, det)
 
 
-def psl_type(x: IntMatrix, margin: float) -> PslType:
-    """classify_psl of the canonical unit-determinant float representative,
-    so the type names and the parabolic band are classify_psl's. margin is
-    trace_margin(x). When an entry of the representative is past the float
-    range, the bands apply to margin and the parabolic sign is read from
-    the integers, by classify_psl's rule."""
-    unit = unit_entries(x)
-    if all(map(math.isfinite, unit)):
-        return classify_psl(normalize_unit(Matrix2(*unit)))
-    if margin > PAR_BAND:
+# PAR_BAND as an exact ratio, for the bands on tr^2/det in integers
+_BAND_NUM, _BAND_DEN = PAR_BAND.as_integer_ratio()
+
+
+def psl_type(x: IntMatrix) -> PslType:
+    """classify_psl's rule decided exactly: its identity test on the
+    canonical unit-determinant representative, its bands applied to the
+    exact tr^2/det against (2 +- PAR_BAND)^2, and the parabolic sign read
+    from the integers."""
+    if _unit_rep(x).is_identity():
+        return PslType.IDENTITY
+    t, det = _trace_det(x)
+    # tr^2/det against (2 +- num/den)^2, both sides times den^2 det > 0
+    scaled = t * t * _BAND_DEN ** 2
+    if scaled > (2 * _BAND_DEN + _BAND_NUM) ** 2 * det:
         return PslType.HYPERBOLIC
-    if margin < -PAR_BAND:
+    if scaled < (2 * _BAND_DEN - _BAND_NUM) ** 2 * det:
         return PslType.ELLIPTIC
-    _, b, c, _ = x if x[0] + x[3] > 0 else tuple(-v for v in x)
+    _, b, c, _ = x if t > 0 else tuple(-v for v in x)
     plus = b > 0 if b else c <= 0
     return PslType.PARABOLIC_PLUS if plus else PslType.PARABOLIC_MINUS
 
 
 # -- the four-punctured sphere by the Farey trace recursion -------------------
 #
-# The orbifold homomorphism c_i -> (v -> 2 p_i - v) sends a simple closed
-# curve to a translation by +-2 (a, b) with gcd(a, b) = 1, its slope, and the
-# slope decides the curve (psltilde.curves, SlopeOrbit). With x(v) the trace
-# of the unit-determinant image of slope v, sign kept, Farey neighbours v, w
+# A simple closed curve is decided by its slope, read off its image under
+# the orbifold homomorphism derived in the comment above
+# psltilde.curves.SPHERE4 (word_slope, SlopeOrbit). With x(v) the trace of
+# the unit-determinant image of slope v, sign kept, Farey neighbours v, w
 # satisfy the edge relation x(v + w) + x(v - w) + x(v) x(w) = K_c, with
 # c = v + w mod 2 and K_(1,0) = ab + cd, K_(0,1) = bc + ad, K_(1,1) = ac + bd for the traces
 # a..d of c1..c4 (Goldman, "Trace coordinates on Fricke spaces of some simple

@@ -29,8 +29,18 @@ from .errors import (
     UnknownGenerator,
     UnsupportedCurve,
 )
-from .mobius import Matrix2, ProjectiveMatrix, PslType, classify_psl, normalize
-from .words import CurveWord, EMPTY_WORD, word
+from .mobius import (
+    Matrix2,
+    ProjectiveMatrix,
+    PslType,
+    _eigenvalues,
+    _hyperbolic_frame,
+    _positive_trace_rep,
+    _unit_scale,
+    classify_psl,
+    normalize_unit,
+)
+from .words import CurveWord, EMPTY_WORD, canonical_form, substitute, word
 
 
 @dataclass(frozen=True)
@@ -187,18 +197,15 @@ class SignVector:
 
 def _relator_factors(rep: Representation, indices: list[int],
                      shifts: dict[str, int]) -> list[tuple[CoverElement, int]]:
-    """exact_product factors of W = [a1,b1]..[ag,bg] c1..c_{p-1}: handle
-    generators at index shifts.get(gen, 0), and c_i at index indices[i-1]
-    over its stored image, the factor eval_word multiplies."""
+    """exact_product factors of the letters of W = gamma_word(g, p-1):
+    handle generators at index shifts.get(gen, 0), and c_i at index
+    indices[i-1] over its stored image, the factor eval_word multiplies."""
     surf = rep.surface
-    factors = []
-    for j in range(1, surf.genus + 1):
-        a, b = (CoverElement(rep.image(gen), shifts.get(gen, 0))
-                for gen in (surf.a(j), surf.b(j)))
-        factors += [(a, 1), (b, 1), (a, -1), (b, -1)]
-    for i, k in enumerate(indices, start=1):
-        factors.append((CoverElement(rep.image(surf.c(i)), k), 1))
-    return factors
+    index = dict(shifts)
+    index.update((surf.c(i), k) for i, k in enumerate(indices, start=1))
+    w = surf.gamma_word(surf.genus, surf.punctures - 1)
+    return [(CoverElement(rep.image(gen), index.get(gen, 0)), exp)
+            for gen, exp in w.letters]
 
 
 def _eval_lift(m: ProjectiveMatrix) -> CoverElement:
@@ -329,8 +336,16 @@ class SplittingSpec:
     def curve_word(self, surf: SurfacePresentation) -> CurveWord:
         if self.kind == "prefix":
             return surf.gamma_word(self.j, self.k)
-        w = surf.peripheral_word(self.i) * surf.peripheral_word(self.i + 1)
-        return w
+        return surf.peripheral_word(self.i) * surf.peripheral_word(self.i + 1)
+
+    def side_a_generators(self, surf: SurfacePresentation) -> list[str]:
+        """The free generators on side A, the side a twist conjugates: the
+        prefix's handles and c1..ck, or the pants' c_i, c_{i+1} less the
+        implied c_p."""
+        if self.kind == "prefix":
+            handles = surf.free_generators()[:2 * self.j]
+            return [*handles, *(surf.c(i) for i in range(1, self.k + 1))]
+        return [surf.c(i) for i in (self.i, self.i + 1) if i < surf.punctures]
 
     def validate(self, surf: SurfacePresentation) -> None:
         g, p = surf.genus, surf.punctures
@@ -372,98 +387,81 @@ def standard_splits(surf: SurfacePresentation) -> list[SplittingSpec]:
     return out
 
 
+def _split_boundary(rep: Representation, split: SplittingSpec
+                    ) -> tuple[ProjectiveMatrix, PslType]:
+    """The image of a valid standard splitting curve and its type;
+    BoundaryElliptic when it is elliptic or the identity, where neither
+    restriction nor a twist is defined."""
+    split.validate(rep.surface)
+    boundary = eval_word(rep, split.curve_word(rep.surface))
+    kind = classify_psl(boundary)
+    if kind in (PslType.ELLIPTIC, PslType.IDENTITY):
+        raise BoundaryElliptic(
+            f"splitting curve image is {kind.value}; no restriction or twist "
+            "along it")
+    return boundary, kind
+
+
+def _piece(handles: list[tuple[ProjectiveMatrix, ProjectiveMatrix]],
+           cs: list[ProjectiveMatrix]) -> Representation:
+    """A piece on its standard presentation, its last peripheral implied:
+    a_j, b_j go to handles[j-1] and c_i to cs[i-1]."""
+    surf = SurfacePresentation(len(handles), len(cs) + 1)
+    images = [m for pair in handles for m in pair] + cs
+    return Representation(surf, dict(zip(surf.free_generators(), images)))
+
+
 def restrict(rep: Representation, split: SplittingSpec
              ) -> tuple[Representation, Representation]:
     """Restrict along a standard separating curve; Euler classes add.
 
-    Both pieces are returned on standard presentations: the splitting curve
-    becomes each piece's implied last peripheral (prefix splits) or sits in
-    the complement's peripheral list at the cut position (pants splits).
+    Both pieces are returned on standard presentations, sliced from the
+    stored images of c_1..c_{p-1} and the relator walk's c_p: the splitting
+    curve becomes each piece's implied last peripheral (prefix splits) or
+    sits in the complement's peripheral list at the cut position (pants
+    splits).
     """
     surf = rep.surface
-    split.validate(surf)
-    boundary = eval_word(rep, split.curve_word(surf))
-    bkind = classify_psl(boundary)
-    if bkind in (PslType.ELLIPTIC, PslType.IDENTITY):
-        raise BoundaryElliptic(
-            f"splitting curve image is {bkind.value}; restriction undefined")
+    boundary, _ = _split_boundary(rep, split)
     g, p = surf.genus, surf.punctures
+    handles = [(rep.image(surf.a(j)), rep.image(surf.b(j)))
+               for j in range(1, g + 1)]
+    cs = [rep.image(surf.c(i)) for i in range(1, p)]
+    cs.append(rep.peripheral_image(p))
     if split.kind == "prefix":
         j, k = split.j, split.k
-        side_a = SurfacePresentation(j, k + 1)
-        images_a: dict[str, ProjectiveMatrix] = {}
-        for jj in range(1, j + 1):
-            images_a[side_a.a(jj)] = rep.image(surf.a(jj))
-            images_a[side_a.b(jj)] = rep.image(surf.b(jj))
-        for i in range(1, k + 1):
-            images_a[side_a.c(i)] = rep.image(surf.c(i))
-        side_b = SurfacePresentation(g - j, p - k + 1)
-        images_b: dict[str, ProjectiveMatrix] = {}
-        for jj in range(j + 1, g + 1):
-            images_b[side_b.a(jj - j)] = rep.image(surf.a(jj))
-            images_b[side_b.b(jj - j)] = rep.image(surf.b(jj))
-        for i in range(k + 1, p + 1):
-            images_b[side_b.c(i - k)] = (rep.image(surf.c(i)) if i < p
-                                         else rep.peripheral_image(p))
-        return (Representation(side_a, images_a),
-                Representation(side_b, images_b))
+        return _piece(handles[:j], cs[:k]), _piece(handles[j:], cs[k:])
     i = split.i
-    side_a = SurfacePresentation(0, 3)
-    images_a = {
-        side_a.c(1): rep.peripheral_image(i),
-        side_a.c(2): rep.peripheral_image(i + 1),
-    }
-    side_b = SurfacePresentation(g, p - 1)
-    images_b = {}
-    for jj in range(1, g + 1):
-        images_b[side_b.a(jj)] = rep.image(surf.a(jj))
-        images_b[side_b.b(jj)] = rep.image(surf.b(jj))
-    new_list: list[ProjectiveMatrix] = []
-    for m in range(1, p):
-        if m < i:
-            new_list.append(rep.image(surf.c(m)))
-        elif m == i:
-            new_list.append(boundary)
-        else:
-            new_list.append(rep.peripheral_image(m + 1))
-    for m, img in enumerate(new_list[:p - 2], start=1):
-        images_b[side_b.c(m)] = img
-    return (Representation(side_a, images_a), Representation(side_b, images_b))
+    return (_piece([], cs[i - 1:i + 1]),
+            _piece(handles, (cs[:i - 1] + [boundary] + cs[i + 1:])[:-1]))
 
 
 def _power_frame(m: ProjectiveMatrix) -> tuple[float, Matrix2, Matrix2]:
     """(lam, f, f^-1): m's expanding eigenvalue and eigenframe, m^t = f
     diag(lam^t, lam^-t) f^-1."""
-    from .mobius import _eigenvalues, _hyperbolic_frame, _positive_trace_rep
-
     f = _hyperbolic_frame(m)
     return _eigenvalues(_positive_trace_rep(m))[0], f, f.inv()
 
 
+def _power_entries(lam: float, f: Matrix2, fi: Matrix2, t: float) -> tuple:
+    """Entries of m^t up to sign from _power_frame(m): f diag(lam^t,
+    lam^-t) f^-1 rescaled to determinant 1 as normalize() does, raising
+    NonUnitDeterminant alike."""
+    da, dd = lam ** t, lam ** (-t)
+    pa, pb, pc, pd = f.a * da, f.b * dd, f.c * da, f.d * dd
+    a, b = pa * fi.a + pb * fi.c, pa * fi.b + pb * fi.d
+    c, d = pc * fi.a + pd * fi.c, pc * fi.b + pd * fi.d
+    k = _unit_scale(a, b, c, d)  # x * 1.0 == x: no rescale is exact
+    return a * k, b * k, c * k, d * k
+
+
 def _one_parameter_power(m: ProjectiveMatrix, t: float) -> ProjectiveMatrix:
     """Time-t element of the hyperbolic one-parameter subgroup through m."""
-    lam, f, fi = _power_frame(m)
-    return normalize(f @ Matrix2(lam ** t, 0.0, 0.0, lam ** (-t)) @ fi)
-
-
-def _split_side_a_generators(surf: SurfacePresentation,
-                             split: SplittingSpec) -> list[str]:
-    if split.kind == "prefix":
-        gens = []
-        for jj in range(1, split.j + 1):
-            gens += [surf.a(jj), surf.b(jj)]
-        gens += [surf.c(i) for i in range(1, split.k + 1)]
-        return gens
-    gens = [surf.c(split.i)]
-    if split.i + 1 < surf.punctures:
-        gens.append(surf.c(split.i + 1))
-    return gens
+    return normalize_unit(Matrix2(*_power_entries(*_power_frame(m), t)))
 
 
 def find_standard_split(surf: SurfacePresentation, curve: CurveWord
                         ) -> SplittingSpec:
-    from .words import canonical_form
-
     target = canonical_form(_expand_last(surf, curve))
     for spec in standard_splits(surf):
         if canonical_form(_expand_last(surf, spec.curve_word(surf))) == target:
@@ -473,8 +471,6 @@ def find_standard_split(surf: SurfacePresentation, curve: CurveWord
 
 def _expand_last(surf: SurfacePresentation, w: CurveWord) -> CurveWord:
     """w with the implied last peripheral written out."""
-    from .words import substitute
-
     images = {g: word(g) for g in surf.free_generators()}
     images[surf.c(surf.punctures)] = surf.last_peripheral_word()
     return substitute(w, images)
@@ -485,18 +481,13 @@ def _twist(rep: Representation, split: SplittingSpec, t: float
     """Conjugate side A of a standard splitting by the time-t element of the
     one-parameter subgroup through the curve's image, in exact integer
     products as Representation.conjugate does."""
-    surf = rep.surface
-    split.validate(surf)
-    boundary = eval_word(rep, split.curve_word(surf))
-    bkind = classify_psl(boundary)
-    if bkind is PslType.ELLIPTIC or bkind is PslType.IDENTITY:
-        raise BoundaryElliptic("twist curve image is elliptic")
-    if bkind is not PslType.HYPERBOLIC:
+    boundary, kind = _split_boundary(rep, split)
+    if kind is not PslType.HYPERBOLIC:
         raise NotHyperbolic("twist curve image must be hyperbolic")
     if t == 0.0:
         return rep
     return _conjugated(rep, _one_parameter_power(boundary, t),
-                       set(_split_side_a_generators(surf, split)))
+                       set(split.side_a_generators(rep.surface)))
 
 
 def twist_deform(rep: Representation, curve, t: float) -> Representation:

@@ -17,7 +17,6 @@ from psltilde.constructors import (
     _class_flip,
     _conj_probe,
     _grid_refine,
-    _power_entries,
     _reachable_classes,
     build_boundary_extremal,
     build_negative_control,
@@ -62,6 +61,7 @@ from psltilde.sampling import (
 from psltilde.selftest import _near_horizontal
 from psltilde.surface import (
     _one_parameter_power,
+    _power_entries,
     _power_frame,
     euler_class,
     eval_word,
@@ -455,15 +455,17 @@ _diag_scales = _search_points(_DIAG_GRID, (0.1, 0.03),
 @given(_hyperbolic_targets(), st.lists(_unit_matrices, min_size=2, max_size=8),
        _twist_times)
 def test_probe_reproduces_centralizer_conjugator_floats(target, mats, t):
-    frame = _power_frame(target)
+    lam, f, fi = frame = _power_frame(target)
     try:
-        h = _one_parameter_power(target, t).rep
+        # the time-t power as the searches formed it with matrices
+        h = normalize(f @ Matrix2(lam ** t, 0.0, 0.0, lam ** (-t)) @ fi).rep
     except NonUnitDeterminant:
         with pytest.raises(NonUnitDeterminant):
-            _power_entries(*frame, t)
+            _one_parameter_power(target, t)
         return
     entries = _power_entries(*frame, t)
     assert entries in (h.entries(), (-h).entries())
+    assert _one_parameter_power(target, t).rep == h
     assert (_conj_probe(entries, [m.entries() for m in mats])
             == _conj_size_reference(h, mats))
 

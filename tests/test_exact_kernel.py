@@ -38,7 +38,14 @@ from psltilde.exact import (
     trace_margin,
     word_product,
 )
-from psltilde.mobius import Matrix2, classify_psl, int_matrix, normalize
+from psltilde.mobius import (
+    PAR_BAND,
+    Matrix2,
+    PslType,
+    classify_psl,
+    int_matrix,
+    normalize,
+)
 from psltilde.surface import (
     Representation,
     SignVector,
@@ -170,6 +177,29 @@ def test_type_names_of_elliptic_parabolic_and_identity_images():
     assert got["c1 c2"].trace == 0.0
     assert report.min_trace_margin == -2.0
     assert report.min_margin_curve == "c1 c2"
+
+
+@pytest.mark.parametrize("q", [2 ** 60, 2 ** 1100], ids=["q2^60", "q2^1100"])
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+def test_violation_types_apply_the_band_to_the_exact_ratio(q, side):
+    # x = (T, -q^2, 1, 0) has trace T and determinant q^2: T/q lies just
+    # outside 2 +- PAR_BAND, on the side its float rounding does not reach,
+    # so the exact ratio is hyperbolic (elliptic) where the rounded trace of
+    # the unit representative falls on the band's float edge
+    edge = 2 + side * Fraction(PAR_BAND)
+    t = math.floor((edge + side * Fraction(1, 10 ** 18)) * q)
+    x = (t, -q * q, 1, 0)
+    assert (Fraction(t, q) - edge) * side > 0
+    if q < 2 ** 500:
+        assert float(Fraction(t, q)) == 2.0 + side * PAR_BAND
+    want = "Hyperbolic" if side > 0 else "Elliptic"
+    assert ref.psl_type(tuple(map(Fraction, x))) == want
+    # the audit types a flagged curve's integer image x as the reference does
+    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
+    flagged = ([exact.trace_margin(x)], 0, [(0, x)])
+    with mock.patch.object(audit, "curve_margins", return_value=flagged):
+        (v,) = audit_rep(rep, 0, curves=[parse_word("c1")]).violations
+    assert v.psl_type == want
 
 
 def test_audit_reports_words_dropped_and_min_curve():

@@ -319,6 +319,69 @@ def test_restrict_fuchsian_pieces_extremal():
             assert euler_class(right) == -right.surface.chi
 
 
+def test_side_a_generators_of_every_standard_split():
+    P, Q = SplittingSpec.prefix, SplittingSpec.pants_pair
+    want = {
+        (0, 5): {P(0, 2): ["c1", "c2"], P(0, 3): ["c1", "c2", "c3"],
+                 Q(1): ["c1", "c2"], Q(2): ["c2", "c3"], Q(3): ["c3", "c4"],
+                 Q(4): ["c4"]},
+        (1, 3): {P(1, 0): ["a1", "b1"], P(1, 1): ["a1", "b1", "c1"],
+                 Q(1): ["c1", "c2"], Q(2): ["c2"]},
+        (2, 2): {P(1, 0): ["a1", "b1"], P(2, 0): ["a1", "b1", "a2", "b2"],
+                 Q(1): ["c1"]},
+    }
+    for (g, p), sides in want.items():
+        surf = SurfacePresentation(g, p)
+        assert standard_splits(surf) == list(sides)
+        for split, gens in sides.items():
+            assert split.side_a_generators(surf) == gens
+
+
+def _documented_pieces(rep, split):
+    """Each piece's generator images as restrict documents them, by name:
+    the stored image of the generator it came from, the relator walk's c_p,
+    or None for the splitting curve's image."""
+    surf = rep.surface
+    g, p = surf.genus, surf.punctures
+
+    def c(i):
+        return rep.peripheral_image(p) if i == p else rep.image(surf.c(i))
+
+    if split.kind == "prefix":
+        j, k = split.j, split.k
+        a = {f"{x}{jj}": rep.image(f"{x}{jj}")
+             for jj in range(1, j + 1) for x in "ab"}
+        a.update((f"c{i}", c(i)) for i in range(1, k + 1))
+        b = {f"{x}{jj - j}": rep.image(f"{x}{jj}")
+             for jj in range(j + 1, g + 1) for x in "ab"}
+        b.update((f"c{i - k}", c(i)) for i in range(k + 1, p + 1))
+        return a, b
+    i = split.i
+    b = {f"{x}{jj}": rep.image(f"{x}{jj}")
+         for jj in range(1, g + 1) for x in "ab"}
+    b.update((f"c{m}", None if m == i else c(m if m < i else m + 1))
+             for m in range(1, p - 1))
+    return {"c1": c(i), "c2": c(i + 1)}, b
+
+
+@pytest.mark.parametrize("req", [BuildRequest(1, 3, 2, (1, 1, -1), 5),
+                                 BuildRequest(0, 5, 2, (1, 1, 1, 1, -1), 5)])
+def test_restricted_pieces_carry_the_stored_images(req):
+    rep = build_rep(req)
+    surf = rep.surface
+    assert rep.peripheral_image(surf.punctures) is rep._relator[1].base
+    for split in standard_splits(surf):
+        boundary = eval_word(rep, split.curve_word(surf))
+        for piece, want in zip(restrict(rep, split),
+                               _documented_pieces(rep, split)):
+            assert list(piece.images) == list(want)
+            for gen, m in want.items():
+                if m is None:
+                    assert piece.image(gen) == boundary
+                else:
+                    assert piece.image(gen) is m, (split, gen)
+
+
 def _elliptic_commutator_rep():
     # crossing axes at pi/4 give a commutator of trace ~ -0.73
     surf = SurfacePresentation(1, 2)
