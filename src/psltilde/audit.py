@@ -6,8 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .curves import CurveList, Curves
 from .errors import BoundaryElliptic, NotSupported, NotTypePreserving
-from .exact import CurveList, Curves, abs_trace, curve_margins, psl_type
+from .exact import abs_trace, curve_margins, psl_type
 from .mobius import is_parabolic
 from .surface import (
     Representation,

@@ -21,6 +21,7 @@ from operator import itemgetter
 
 from .audit import DEFAULT_MARGIN, _check_depth_and_margin, audit_rep
 from .cover import (
+    EQUAL_TOL,
     Center,
     CoverClass,
     CoverElement,
@@ -40,7 +41,7 @@ from .cover import (
     sl_trace,
     special_lift,
 )
-from .curves import _braid_images
+from .curves import Curves, _braid_images
 from .errors import (
     BoundaryElliptic,
     InfeasibleRequest,
@@ -54,7 +55,6 @@ from .errors import (
     TargetOutsideImage,
     UnreachableTarget,
 )
-from .exact import Curves
 from .mobius import (
     Matrix2,
     ProjectiveMatrix,
@@ -83,7 +83,6 @@ from .surface import (
 )
 from .words import CurveWord
 
-PRODUCT_TOL = 1e-8
 BISECT_TOL = 1e-12
 
 # the builders' retries: every numerical failure of one attempt, after which
@@ -581,7 +580,7 @@ def _check_extremal(rep: Representation, boundary: ProjectiveMatrix) -> None:
     if s.entries[:-1] != (1,) * (surf.punctures - 1) or s.entries[-1] != 0:
         raise SelfVerificationError(f"extremal build got signs {s.entries}")
     got = rep.peripheral_image(surf.punctures)
-    if got.rep.maxdiff(boundary.rep) >= PRODUCT_TOL:
+    if got.rep.maxdiff(boundary.rep) >= EQUAL_TOL:
         raise SelfVerificationError(
             f"boundary image off by {got.rep.maxdiff(boundary.rep):.3e}")
 

@@ -40,7 +40,7 @@ from .mobius import (
 
 PI = math.pi
 
-EQUAL_TOL = 1e-8        # entrywise base tolerance of cover_equal
+EQUAL_TOL = 1e-8        # entrywise tolerance between two bases
 
 
 @dataclass(frozen=True)
@@ -232,15 +232,11 @@ def special_lift(p: ProjectiveMatrix) -> CoverElement:
     """The distinguished lift of p: the unique lift with component index 0
     (Hyp(0), Par(0) or Center(0)). Elliptic input raises
     EllipticHasNoHyp0Lift."""
-    kind = classify_psl(p)
-    if kind is PslType.IDENTITY:
-        return CoverElement(p, -_down(p))
-    if kind is PslType.ELLIPTIC:
+    tag = cover_classify(CoverElement(p, 0)).tag
+    if tag == "Ell":
         raise EllipticHasNoHyp0Lift(
             "elliptic elements have no lift with component index 0")
-    probe = CoverElement(p, 0)
-    cls = cover_classify(probe)
-    return CoverElement(p, probe.lift_index + cls.n)
+    return lift_in_class(p, CoverClass(tag, 0))
 
 
 def lift_in_class(p: ProjectiveMatrix, cls: CoverClass) -> CoverElement:

@@ -1,6 +1,6 @@
 """Curve words on a punctured surface: peripheral/separating classification,
-validated mapping-class automorphisms, and orbit enumeration of simple closed
-curve classes.
+validated mapping-class automorphisms, orbit enumeration of simple closed
+curve classes, and the curve lists the audit decides.
 
 Automorphism soundness gate: a registered map must be a free-group
 automorphism (checked against its supplied inverse), fix the conjugacy class
@@ -9,11 +9,16 @@ conjugacy classes. Every default automorphism passes the gate on every
 surface it is registered for; orbit outputs are therefore genuine simple
 closed curve classes by construction. Completeness at a given depth is not
 claimed.
+
+Curves.enumerated picks the list of curves an audit decides: the
+SlopeOrbit on the four-punctured sphere, a CurveList of words elsewhere;
+psltilde.exact holds only the arithmetic on either.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .surface import (
     SurfacePresentation,
@@ -231,18 +236,117 @@ def enumerate_scc(surf: SurfacePresentation, depth: int,
     inverses, to the given composition depth, canonicalized and deduplicated.
     Words beyond MAX_ORBIT_WORD_LEN letters are dropped (and counted in the
     stats). Output order is deterministic: the code strings of the canonical
-    forms, sorted. On the four-punctured sphere the orbit is one of slopes
-    (SlopeOrbit), with the same words and drops."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if surf == SPHERE4:
-        orbit = SlopeOrbit(depth)
-        curves, dropped = orbit.words(), orbit.dropped
-    else:
-        curves, dropped = _word_orbit(surf, depth)
+    forms, sorted. These are the words of Curves.enumerated(surf, depth),
+    in slot_key order."""
+    curves = Curves.enumerated(surf, depth)
+    words = [curves.slot_word(i)
+             for i in sorted(range(len(curves)), key=curves.slot_key)]
     if return_stats:
-        return curves, {"dropped": dropped, "depth": depth, "count": len(curves)}
-    return curves
+        return words, {"dropped": curves.dropped, "depth": depth,
+                       "count": len(words)}
+    return words
+
+
+def _common_prefix(u: str, v: str) -> int:
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[k] == v[k]:
+        k += 1
+    return k
+
+
+class Curves:
+    """Curves by slot, prepared once for any number of audits on one
+    surface: a list of words (CurveList), or the enumerated curves of the
+    four-punctured sphere by slope (SlopeOrbit). A subclass has a length,
+    slot_word, the word of one slot, and slot_key, its sort key: the order
+    of words in a CurveList, that of their code strings for slopes.
+    psltilde.exact.curve_margins takes any list; the walks of words take a
+    CurveList only, which sublist makes of any slots."""
+
+    surface: SurfacePresentation
+    dropped: int | None = None  # words the enumeration dropped, if enumerated
+
+    def sublist(self, slots: list[int]) -> "CurveList":
+        """The curves in the given slots as a list of words to walk."""
+        return CurveList(self.surface, map(self.slot_word, slots))
+
+    @staticmethod
+    def enumerated(surf: SurfacePresentation, depth: int) -> "Curves":
+        """The curves of enumerate_scc(surf, depth). These are simple, so on
+        the four-punctured sphere each is decided by its slope and not by
+        its word, and the list is the SlopeOrbit; on every other surface it
+        is the CurveList of the word search."""
+        if surf == SPHERE4:
+            return SlopeOrbit(depth)
+        return CurveList(surf, *_word_orbit(surf, depth))
+
+
+class CurveList(Curves):
+    """Curve words; slot i is words[i].
+
+    Each word has its implied last peripheral written out, one character
+    per letter of alphabet (codes, in the order of words). The walks of
+    words take them in the sorted order of those strings, so that each
+    word shares a prefix with the one before, and keep for each word only
+    the prefix products that a later word resumes from; alphabet, codes
+    and that plan (walk) are made on first use."""
+
+    def __init__(self, surf: SurfacePresentation, words,
+                 dropped: int | None = None):
+        self.surface = surf
+        self.words = list(words)
+        self.dropped = dropped
+
+    @cached_property
+    def alphabet(self) -> Alphabet:
+        """Letter codes of the free generators and of the implied c_p."""
+        surf = self.surface
+        return Alphabet(surf.free_generators() + (surf.c(surf.punctures),))
+
+    @cached_property
+    def codes(self) -> list[str]:
+        alphabet, surf = self.alphabet, self.surface
+        expand = alphabet.substitution({surf.c(surf.punctures):
+                                        surf.last_peripheral_word()})
+        return [alphabet.substitute(alphabet.encode(w), expand)
+                for w in self.words]
+
+    @cached_property
+    def walk(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(word index, resume, keep) in walk order: resume is the length
+        of the prefix the word shares with the word before, keep the resume
+        points of later words inside it, ascending."""
+        codes = self.codes
+        order = sorted(range(len(codes)), key=codes.__getitem__)
+        resume = [0] + [_common_prefix(codes[i], codes[j])
+                        for i, j in zip(order, order[1:])]
+        # keep[j]: the running minima of resume[j + 1:] above resume[j]
+        keep = [()] * len(order)
+        minima: list[int] = []  # running minima of resume[j + 1:], ascending
+        for j in range(len(order) - 1, -1, -1):
+            r = resume[j]
+            k = len(minima)
+            while k and minima[k - 1] > r:
+                k -= 1
+            keep[j] = tuple(minima[k:])
+            del minima[k:]
+            if not minima or minima[-1] < r:
+                minima.append(r)
+        return list(zip(order, resume, keep))
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def slot_word(self, slot: int) -> CurveWord:
+        return self.words[slot]
+
+    def slot_key(self, slot: int) -> int:
+        return slot
+
+    def sublist(self, slots: list[int]) -> "CurveList":
+        """As Curves.sublist; this list itself when the slots are all of
+        its words."""
+        return self if len(slots) == len(self) else super().sublist(slots)
 
 
 def _orbit_tables(surf: SurfacePresentation
@@ -260,6 +364,8 @@ def _word_orbit(surf: SurfacePresentation, depth: int
                 ) -> tuple[list[CurveWord], int]:
     """The curves of enumerate_scc and the number dropped, by a breadth
     first search on canonical code strings."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     alphabet, tables = _orbit_tables(surf)
     apply, canonical = alphabet.substitute, alphabet.canonical
     frontier = [alphabet.encode(w) for w in scc_seeds(surf)]
@@ -356,16 +462,63 @@ def word_slope(w: CurveWord) -> tuple[int, int]:
     return a, b
 
 
-class SlopeOrbit:
-    """enumerate_scc on the four-punctured sphere, as slopes: the seeds'
-    slopes, then each level's images under the integer matrices L_f of the
-    automorphisms and their inverses, in the order of the word search, with
-    a slope dropped, and counted each time it is reached, where its word
-    would be longer than MAX_ORBIT_WORD_LEN. No word is formed to find a
-    slope. slopes[i] came from slopes[parents[i][0]] by tables[parents[i][1]]
-    (parents[i] is None for a seed), so code(i), the canonical code string
-    of curve i, takes one substitution and one canonical form per level and
-    is kept once formed."""
+class _FareyPlan:
+    """Slopes of simple curves on the four-punctured sphere, by slot, as a
+    depth-first walk of the Stern-Brocot trees below (1, 1) and below its
+    mirror (1, -1), both between (1, 0) and (0, 1); a slope (a, b) with
+    b < 0 is the mirror image of (a, -b), by the same path. The plan
+    depends on the slopes only, so one plan serves every representation."""
+
+    ROOTS = ((1, 0), (0, 1), (1, 1), (1, -1))
+
+    def __init__(self, slopes):
+        self.roots = {}  # root slope -> slot
+        trees = ({}, {})  # below (1, 1), below (1, -1): path -> slot
+        for i, (a, b) in enumerate(slopes):
+            if (a, b) in self.ROOTS:
+                target, key = self.roots, (a, b)
+            else:
+                target, key = trees[b < 0], _stern_brocot(a, abs(b))
+                for k in range(len(key) - 1, 0, -1):
+                    if key[:k] in target:
+                        break
+                    target[key[:k]] = None
+            if target.get(key) is not None:
+                raise AssertionError(f"two curves of slope {(a, b)}")
+            target[key] = i
+        # (path length, right turn, slot or None) in preorder, which is the
+        # string order of the paths
+        self.walks = tuple(tuple((len(p), p[-1] == "1", tree[p])
+                                 for p in sorted(tree)) for tree in trees)
+
+
+def _stern_brocot(a: int, b: int) -> str:
+    """Path from (1, 1) to (a, b), a, b > 0, in the Stern-Brocot tree
+    between (1, 0) and (0, 1): '0' toward (1, 0), '1' toward (0, 1). With
+    a/b = [q_0; q_1, ..., q_k] it is q_0 '0's, q_1 '1's, and so on
+    alternating, the last run one shorter."""
+    path, turn, other = [], "0", "1"
+    while b:
+        q, r = divmod(a, b)
+        path.append(turn * (q if r else q - 1))
+        a, b, turn, other = b, r, other, turn
+    return "".join(path)
+
+
+class SlopeOrbit(Curves):
+    """Curves.enumerated on the four-punctured sphere, as slopes: the
+    seeds' slopes, then each level's images under the integer matrices L_f
+    of the automorphisms and their inverses, in the order of the word
+    search, with a slope dropped, and counted each time it is reached,
+    where its word would be longer than MAX_ORBIT_WORD_LEN. No word is
+    formed to find a slope. slopes[i] came from slopes[parents[i][0]] by
+    tables[parents[i][1]] (parents[i] is None for a seed), so code(i), the
+    canonical code string of curve i, takes one substitution and one
+    canonical form per level and is kept once formed; a word is formed
+    only when asked for, by slot_word or slot_key. Each curve is decided
+    by its slope, in the order of farey."""
+
+    surface = SPHERE4
 
     def __init__(self, depth: int):
         if depth < 0:
@@ -425,13 +578,13 @@ class SlopeOrbit:
             codes[j] = code
         return code
 
-    def key(self, i: int) -> str:
+    @cached_property
+    def farey(self) -> _FareyPlan:
+        return _FareyPlan(self.slopes)
+
+    def slot_key(self, i: int) -> str:
         """Sort key of curve i: enumerate_scc's order."""
         return self.alphabet.tuple_key(self.code(i))
 
-    def word(self, i: int) -> CurveWord:
+    def slot_word(self, i: int) -> CurveWord:
         return self.alphabet.decode(self.code(i))
-
-    def words(self) -> list[CurveWord]:
-        """Every curve's canonical word, in enumerate_scc's order."""
-        return [self.word(i) for i in sorted(range(len(self)), key=self.key)]

@@ -10,12 +10,13 @@ floats. Those integers grow with every letter, so the audit's margins are
 first sought in fixed precision with a proven error bound, by slopes on
 the four-punctured sphere and by words elsewhere, and only the curves that
 pass leaves undecided are multiplied out.
+
+This module holds the arithmetic only: the curve lists it reads, and the
+choice of list for an enumeration, are psltilde.curves's Curves.
 """
 from __future__ import annotations
 
-from functools import cached_property
-
-from .curves import SPHERE4, SlopeOrbit, enumerate_scc
+from .curves import CurveList, Curves, SlopeOrbit
 from .mobius import (
     PAR_BAND,
     IntMatrix,
@@ -26,24 +27,21 @@ from .mobius import (
     _trace_det,
     _unit_rep,
 )
-from .surface import Representation, SurfacePresentation
-from .words import Alphabet, CurveWord
+from .surface import Representation
+from .words import CurveWord
 
 IDENTITY: IntMatrix = (1, 0, 0, 1)
 
 BLOCK = 8  # letters per multiplication step of the curve walks
 
 
-def _alphabet(surf: SurfacePresentation) -> Alphabet:
-    """Letter codes of the free generators and of the implied c_p."""
-    return Alphabet(surf.free_generators() + (surf.c(surf.punctures),))
-
-
-def letter_matrices(rep: Representation) -> dict[str, IntMatrix]:
-    """Integer image of each free generator's letter code; an inverse is
-    the adjugate, a positive multiple of the inverse."""
+def letter_matrices(rep: Representation, curves: CurveList
+                    ) -> dict[str, IntMatrix]:
+    """Integer image of each free generator's letter code in
+    curves.alphabet; an inverse is the adjugate, a positive multiple of
+    the inverse."""
     out = {}
-    codes = _alphabet(rep.surface).codes
+    codes = curves.alphabet.codes
     for gen in rep.surface.free_generators():
         m = rep.image(gen).int_rep
         out[codes[gen, 1]], out[codes[gen, -1]] = m, _adjugate(m)
@@ -52,137 +50,12 @@ def letter_matrices(rep: Representation) -> dict[str, IntMatrix]:
 
 def word_product(rep: Representation, w: CurveWord) -> IntMatrix:
     """The image of w, the implied last peripheral written out."""
-    mats = letter_matrices(rep)
+    curves = CurveList(rep.surface, [w])
+    mats = letter_matrices(rep, curves)
     acc = IDENTITY
-    for code in CurveList(rep.surface, [w]).codes[0]:
+    for code in curves.codes[0]:
         acc = _mul(acc, mats[code])
     return acc
-
-
-def _common_prefix(u: str, v: str) -> int:
-    k, n = 0, min(len(u), len(v))
-    while k < n and u[k] == v[k]:
-        k += 1
-    return k
-
-
-class Curves:
-    """Curves by slot, prepared once for any number of audits on one
-    surface: a list of words (CurveList), or the enumerated curves of the
-    four-punctured sphere by slope (_SlopeCurves). curve_margins takes
-    either; the walks of words take a CurveList only, which sublist makes
-    of any slots. slot_word forms the word of one slot, and slot_key its
-    sort key: the order of words in a CurveList, that of enumerate_scc for
-    slopes."""
-
-    surface: SurfacePresentation
-    dropped: int | None = None  # words the enumeration dropped, if enumerated
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def slot_word(self, slot: int) -> CurveWord:
-        raise NotImplementedError
-
-    def slot_key(self, slot: int):
-        raise NotImplementedError
-
-    def sublist(self, slots: list[int]) -> "CurveList":
-        """The curves in the given slots as a list of words to walk."""
-        return CurveList(self.surface, map(self.slot_word, slots))
-
-    @staticmethod
-    def enumerated(surf: SurfacePresentation, depth: int) -> "Curves":
-        """The curves of enumerate_scc(surf, depth). These are simple, so on
-        the four-punctured sphere each is decided by its slope (_FareyPlan)
-        and not by its word, and the list holds the slopes of the orbit."""
-        if surf == SPHERE4:
-            return _SlopeCurves(SlopeOrbit(depth))
-        words, stats = enumerate_scc(surf, depth, return_stats=True)
-        curves = CurveList(surf, words)
-        curves.dropped = stats["dropped"]
-        return curves
-
-
-class CurveList(Curves):
-    """Curve words; slot i is words[i].
-
-    Each word has its implied last peripheral written out, one character
-    per letter (codes, in the order of words). The walks of words take them
-    in the sorted order of those strings, so that each word shares a prefix
-    with the one before, and keep for each word only the prefix products
-    that a later word resumes from; codes and that plan (walk) are made on
-    first use."""
-
-    def __init__(self, surf: SurfacePresentation, words):
-        self.surface = surf
-        self.words = list(words)
-
-    @cached_property
-    def codes(self) -> list[str]:
-        alphabet = _alphabet(self.surface)
-        cp = self.surface.c(self.surface.punctures)
-        expand = alphabet.substitution({cp: self.surface.last_peripheral_word()})
-        return [alphabet.substitute(alphabet.encode(w), expand)
-                for w in self.words]
-
-    @cached_property
-    def walk(self) -> list[tuple[int, int, tuple[int, ...]]]:
-        """(word index, resume, keep) in walk order: resume is the length
-        of the prefix the word shares with the word before, keep the resume
-        points of later words inside it, ascending."""
-        codes = self.codes
-        order = sorted(range(len(codes)), key=codes.__getitem__)
-        resume = [0] + [_common_prefix(codes[i], codes[j])
-                        for i, j in zip(order, order[1:])]
-        # keep[j]: the running minima of resume[j + 1:] above resume[j]
-        keep = [()] * len(order)
-        minima: list[int] = []  # running minima of resume[j + 1:], ascending
-        for j in range(len(order) - 1, -1, -1):
-            r = resume[j]
-            k = len(minima)
-            while k and minima[k - 1] > r:
-                k -= 1
-            keep[j] = tuple(minima[k:])
-            del minima[k:]
-            if not minima or minima[-1] < r:
-                minima.append(r)
-        return list(zip(order, resume, keep))
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def slot_word(self, slot: int) -> CurveWord:
-        return self.words[slot]
-
-    def slot_key(self, slot: int) -> int:
-        return slot
-
-    def sublist(self, slots: list[int]) -> "CurveList":
-        """As Curves.sublist; this list itself when the slots are all of
-        its words."""
-        return self if len(slots) == len(self) else super().sublist(slots)
-
-
-class _SlopeCurves(Curves):
-    """Curves.enumerated on the four-punctured sphere: slot i is curve i
-    of a SlopeOrbit, decided by its slope (farey). A word is formed only
-    when asked for, by slot_word or slot_key."""
-
-    def __init__(self, orbit):
-        self.surface = SPHERE4
-        self.orbit = orbit
-        self.farey = _FareyPlan(orbit.slopes)
-        self.dropped = orbit.dropped
-
-    def __len__(self) -> int:
-        return len(self.orbit)
-
-    def slot_word(self, slot: int) -> CurveWord:
-        return self.orbit.word(slot)
-
-    def slot_key(self, slot: int) -> str:
-        return self.orbit.key(slot)
 
 
 def _run_product(blocks: dict, run: str) -> IntMatrix:
@@ -233,7 +106,7 @@ def curve_products(rep: Representation, curves: CurveList):
     if not isinstance(curves, CurveList):
         raise TypeError(f"{type(curves).__name__} holds no words to walk; "
                         "walk its sublist(slots)")
-    blocks = letter_matrices(rep)  # grows by each run of letters met
+    blocks = letter_matrices(rep, curves)  # grows by each run of letters met
     return _walk(curves, IDENTITY,
                  lambda x, run: _mul(x, _run_product(blocks, run)))
 
@@ -318,56 +191,15 @@ def psl_type(x: IntMatrix) -> PslType:
 # below it.
 
 
-class _FareyPlan:
-    """Slopes of simple curves on the four-punctured sphere, by slot, as a
-    depth-first walk of the Stern-Brocot trees below (1, 1) and below its
-    mirror (1, -1), both between (1, 0) and (0, 1); a slope (a, b) with
-    b < 0 is the mirror image of (a, -b), by the same path. The plan
-    depends on the slopes only, so one plan serves every representation."""
-
-    ROOTS = ((1, 0), (0, 1), (1, 1), (1, -1))
-
-    def __init__(self, slopes):
-        self.roots = {}  # root slope -> slot
-        trees = ({}, {})  # below (1, 1), below (1, -1): path -> slot
-        for i, (a, b) in enumerate(slopes):
-            if (a, b) in self.ROOTS:
-                target, key = self.roots, (a, b)
-            else:
-                target, key = trees[b < 0], _stern_brocot(a, abs(b))
-                for k in range(len(key) - 1, 0, -1):
-                    if key[:k] in target:
-                        break
-                    target[key[:k]] = None
-            if target.get(key) is not None:
-                raise AssertionError(f"two curves of slope {(a, b)}")
-            target[key] = i
-        # (path length, right turn, slot or None) in preorder, which is the
-        # string order of the paths
-        self.walks = tuple(tuple((len(p), p[-1] == "1", tree[p])
-                                 for p in sorted(tree)) for tree in trees)
-
-
-def _stern_brocot(a: int, b: int) -> str:
-    """Path from (1, 1) to (a, b), a, b > 0, in the Stern-Brocot tree
-    between (1, 0) and (0, 1): '0' toward (1, 0), '1' toward (0, 1). With
-    a/b = [q_0; q_1, ..., q_k] it is q_0 '0's, q_1 '1's, and so on
-    alternating, the last run one shorter."""
-    path, turn, other = [], "0", "1"
-    while b:
-        q, r = divmod(a, b)
-        path.append(turn * (q if r else q - 1))
-        a, b, turn, other = b, r, other, turn
-    return "".join(path)
-
-
 PRECISION = 128  # fraction bits of the Farey intervals
 
 
-def _farey_margins(rep: Representation, plan: _FareyPlan, count: int
+def _farey_margins(rep: Representation, plan, count: int
                    ) -> list[float | None]:
-    """trace_margin of each planned slot's image, from its slope's interval
-    around Y, or None where that interval does not decide it. Slope classes
+    """trace_margin of each planned slot's image, for plan a SlopeOrbit's
+    farey (the walk of its slopes, psltilde.curves._FareyPlan), from its
+    slope's interval around Y, or None where that interval does not decide
+    it. Slope classes
     are numbered 0, 1, 2 for (1,0), (0,1), (1,1), so that the sum of Farey
     neighbours of classes i and j has class 3 - i - j."""
     A, B, C = (rep.image(g).int_rep for g in ("c1", "c2", "c3"))
@@ -405,7 +237,7 @@ def _farey_margins(rep: Representation, plan: _FareyPlan, count: int
         m = abs(m)
         margins[i] = _bracket_margin(max(m - r, 0), m + r, dens[c])
 
-    for slope, x in zip(_FareyPlan.ROOTS, (x10, x01, x11, x1m)):
+    for slope, x in zip(plan.ROOTS, (x10, x01, x11, x1m)):
         if slope in plan.roots:
             record(plan.roots[slope], x)
     for root, walk in zip((x11, x1m), plan.walks):
@@ -473,7 +305,7 @@ def _fixed_margins(rep: Representation, curves: CurveList
     proven error bound (above), or None where that bound does not decide
     it."""
     p = FIXED_PRECISION
-    mats = letter_matrices(rep)
+    mats = letter_matrices(rep, curves)
     if any(a * d <= b * c for a, b, c, d in mats.values()):
         return [None] * len(curves)  # the bound needs det > 0: walk exactly
     blocks = {}  # run -> (B, s, det M rounded down and up at scale 2^p)
@@ -523,7 +355,7 @@ def curve_margins(rep: Representation, curves: Curves, below: float
     curve_products takes the undecided slots and the flagged ones, so that
     each flagged slot's image comes with its margin."""
     _check_surface(rep, curves)
-    if isinstance(curves, _SlopeCurves):
+    if isinstance(curves, SlopeOrbit):
         margins = _farey_margins(rep, curves.farey, len(curves))
     else:
         margins = _fixed_margins(rep, curves)

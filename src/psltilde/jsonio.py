@@ -11,7 +11,7 @@ import os
 import tempfile
 
 from .audit import AuditReport
-from .cover import CoverClass, CoverElement
+from .cover import EQUAL_TOL, CoverClass, CoverElement
 from .errors import RelatorNotCentral
 from .mobius import Matrix2, ProjectiveMatrix, normalize
 from .surface import Representation, SurfacePresentation
@@ -161,7 +161,7 @@ def representation_from_json(data) -> Representation:
         claimed = matrix_from_json(stored[last])  # refuses non-unit dets
         # the stored c_p against the exact image of its defining word
         gap = claimed.rep.maxdiff(rep.peripheral_image(surf.punctures).rep)
-        if not gap < 1e-8:
+        if not gap < EQUAL_TOL:
             raise RelatorNotCentral(
                 "serialized last peripheral disagrees with the defining "
                 f"relation by {gap:.3e}")

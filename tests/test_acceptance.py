@@ -17,7 +17,7 @@ from psltilde.constructors import (
     build_rep,
     pgl_flip,
 )
-from psltilde.exact import CurveList
+from psltilde.curves import Curves
 from psltilde.mobius import Matrix2, normalize
 from psltilde.sampling import derive_seed, random_hyperbolic, random_psl
 from psltilde.surface import (
@@ -144,7 +144,7 @@ def test_criterion_6_counterexample_components():
     for (g, p), signs in (((0, 4), (1, 1, 1, -1)), ((1, 2), (1, -1))):
         depth = AUDIT_DEPTHS[(g, p)]
         surf = SurfacePresentation(g, p)
-        curves = CurveList.enumerated(surf, depth)
+        curves = Curves.enumerated(surf, depth)
         assert depth >= 4 and len(curves) >= 500
         worst = float("inf")
         for i in range(50):
@@ -165,7 +165,7 @@ def test_criterion_7_fuchsian_oracle():
     for (g, p), signs in (((0, 4), (1, 1, 1, 1)), ((1, 2), (1, 1))):
         depth = AUDIT_DEPTHS[(g, p)]
         surf = SurfacePresentation(g, p)
-        curves = CurveList.enumerated(surf, depth)
+        curves = Curves.enumerated(surf, depth)
         for seed in range(5):
             rep = build_rep(BuildRequest(g, p, 2, signs, seed))
             report = audit_rep(rep, depth, curves=curves)
@@ -205,7 +205,7 @@ def test_criterion_10_np_probe_reported():
     t0 = time.time()
     depth = 4
     surf = SurfacePresentation(0, 4)
-    curves = CurveList.enumerated(surf, depth)
+    curves = Curves.enumerated(surf, depth)
     passes = flagged = 0
     count = 1000
     for i in range(count):

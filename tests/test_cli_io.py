@@ -280,7 +280,7 @@ def test_cli_sample_refuses_a_negative_count(tmp_path, capsys):
 def test_cli_refuses_a_bad_margin_before_any_work(tmp_path, capsys,
                                                   monkeypatch, margin):
     from psltilde import constructors
-    from psltilde.exact import CurveList
+    from psltilde.curves import Curves
 
     def refuse(*args):
         raise AssertionError("built or enumerated before the margin check")
@@ -289,7 +289,7 @@ def test_cli_refuses_a_bad_margin_before_any_work(tmp_path, capsys,
     jsonio.atomic_write(rep_path, jsonio.dumps(jsonio.representation_to_json(
         build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42)))))
     monkeypatch.setattr(constructors, "build_rep", refuse)
-    monkeypatch.setattr(CurveList, "enumerated", refuse)
+    monkeypatch.setattr(Curves, "enumerated", refuse)
     want = f"error: margin {float(margin)} must be finite and non-negative\n"
     out = str(tmp_path / "out.json")
     assert run(SAMPLE_ARGS + ["--count", "3", "--depth", "2",

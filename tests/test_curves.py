@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from psltilde.curves import (
     MAX_ORBIT_WORD_LEN,
+    Curves,
     McgAuto,
     SlopeOrbit,
     _translation,
@@ -192,12 +193,16 @@ def test_fuchsian_soundness_oracle():
 
 @pytest.mark.parametrize("depth", range(9))
 def test_slope_orbit_matches_the_word_search(depth):
-    orbit = SlopeOrbit(depth)
     words, dropped = _word_orbit(S04, depth)
-    assert orbit.dropped == dropped
-    assert orbit.words() == words == enumerate_scc(S04, depth)
-    assert len(set(orbit.slopes)) == len(orbit) == len(words)
-    assert set(orbit.slopes) == set(map(word_slope, words))
+    assert enumerate_scc(S04, depth) == words
+    for orbit in (SlopeOrbit(depth), Curves.enumerated(S04, depth)):
+        assert isinstance(orbit, SlopeOrbit)
+        assert orbit.dropped == dropped
+        assert [orbit.slot_word(i) for i in sorted(range(len(orbit)),
+                                                   key=orbit.slot_key)] \
+            == words
+        assert len(set(orbit.slopes)) == len(orbit) == len(words)
+        assert set(orbit.slopes) == set(map(word_slope, words))
 
 
 def test_slope_word_length_identity():
@@ -207,7 +212,7 @@ def test_slope_word_length_identity():
     assert orbit.dropped == 2
     longest = 0
     for i, (a, b) in enumerate(orbit.slopes):
-        w = orbit.word(i)
+        w = orbit.slot_word(i)
         counts = Counter(g for g, _ in w.letters)
         assert (counts["c1"], counts["c2"], counts["c3"]) == \
             (abs(a), abs(a - b), abs(b)), (a, b)

@@ -28,11 +28,16 @@ from psltilde.constructors import (
     build_rep,
     sample,
 )
-from psltilde.curves import enumerate_scc, word_slope
-from psltilde.errors import RelatorNotCentral
-from psltilde.exact import (
+from psltilde.curves import (
     CurveList,
     Curves,
+    _FareyPlan,
+    _stern_brocot,
+    enumerate_scc,
+    word_slope,
+)
+from psltilde.errors import RelatorNotCentral
+from psltilde.exact import (
     curve_margins,
     curve_products,
     trace_margin,
@@ -320,7 +325,7 @@ def _mediant_path(a, b):
 @given(st.integers(1, 3000), st.integers(1, 3000))
 def test_stern_brocot_path_by_continued_fraction(a, b):
     g = math.gcd(a, b)
-    assert exact._stern_brocot(a // g, b // g) == _mediant_path(a // g, b // g)
+    assert _stern_brocot(a // g, b // g) == _mediant_path(a // g, b // g)
 
 
 def _exact_margin(tt, den):
@@ -435,8 +440,7 @@ def test_enumerated_audit_forms_only_the_words_it_reports():
     for rep, depth in ((_gamma2(), 7),
                        (build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42)),
                         6)):
-        curves = Curves.enumerated(SPHERE4, depth)
-        orbit = curves.orbit
+        orbit = curves = Curves.enumerated(SPHERE4, depth)
         seeds = set(orbit._codes)
         calls.clear()
         with mock.patch.object(Alphabet, "canonical", counting("canonical")), \
@@ -480,7 +484,7 @@ def test_a_slope_does_not_decide_a_caller_word():
     odd, simple = parse_word("c1 c2 c3^-1 c2^-1"), parse_word("c1 c2 c3 c2^-1")
     assert word_slope(odd) == word_slope(simple) == (1, -1)
     with pytest.raises(AssertionError, match=r"two curves of slope \(1, -1\)"):
-        exact._FareyPlan([word_slope(odd), word_slope(simple)])
+        _FareyPlan([word_slope(odd), word_slope(simple)])
     margins = [audit_rep(rep, 0, curves=[w]).min_trace_margin
                for w in (odd, simple)]
     assert margins[0] != margins[1]
