@@ -43,8 +43,9 @@ class AuditReport:
     violations: tuple[Violation, ...]
     min_margin_curve: str | None  # the first curve attaining the minimum
     words_dropped: int | None     # by MAX_ORBIT_WORD_LEN, when enumerated
-    # margins the fixed-precision pass (Farey intervals of (0,4) slopes, or
-    # the fixed-point word walk) left to the exact walk; not serialized
+    # curves rounded exactly (the minimum, its ties and every flag) whose
+    # fixed-precision bracket (Farey interval of a (0,4) slope, or the
+    # fixed-point word walk) left them to the exact walk; not serialized
     exact_fallbacks: int
 
     @property
@@ -80,14 +81,18 @@ def audit_rep(rep: Representation, depth: int,
 
     Each verdict is exact about the stored float matrices: the margins come
     from exact integers (psltilde.exact.curve_margins), and only each
-    margin is rounded, to within a few ulps. Every curve is first decided
-    in fixed precision where that decides it: enumerated curves on the
-    four-punctured sphere by their slopes, and every other curve, including
-    every word a caller passes, by a fixed-point walk of its word with a
-    proven error bound. The undecided (counted in exact_fallbacks) and the
-    flagged are then walked in exact integers; the words of enumerated
-    slopes are formed only for those and for the curves tied at the
-    minimum. Pass a Curves list (such as
+    margin is rounded, to within a few ulps. Each curve's tr^2/det is
+    first bracketed in fixed precision with a proven error bound:
+    enumerated curves on the four-punctured sphere by their slopes, and
+    every other curve, including every word a caller passes, by a
+    fixed-point walk of its word. An integer screen on the brackets keeps
+    only the curves the report can name, which are rounded exactly: those
+    that can attain the minimum margin or fall below the margin. Every
+    other margin is only bounded, proven above the minimum and not below
+    the margin. The kept curves the brackets leave undecided (counted in
+    exact_fallbacks) and the flagged are then walked in exact integers; the
+    words of enumerated slopes are formed only for those and for the
+    curves tied at the minimum. Pass a Curves list (such as
     Curves.enumerated) to audit many representations of one surface
     against one prepared list; words_dropped is that of an enumerated
     list, None for a caller's words. Deterministic: violations come in the
@@ -102,9 +107,9 @@ def audit_rep(rep: Representation, depth: int,
         curves = CurveList(rep.surface, curves)
     margins, fallbacks, flagged = curve_margins(rep, curves, margin)
     flagged.sort(key=lambda slot_image: curves.slot_key(slot_image[0]))
-    low = min(margins, default=None)
+    low = min(margins.values(), default=None)
     worst = None if low is None else min(
-        (i for i, m in enumerate(margins) if m == low), key=curves.slot_key)
+        (i for i, m in margins.items() if m == low), key=curves.slot_key)
     return AuditReport(
         genus=rep.surface.genus,
         punctures=rep.surface.punctures,

@@ -6,15 +6,19 @@ read here are invariant under positive scaling: the trace ratio
 |tr|/sqrt(det), the canonical unit-determinant representative, and the PSL
 type. So words are multiplied out in Python integers, inverses are
 adjugates, and only the numbers read off a finished product are rounded to
-floats. Those integers grow with every letter, so the audit's margins are
-first sought in fixed precision with a proven error bound, by slopes on
-the four-punctured sphere and by words elsewhere, and only the curves that
-pass leaves undecided are multiplied out.
+floats. Those integers grow with every letter, so each margin is first
+bracketed in fixed precision with a proven error bound, by slopes on the
+four-punctured sphere and by words elsewhere. The brackets screen out the
+curves that cannot be at the audit's minimum or below its bound; only the
+rest are rounded exactly, and only those the brackets leave undecided, or
+that are flagged, are multiplied out.
 
 This module holds the arithmetic only: the curve lists it reads, and the
 choice of list for an enumeration, are psltilde.curves's Curves.
 """
 from __future__ import annotations
+
+import math
 
 from .curves import CurveList, Curves, SlopeOrbit
 from .mobius import (
@@ -193,15 +197,19 @@ def psl_type(x: IntMatrix) -> PslType:
 
 PRECISION = 128  # fraction bits of the Farey intervals
 
+# A slot's bracket (a, b, den_lo, den_hi), 0 <= a <= b, puts tr^2/det of its
+# image in [a^2 / den_hi, b^2 / den_lo], as _bracket_margin reads it; a
+# word whose fixed-point bound fails has None.
+Bracket = tuple[int, int, int, int] | None
 
-def _farey_margins(rep: Representation, plan, count: int
-                   ) -> list[float | None]:
-    """trace_margin of each planned slot's image, for plan a SlopeOrbit's
-    farey (the walk of its slopes, psltilde.curves._FareyPlan), from its
-    slope's interval around Y, or None where that interval does not decide
-    it. Slope classes
-    are numbered 0, 1, 2 for (1,0), (0,1), (1,1), so that the sum of Farey
-    neighbours of classes i and j has class 3 - i - j."""
+
+def _farey_brackets(rep: Representation, plan, count: int
+                    ) -> list[Bracket]:
+    """The bracket of each planned slot's tr^2/det, for plan a SlopeOrbit's
+    farey (the walk of its slopes, psltilde.curves._FareyPlan): its
+    slope's interval around |Y|, over the den of its slope class. Slope
+    classes are numbered 0, 1, 2 for (1,0), (0,1), (1,1), so that the sum
+    of Farey neighbours of classes i and j has class 3 - i - j."""
     A, B, C = (rep.image(g).int_rep for g in ("c1", "c2", "c3"))
     D = _adjugate(_mul(_mul(A, B), C))
     (tA, dA), (tB, dB), (tC, dC) = map(_trace_det, (A, B, C))
@@ -230,12 +238,12 @@ def _farey_margins(rep: Representation, plan, count: int
     x10, x01, x11 = ((t, 0, c) for c, t in enumerate(
         sum(_mul(x, y)[::3]) << p for x, y in ((A, B), (B, C), (C, A))))
     x1m = child(x10, x01, x11)  # (1, -1), by the edge {(1, 0), (0, 1)}
-    margins = [0.0] * count
+    brackets = [None] * count
 
     def record(i, x):
         m, r, c = x
         m = abs(m)
-        margins[i] = _bracket_margin(max(m - r, 0), m + r, dens[c])
+        brackets[i] = (max(m - r, 0), m + r, dens[c], dens[c])
 
     for slope, x in zip(plan.ROOTS, (x10, x01, x11, x1m)):
         if slope in plan.roots:
@@ -252,7 +260,7 @@ def _farey_margins(rep: Representation, plan, count: int
             stack.append(frame)
             if i is not None:
                 record(i, frame[2])
-    return margins
+    return brackets
 
 
 def _bracket_margin(a: int, b: int, den: int, den_high: int | None = None
@@ -269,7 +277,7 @@ def _bracket_margin(a: int, b: int, den: int, den_high: int | None = None
 # -- any word in fixed point --------------------------------------------------
 #
 # The exact integers of a word's image grow by about 130 bits per letter,
-# while a margin needs about 53. _fixed_margins walks the words as
+# while a margin needs about 53. _fixed_brackets walks the words as
 # curve_products does, with the same exact block products M_k = B_k / 4^s_k
 # (B_k the integer product of a run of letters, s_k = bitlen(det B_k) // 2,
 # so det M_k is in [1/2, 2)), but keeps each prefix as an integer matrix X_k
@@ -299,11 +307,10 @@ def _bracket_margin(a: int, b: int, den: int, den_high: int | None = None
 FIXED_PRECISION = 256  # fraction bits of the fixed-point word walk
 
 
-def _fixed_margins(rep: Representation, curves: CurveList
-                   ) -> list[float | None]:
-    """trace_margin of each word's image, from a fixed-point walk with a
-    proven error bound (above), or None where that bound does not decide
-    it."""
+def _fixed_brackets(rep: Representation, curves: CurveList
+                    ) -> list[Bracket]:
+    """The bracket of each word's tr^2/det from a fixed-point walk with a
+    proven error bound (above), or None where that bound fails."""
     p = FIXED_PRECISION
     mats = letter_matrices(rep, curves)
     if any(a * d <= b * c for a, b, c, d in mats.values()):
@@ -329,7 +336,7 @@ def _fixed_margins(rep: Representation, curves: CurveList
         return a, b, c, d, lo, hi, sigma
 
     one = 1 << p
-    margins = [None] * len(curves)
+    brackets = [None] * len(curves)
     for i, (a, b, c, d, lo, hi, sigma) in _walk(
             curves, (one, 0, 0, one, one, one, 0), step):
         if 2 * sigma > one or lo <= 0:
@@ -338,29 +345,114 @@ def _fixed_margins(rep: Representation, curves: CurveList
                 d.bit_length())
         r2 = 2 * ((sigma << m + 2 >> p) + 1)
         t = abs(a + d)
-        margins[i] = _bracket_margin(max(t - r2, 0), t + r2, lo << p, hi << p)
-    return margins
+        brackets[i] = (max(t - r2, 0), t + r2, lo << p, hi << p)
+    return brackets
+
+
+# -- the screen: only the margins an audit can report are rounded ------------
+#
+# An audit reports the least margin, the first slot at it, and the slots
+# below its bound `below`. Write x = tr^2/det of a slot's image, s = sqrt(x)
+# and f(x) for its rounded margin, _margin(*_margin_parts(tt, det)). Then
+#     |f(x) - (s - 2)| <= 2^-50 (s + 2)
+# while f(x) is finite: q is x - 4 correctly rounded (or None, and f is
+# r - 2 rounded), r is s to within an ulp, and r + 2 and q / (r + 2) round
+# once each, so f is s - 2 to within 5 ulps, plus at most 2^-1074 below the
+# normal range; and f >= -2, so no margin is below a bound <= -2.
+# Let X >= x_j+, the upper end b^2 / den_lo of some slot j's bracket, and
+# X >= (2 + below)^2 when below > -2; let V = sqrt(X) and e = 2^-SCREEN_SLACK.
+# A slot i whose lower end is at least X (1 + e) + e = T^2 has s_i >= T,
+# and T^2 - V^2 = e (V^2 + 1), so
+#     T - V = e (V^2 + 1) / (T + V) >= e (V + 1) / 5,
+# as V^2 + 1 >= (V + 1)^2 / 2 and T + V <= 2.5 (V + 1). The lower bound on
+# f(x_i) grows with s_i, so with V + 2 <= 2 (V + 1) and e = 2^-40
+#     f(x_i) >= T - 2 - 2^-50 (T + 2) > V - 2 + 2^-50 (V + 2),
+# which is at least below, and at least f(x_j) while x_j+ < 2^2000 keeps
+# f(x_j) finite. Slot j's lower end is below T^2, so j is a candidate, and
+# slot i is above min(margins) and not below `below`: it is screened out.
+# X is rounded up at scale 2^SCREEN_BITS, so that the screen costs a few
+# short integer products a slot against the two divisions and two square
+# roots of _bracket_margin.
+
+SCREEN_BITS = 64   # fraction bits of the screen's threshold on tr^2/det
+SCREEN_SLACK = 40  # the threshold is widened by 2^-SCREEN_SLACK
+
+
+def _screen_bound(brackets: list[Bracket], below: float) -> int | None:
+    """n >= 2^SCREEN_BITS T^2 (above): a slot whose tr^2/det is at least
+    n / 2^SCREEN_BITS has a margin above the least of the others and not
+    below `below`. None when no n is proven, and every slot is a
+    candidate."""
+    s = SCREEN_BITS
+    if below == math.inf:
+        return None
+    least = {}  # den_lo -> the least upper end b of the brackets with it
+    for bracket in brackets:
+        if bracket is not None:
+            _, b, den, _ = bracket
+            if den not in least or b < least[den]:
+                least[den] = b
+    if not least:
+        return None
+    x = min(-(-(b * b << s) // den) for den, b in least.items())
+    if x >> s + 2000:
+        return None  # a margin there may round to inf
+    if below > -2:
+        num, d = below.as_integer_ratio()
+        x = max(x, -(-((2 * d + num) ** 2 << s) // (d * d)))
+    return x + (x >> SCREEN_SLACK) + 1 + (1 << s - SCREEN_SLACK)
+
+
+def _candidates(brackets: list[Bracket], below: float, shared: bool
+                ) -> list[int]:
+    """The slots curve_margins rounds exactly, in slot order: each slot
+    without a bracket, and each whose bracket reaches below the screen's
+    bound. With shared dens (the three slope classes of the Farey
+    brackets), the test is one integer threshold per den; otherwise
+    a cross-multiplication per slot."""
+    n = _screen_bound(brackets, below)
+    if n is None:
+        return list(range(len(brackets)))
+    s = SCREEN_BITS
+    if not shared:
+        return [i for i, x in enumerate(brackets)
+                if x is None or x[0] * x[0] << s < x[3] * n]
+    least = {}  # den_hi -> the least a screened out: a^2 2^s >= den_hi n
+    for den in {x[3] for x in brackets}:
+        t = -(-(den * n) >> s)
+        a = math.isqrt(t)
+        least[den] = a + (a * a < t)
+    return [i for i, (a, _, _, den) in enumerate(brackets) if a < least[den]]
 
 
 def curve_margins(rep: Representation, curves: Curves, below: float
-                  ) -> tuple[list[float], int, list[tuple[int, IntMatrix]]]:
-    """(margins, fallbacks, flagged): trace_margin of every slot's image;
-    the number of slots the fixed-precision pass left to the exact walk;
-    and (slot, integer image) of each slot whose margin is below `below`,
-    in walk order.
+                  ) -> tuple[dict[int, float], int,
+                             list[tuple[int, IntMatrix]]]:
+    """(margins, fallbacks, flagged): trace_margin of each slot the audit
+    can report, by slot; the number of those the fixed-precision brackets
+    left to the exact walk; and (slot, integer image) of each slot whose
+    margin is below `below`, in walk order.
 
-    Enumerated curves on the four-punctured sphere are decided by the
-    intervals of their slopes (_farey_margins), every other list by a
-    fixed-point walk of its words (_fixed_margins). One walk of
-    curve_products takes the undecided slots and the flagged ones, so that
-    each flagged slot's image comes with its margin."""
+    Enumerated curves on the four-punctured sphere are bracketed by the
+    intervals of their slopes (_farey_brackets), every other list by a
+    fixed-point walk of its words (_fixed_brackets). The brackets screen
+    the slots in integers (_candidates): margins holds every slot that can
+    be at the least margin or below `below`, each rounded exactly, and
+    every other slot's margin is proven above min(margins.values()) and not
+    below `below`. One walk of curve_products takes the candidates the
+    brackets do not decide and the flagged ones, so that each flagged
+    slot's image comes with its margin."""
     _check_surface(rep, curves)
-    if isinstance(curves, SlopeOrbit):
-        margins = _farey_margins(rep, curves.farey, len(curves))
+    shared = isinstance(curves, SlopeOrbit)
+    if shared:
+        brackets = _farey_brackets(rep, curves.farey, len(curves))
     else:
-        margins = _fixed_margins(rep, curves)
-    fallbacks = margins.count(None)
-    todo = [i for i, m in enumerate(margins) if m is None or m < below]
+        brackets = _fixed_brackets(rep, curves)
+    margins = {i: None if brackets[i] is None
+               else _bracket_margin(*brackets[i])
+               for i in _candidates(brackets, below, shared)}
+    todo = [i for i, m in margins.items() if m is None or m < below]
+    fallbacks = sum(m is None for m in margins.values())
     flagged = []
     if todo:
         for j, image in curve_products(rep, curves.sublist(todo)):

@@ -201,7 +201,7 @@ def test_violation_types_apply_the_band_to_the_exact_ratio(q, side):
     assert ref.psl_type(tuple(map(Fraction, x))) == want
     # the audit types a flagged curve's integer image x as the reference does
     rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
-    flagged = ([exact.trace_margin(x)], 0, [(0, x)])
+    flagged = ({0: exact.trace_margin(x)}, 0, [(0, x)])
     with mock.patch.object(audit, "curve_margins", return_value=flagged):
         (v,) = audit_rep(rep, 0, curves=[parse_word("c1")]).violations
     assert v.psl_type == want
@@ -273,19 +273,58 @@ def _walked(curves: Curves) -> CurveList:
     return CurveList(curves.surface, map(curves.slot_word, _by_key(curves)))
 
 
-def _margins(rep, curves: Curves) -> list[float]:
-    """Every margin of curve_margins, in slot_key order."""
-    margins, _, flagged = curve_margins(rep, curves, -math.inf)
-    assert flagged == []
-    return [margins[i] for i in _by_key(curves)]
+def _brackets(rep, curves: Curves) -> list:
+    """The fixed-precision brackets that curve_margins screens."""
+    if isinstance(curves, CurveList):
+        return exact._fixed_brackets(rep, curves)
+    return exact._farey_brackets(rep, curves.farey, len(curves))
 
 
-def _exact_margins(rep, curves: CurveList) -> list[float]:
-    """trace_margin of every word's integer product, in slot order."""
+def _decided(rep, curves: Curves) -> list[float | None]:
+    """The margin of every slot that its bracket decides, else None."""
+    return [None if x is None else exact._bracket_margin(*x)
+            for x in _brackets(rep, curves)]
+
+
+def _exact_margins(rep, curves: Curves) -> list[float]:
+    """trace_margin of every slot's integer product, in slot order."""
     margins = [None] * len(curves)
-    for i, image in curve_products(rep, curves):
+    for i, image in curve_products(rep, curves.sublist(range(len(curves)))):
         margins[i] = trace_margin(image)
     return margins
+
+
+def _all_margins(rep, curves: Curves) -> list[float]:
+    """Every slot's margin in slot order: each bracket decided by
+    _bracket_margin, the slots it leaves by the exact walk."""
+    margins = _decided(rep, curves)
+    todo = [i for i, m in enumerate(margins) if m is None]
+    if todo:
+        for j, image in curve_products(rep, curves.sublist(todo)):
+            margins[todo[j]] = trace_margin(image)
+    return margins
+
+
+def _check_screen(margins: list[float], got: dict, below: float) -> None:
+    """curve_margins's margins `got` against every slot's `margins`: each
+    slot it rounds is exact, and every slot it screens out is above the
+    least of them and not below `below`."""
+    low = min(got.values())
+    for i, m in enumerate(margins):
+        if i in got:
+            assert got[i] == m, i
+        else:
+            assert m > low and not m < below, (i, m, low, below)
+
+
+def _margins(rep, curves: Curves) -> list[float]:
+    """Every slot's margin (_all_margins) in slot_key order, checked
+    against what curve_margins rounds and screens out."""
+    margins = _all_margins(rep, curves)
+    got, _, flagged = curve_margins(rep, curves, -math.inf)
+    assert flagged == []
+    _check_screen(margins, got, -math.inf)
+    return [margins[i] for i in _by_key(curves)]
 
 
 def test_recursion_margins_equal_the_walk():
@@ -416,8 +455,9 @@ def test_gamma2_oracle():
     assert report.exact_fallbacks == 0
     plain = _walked(Curves.enumerated(SPHERE4, 7))
     walked = audit_rep(rep, 7, curves=plain)
-    assert walked.exact_fallbacks == \
-        exact._fixed_margins(rep, plain).count(None)
+    decided = _decided(rep, plain)
+    kept = curve_margins(rep, plain, report.margin)[0]
+    assert walked.exact_fallbacks == sum(decided[i] is None for i in kept)
     assert walked == dataclasses.replace(
         report, words_dropped=None, exact_fallbacks=walked.exact_fallbacks)
 
@@ -447,9 +487,8 @@ def test_enumerated_audit_forms_only_the_words_it_reports():
                 mock.patch.object(Alphabet, "decode", counting("decode")):
             report = audit_rep(rep, depth, curves=curves)
         assert report.violations == () and report.exact_fallbacks == 0
-        tied = [i for i, m in enumerate(
-            exact._farey_margins(rep, curves.farey, len(curves)))
-            if m == report.min_trace_margin]
+        tied = [i for i, m in enumerate(_decided(rep, curves))
+                if m == report.min_trace_margin]
         paths = set()
         for i in tied:
             while i is not None:
@@ -471,8 +510,11 @@ def test_undecided_slopes_fall_back_to_the_walk():
     plain = _walked(curves)
     with mock.patch.object(exact, "PRECISION", 0):
         for rep in (_gamma2(), build_negative_control()):
-            fallbacks = curve_margins(rep, curves, -math.inf)[1]
-            assert 200 < fallbacks <= len(curves) == 240
+            undecided = {i for i, m in enumerate(_decided(rep, curves))
+                         if m is None}
+            assert 200 < len(undecided) <= len(curves) == 240
+            got, fallbacks, _ = curve_margins(rep, curves, -math.inf)
+            assert fallbacks == len(undecided & set(got))
             assert _margins(rep, curves) == _margins(rep, plain)
 
 
@@ -528,9 +570,9 @@ def test_enumerated_audit_walks_only_flagged_curves():
     # undecided, and some of them are flagged: each is walked once
     control, curves = build_negative_control(), ENUMERATED[4]
     with mock.patch.object(exact, "PRECISION", 0):
+        candidates = curve_margins(control, curves, 1e-6)[0]
         undecided = [curves.slot_word(i) for i, m in enumerate(
-            exact._farey_margins(control, curves.farey, len(curves)))
-            if m is None]
+            _decided(control, curves)) if m is None and i in candidates]
         report = audited(control, 4, 1e-6, curves)
     assert len(undecided) == report.exact_fallbacks > 0
     flagged = [parse_word(v.curve) for v in report.violations]
@@ -555,16 +597,13 @@ def _flagged_in_one_walk(rep, curves, below):
 
 
 def _undecided(rep, curves: Curves) -> set[int]:
-    """The slots that curve_margins's fixed-precision pass leaves."""
-    margins = exact._fixed_margins(rep, curves) \
-        if isinstance(curves, CurveList) \
-        else exact._farey_margins(rep, curves.farey, len(curves))
-    return {i for i, m in enumerate(margins) if m is None}
+    """The slots that curve_margins's fixed-precision brackets leave."""
+    return {i for i, m in enumerate(_decided(rep, curves)) if m is None}
 
 
 def test_curve_margins_flags_exactly_the_slots_below():
     # the flagged slots are those below the bound, each with its image, and
-    # one walk takes them together with the undecided slots: those the
+    # one walk takes them together with the undecided candidates: those the
     # fixed-point word walk leaves on a caller's list, and those the slope
     # intervals leave on the enumerated one; with few fraction bits most
     # slots are undecided, and the margins do not change
@@ -580,17 +619,16 @@ def test_curve_margins_flags_exactly_the_slots_below():
             with mock.patch.object(exact, name, bits):
                 undecided = _undecided(r, curves)
                 counts.append(len(undecided))
-                (margins, _, _), _ = _flagged_in_one_walk(r, curves,
-                                                          -math.inf)
+                margins = _all_margins(r, curves)
                 for below in (1e-6, sorted(margins)[len(margins) // 2], 5.0):
                     (got, fallbacks, flagged), walks = \
                         _flagged_in_one_walk(r, curves, below)
-                    assert got == margins
+                    _check_screen(margins, got, below)
                     want = [i for i, m in enumerate(margins) if m < below]
                     assert sorted(i for i, _ in flagged) == want
-                    todo = undecided | set(want)
+                    todo = (undecided & set(got)) | set(want)
                     assert walks == ([len(todo)] if todo else [])
-                    assert fallbacks == len(undecided)
+                    assert fallbacks == len(undecided & set(got))
                     for i, image in flagged:
                         assert image == word_product(r, curves.slot_word(i))
             if curves is plain:
@@ -599,6 +637,52 @@ def test_curve_margins_flags_exactly_the_slots_below():
     n = len(plain)
     assert max(counts[:2]) <= 1 and all(0 < k < n for k in counts[2:4])
     assert counts[4:6] == [n, n] and counts[7] > n // 2
+
+
+def test_the_screen_at_its_edges():
+    # at a bound equal to a slot's exact margin, one float either side of
+    # it, 0 and +-inf, the screen keeps every flag, the minimum and the
+    # first slot at it, and each slot it screens out is above the minimum
+    # and not below the bound: on the (0,4) slopes of a counterexample
+    # build and of the negative control (margins down to -2, where the
+    # screen's slack is absolute), and on the (1,3) fixture's words
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "torus3-counterexample.json")) as fh:
+        torus3 = jsonio.representation_from_json(json.load(fh))
+    slopes = Curves.enumerated(SPHERE4, 6)
+    for rep, curves in (
+            (build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42)), slopes),
+            (build_negative_control(), slopes),
+            (torus3, CurveList(torus3.surface,
+                               enumerate_scc(torus3.surface, 5)))):
+        margins = _all_margins(rep, curves)
+        assert margins == _exact_margins(rep, curves)
+        low = min(margins)
+        first = min((i for i, m in enumerate(margins) if m == low),
+                    key=curves.slot_key)
+        screened = set()
+        for m in (low, sorted(margins)[len(margins) // 3]):
+            bounds = (m, math.nextafter(m, -math.inf),
+                      math.nextafter(m, math.inf), 0.0, -math.inf, math.inf)
+            for below in bounds:
+                got, _, flagged = curve_margins(rep, curves, below)
+                _check_screen(margins, got, below)
+                assert sorted(i for i, _ in flagged) == \
+                    [i for i, x in enumerate(margins) if x < below]
+                assert min(got.values()) == low
+                assert min((i for i, x in got.items() if x == low),
+                           key=curves.slot_key) == first
+                screened |= set(range(len(curves))) - set(got)
+        assert len(screened) > len(curves) // 2
+    # past 2^1000 in |tr| margins round to inf and tie there, so no bracket
+    # proves a slot above the minimum: every slot is kept
+    big = 2 ** 1100
+    brackets = [(big, big, 1, 1), (2 * big, 2 * big, 1, 1), None]
+    for shared in (True, False):
+        assert exact._candidates(brackets[:2], 0.0, shared) == [0, 1]
+        assert exact._candidates([(3, 3, 1, 1), (6, 6, 1, 1)], 0.0,
+                                 shared) == [0]
+    assert exact._candidates(brackets, 0.0, False) == [0, 1, 2]
 
 
 def test_a_slope_list_has_no_words_to_walk():
@@ -653,7 +737,7 @@ def test_fixed_margins_are_exact_or_undecided(rep_words, bits):
     # margins, so that a bound too small would decide a wrong margin
     rep, ws = rep_words
     with mock.patch.object(exact, "FIXED_PRECISION", bits):
-        margins = exact._fixed_margins(rep, CurveList(rep.surface, ws))
+        margins = _decided(rep, CurveList(rep.surface, ws))
     for w, m in zip(ws, margins):
         assert m is None or m == trace_margin(word_product(rep, w)), \
             format_word(w)
@@ -669,7 +753,7 @@ def test_fixed_margins_on_the_stored_audit_inputs():
         with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
             rep = jsonio.representation_from_json(json.load(fh))
         curves = CurveList(rep.surface, enumerate_scc(rep.surface, depth))
-        margins = exact._fixed_margins(rep, curves)
+        margins = _decided(rep, curves)
         want = _exact_margins(rep, curves)
         assert all(m is None or m == x for m, x in zip(margins, want)), name
         assert margins.count(None) <= len(curves) // 100, name
@@ -690,7 +774,7 @@ def test_an_excursion_is_decided_by_its_true_suffixes():
         assert (2 * n + 1) * math.log2(norm) > exact.FIXED_PRECISION + 100
         want = trace_margin(word_product(rep, w))
         curves = CurveList(rep.surface, [w])
-        (got,) = exact._fixed_margins(rep, curves)
+        (got,) = _decided(rep, curves)
         assert got == want if decided else got is None
-        assert curve_margins(rep, curves, 0.0) == ([want], int(not decided),
+        assert curve_margins(rep, curves, 0.0) == ({0: want}, int(not decided),
                                                     [])
