@@ -403,26 +403,16 @@ def _screen_bound(brackets: list[Bracket], below: float) -> int | None:
     return x + (x >> SCREEN_SLACK) + 1 + (1 << s - SCREEN_SLACK)
 
 
-def _candidates(brackets: list[Bracket], below: float, shared: bool
-                ) -> list[int]:
+def _candidates(brackets: list[Bracket], below: float) -> list[int]:
     """The slots curve_margins rounds exactly, in slot order: each slot
-    without a bracket, and each whose bracket reaches below the screen's
-    bound. With shared dens (the three slope classes of the Farey
-    brackets), the test is one integer threshold per den; otherwise
-    a cross-multiplication per slot."""
+    without a bracket, and each whose bracket's lower end of tr^2/det,
+    a^2 / den_hi, reaches below the screen's bound."""
     n = _screen_bound(brackets, below)
     if n is None:
         return list(range(len(brackets)))
     s = SCREEN_BITS
-    if not shared:
-        return [i for i, x in enumerate(brackets)
-                if x is None or x[0] * x[0] << s < x[3] * n]
-    least = {}  # den_hi -> the least a screened out: a^2 2^s >= den_hi n
-    for den in {x[3] for x in brackets}:
-        t = -(-(den * n) >> s)
-        a = math.isqrt(t)
-        least[den] = a + (a * a < t)
-    return [i for i, (a, _, _, den) in enumerate(brackets) if a < least[den]]
+    return [i for i, x in enumerate(brackets)
+            if x is None or x[0] * x[0] << s < x[3] * n]
 
 
 def curve_margins(rep: Representation, curves: Curves, below: float
@@ -443,14 +433,13 @@ def curve_margins(rep: Representation, curves: Curves, below: float
     brackets do not decide and the flagged ones, so that each flagged
     slot's image comes with its margin."""
     _check_surface(rep, curves)
-    shared = isinstance(curves, SlopeOrbit)
-    if shared:
+    if isinstance(curves, SlopeOrbit):
         brackets = _farey_brackets(rep, curves.farey, len(curves))
     else:
         brackets = _fixed_brackets(rep, curves)
     margins = {i: None if brackets[i] is None
                else _bracket_margin(*brackets[i])
-               for i in _candidates(brackets, below, shared)}
+               for i in _candidates(brackets, below)}
     todo = [i for i, m in margins.items() if m is None or m < below]
     fallbacks = sum(m is None for m in margins.values())
     flagged = []

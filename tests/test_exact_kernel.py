@@ -286,6 +286,11 @@ def _decided(rep, curves: Curves) -> list[float | None]:
             for x in _brackets(rep, curves)]
 
 
+def _undecided(rep, curves: Curves) -> set[int]:
+    """The slots that curve_margins's fixed-precision brackets leave."""
+    return {i for i, m in enumerate(_decided(rep, curves)) if m is None}
+
+
 def _exact_margins(rep, curves: Curves) -> list[float]:
     """trace_margin of every slot's integer product, in slot order."""
     margins = [None] * len(curves)
@@ -455,8 +460,14 @@ def test_gamma2_oracle():
     assert report.exact_fallbacks == 0
     plain = _walked(Curves.enumerated(SPHERE4, 7))
     walked = audit_rep(rep, 7, curves=plain)
-    decided = _decided(rep, plain)
+    # what the report needs, from every slot's margin: the slots tied at the
+    # minimum and the flagged ones are rounded, the others bounded above it
+    margins = _all_margins(rep, plain)
     kept = curve_margins(rep, plain, report.margin)[0]
+    assert {i for i, m in enumerate(margins)
+            if m == min(margins) or m < report.margin} <= set(kept)
+    _check_screen(margins, kept, report.margin)
+    decided = _decided(rep, plain)
     assert walked.exact_fallbacks == sum(decided[i] is None for i in kept)
     assert walked == dataclasses.replace(
         report, words_dropped=None, exact_fallbacks=walked.exact_fallbacks)
@@ -510,12 +521,16 @@ def test_undecided_slopes_fall_back_to_the_walk():
     plain = _walked(curves)
     with mock.patch.object(exact, "PRECISION", 0):
         for rep in (_gamma2(), build_negative_control()):
-            undecided = {i for i, m in enumerate(_decided(rep, curves))
-                         if m is None}
-            assert 200 < len(undecided) <= len(curves) == 240
-            got, fallbacks, _ = curve_margins(rep, curves, -math.inf)
-            assert fallbacks == len(undecided & set(got))
-            assert _margins(rep, curves) == _margins(rep, plain)
+            # an infinite bound keeps and flags every slot, so that each
+            # undecided one goes through curve_margins's own walk
+            got, fallbacks, flagged = curve_margins(rep, curves, math.inf)
+            assert 200 < fallbacks == len(_undecided(rep, curves)) \
+                <= len(curves) == 240
+            assert sorted(got) == sorted(i for i, _ in flagged) == \
+                list(range(len(curves)))
+            assert [got[i] for i in _by_key(curves)] == \
+                _exact_margins(rep, plain) == _margins(rep, curves) \
+                == _margins(rep, plain)
 
 
 def test_a_slope_does_not_decide_a_caller_word():
@@ -596,11 +611,6 @@ def _flagged_in_one_walk(rep, curves, below):
         return curve_margins(rep, curves, below), walks
 
 
-def _undecided(rep, curves: Curves) -> set[int]:
-    """The slots that curve_margins's fixed-precision brackets leave."""
-    return {i for i, m in enumerate(_decided(rep, curves)) if m is None}
-
-
 def test_curve_margins_flags_exactly_the_slots_below():
     # the flagged slots are those below the bound, each with its image, and
     # one walk takes them together with the undecided candidates: those the
@@ -678,11 +688,9 @@ def test_the_screen_at_its_edges():
     # proves a slot above the minimum: every slot is kept
     big = 2 ** 1100
     brackets = [(big, big, 1, 1), (2 * big, 2 * big, 1, 1), None]
-    for shared in (True, False):
-        assert exact._candidates(brackets[:2], 0.0, shared) == [0, 1]
-        assert exact._candidates([(3, 3, 1, 1), (6, 6, 1, 1)], 0.0,
-                                 shared) == [0]
-    assert exact._candidates(brackets, 0.0, False) == [0, 1, 2]
+    assert exact._candidates(brackets[:2], 0.0) == [0, 1]
+    assert exact._candidates([(3, 3, 1, 1), (6, 6, 1, 1)], 0.0) == [0]
+    assert exact._candidates(brackets, 0.0) == [0, 1, 2]
 
 
 def test_a_slope_list_has_no_words_to_walk():
