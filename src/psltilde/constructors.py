@@ -59,8 +59,10 @@ from .mobius import (
     Matrix2,
     ProjectiveMatrix,
     PslType,
+    _eigenvalues,
     classify_psl,
     conjugator,
+    diag,
     normalize,
     normalize_unit,
     rotation,
@@ -279,16 +281,6 @@ def _transport_pair(x: CoverElement, y: CoverElement, target: CoverElement,
     return _balance_on_centralizer(x2, y2, target, rng)
 
 
-def _swap_solution(x: CoverElement, y: CoverElement, target: CoverElement
-                   ) -> tuple[CoverElement, CoverElement]:
-    """Turn a solution x*y = target into one with the factor kinds swapped:
-    (y, x) multiplies to the conjugate x^-1 target x, which a final transport
-    returns onto the target."""
-    conj_target = cover_mul(cover_mul(cover_inv(x), target), x)
-    g = CoverElement(conjugator(conj_target.base, target.base), 0)
-    return cover_conj(g, y), cover_conj(g, x)
-
-
 def _verify_product(x: CoverElement, y: CoverElement, k1: FactorKind,
                     k2: FactorKind, target: CoverElement) -> None:
     if cover_classify(x) != kind_class(k1) or cover_classify(y) != kind_class(k2):
@@ -356,7 +348,7 @@ def _hyp_ell_pair(tau: float, rng: random.Random
                   ) -> tuple[CoverElement, CoverElement]:
     m = rng.uniform(1.4, 3.0)
     th = math.acos(tau / (m + 1.0 / m))
-    hyp = special_lift(normalize(Matrix2(m, 0.0, 0.0, 1.0 / m)))
+    hyp = special_lift(normalize(diag(m)))
     ell = lift_in_class(normalize(rotation(th)), Ell(1))
     return hyp, ell
 
@@ -398,7 +390,7 @@ def _hyp_hyp_pair(tcls: CoverClass, target: CoverElement,
         m = m + jitter
         w = (tau - tb / m) / (m - 1.0 / m)
         q = w * (tb - w) - 1.0
-        a = normalize(Matrix2(m, 0.0, 0.0, 1.0 / m))
+        a = normalize(diag(m))
         b = normalize(Matrix2(w, eps, eps * q, tb - w))
         x, y = special_lift(a), special_lift(b)
         cls = cover_classify(cover_mul(x, y))
@@ -446,11 +438,11 @@ def _solve_pair(k1: FactorKind, k2: FactorKind, target: CoverElement,
                 ) -> tuple[CoverElement, CoverElement]:
     """Verified (x, y) of kinds (k1, k2) with x*y = target: the normal-form
     pair transported onto the target, swapped when the requested order is
-    the reverse of the normal form's."""
+    the reverse of the normal form's: (x y x^-1, x) has the product x y."""
     x, y = _normal_form_pair(k1, k2, target, tcls, rng)
     x, y = _transport_pair(x, y, target, rng)
     if _NORMAL_ORDER.index(k1) > _NORMAL_ORDER.index(k2):
-        x, y = _swap_solution(x, y, target)
+        x, y = cover_conj(x, y), x
     _verify_product(x, y, k1, k2, target)
     return x, y
 
@@ -545,7 +537,7 @@ def solve_commutator(target: CoverElement, rng: random.Random | None = None
     elif tcls in (ParPlus(0), ParMinus(0)):
         m = rng.uniform(1.5, 2.5)
         w = -1.0 if tcls == ParPlus(0) else 1.0
-        a, b = Matrix2(1.0, w, 0.0, 1.0), Matrix2(m, 0.0, 0.0, 1.0 / m)
+        a, b = Matrix2(1.0, w, 0.0, 1.0), diag(m)
     else:
         # generic slice x = y = 3: z^2 - 9 z + (16 - kappa) = 0
         disc = 17.0 + 4.0 * kappa
@@ -614,13 +606,11 @@ def _diagonal_model(boundary: ProjectiveMatrix
                     ) -> tuple[ProjectiveMatrix, ProjectiveMatrix]:
     """(model, g) with g model g^-1 = boundary, model diagonal and g shrunk
     along the model's centralizer."""
-    t = abs(boundary.rep.trace())
-    lam = (t + math.sqrt(t * t - 4.0)) / 2.0
-    model = normalize(Matrix2(lam, 0.0, 0.0, 1.0 / lam))
+    model = normalize(diag(_eigenvalues(boundary.trace_abs())[0]))
     g = conjugator(model, boundary).rep
     s = math.sqrt(math.sqrt(max(abs(g.b), abs(g.d), 1e-300) /
                             max(abs(g.a), abs(g.c), 1e-300)))
-    return model, normalize(g @ Matrix2(s, 0.0, 0.0, 1.0 / s))
+    return model, normalize(g @ diag(s))
 
 
 def _rebalance_along_boundary(rep: Representation,
@@ -644,7 +634,7 @@ def _rebalance_diag(rep: Representation) -> Representation:
                         _DIAG_GRID, (0.1, 0.03), lambda s, x: s * math.exp(x))
     if abs(best - 1.0) < 1e-12:
         return rep
-    return rep.conjugate(normalize(Matrix2(best, 0.0, 0.0, 1.0 / best)))
+    return rep.conjugate(normalize(diag(best)))
 
 
 def _extremal_recursive(surf: SurfacePresentation,

@@ -446,6 +446,11 @@ def slope_length(a: int, b: int) -> int:
     return 2 * max(abs(a), abs(b), abs(a - b))
 
 
+def _positive(a: int, b: int) -> tuple[int, int]:
+    """The one of +-(a, b) with a > 0, or with a = 0 and b >= 0."""
+    return (a, b) if a > 0 or a == 0 and b >= 0 else (-a, -b)
+
+
 def word_slope(w: CurveWord) -> tuple[int, int]:
     """The slope (a, b) of a word of a simple closed curve on the
     four-punctured sphere, a > 0 or (a, b) = (0, 1). A slope does not
@@ -453,56 +458,52 @@ def word_slope(w: CurveWord) -> tuple[int, int]:
     c1 c2 c3 c2^-1."""
     alphabet = Alphabet(_CENTRES)
     codes = alphabet.encode(w)
-    a, b = _translation(codes, _code_centres(alphabet))
-    if a < 0 or a == 0 and b < 0:
-        a, b = -a, -b
+    a, b = _positive(*_translation(codes, _code_centres(alphabet)))
     if len(codes) % 2 or math.gcd(a, b) != 1:
         raise AssertionError("not a simple closed curve of the "
                              f"four-punctured sphere: {format_word(w)!r}")
     return a, b
 
 
-class _FareyPlan:
-    """Slopes of simple curves on the four-punctured sphere, by slot, as a
-    depth-first walk of the Stern-Brocot trees below (1, 1) and below its
-    mirror (1, -1), both between (1, 0) and (0, 1); a slope (a, b) with
-    b < 0 is the mirror image of (a, -b), by the same path. The plan
+def _farey_parents(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The Farey parents (l, r) of the slope (a, b), a > 0 and b != 0: the
+    ends of the interval in which the Stern-Brocot tree below (1, 1),
+    between (1, 0) and (0, 1), puts it, and for b < 0 the mirror images of
+    those of (a, -b). So l + r = (a, b) and det(l, r) = +-1; for b > 0, l =
+    (a1, b1), the end toward (1, 0), has a1 b - b1 a = 1, so a1 is the
+    inverse of b modulo a in (0, a]."""
+    s, b = (1, b) if b > 0 else (-1, -b)
+    a1 = pow(b, -1, a) or a
+    b1 = (a1 * b - 1) // a
+    return (a1, s * b1), (a - a1, s * (b - b1))
+
+
+def _farey_plan(slopes) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """(nodes, slots): the slopes of simple curves on the four-punctured
+    sphere as a parent list. Nodes 0, 1 and 2 are the roots (1, 0), (0, 1)
+    and (1, 1); node 3 + j is the slope l + r for nodes[j] = (l, r, u), the
+    earlier nodes of its Farey parents l and r and of their difference
+    u = l - r. Slopes are taken up to sign, so (1, -1) has the parents
+    (1, 0) and (0, 1), and u = (1, 1). Every Stern-Brocot ancestor of a
+    slope is a node, and slots[i] is the node of slopes[i]. The plan
     depends on the slopes only, so one plan serves every representation."""
-
-    ROOTS = ((1, 0), (0, 1), (1, 1), (1, -1))
-
-    def __init__(self, slopes):
-        self.roots = {}  # root slope -> slot
-        trees = ({}, {})  # below (1, 1), below (1, -1): path -> slot
-        for i, (a, b) in enumerate(slopes):
-            if (a, b) in self.ROOTS:
-                target, key = self.roots, (a, b)
-            else:
-                target, key = trees[b < 0], _stern_brocot(a, abs(b))
-                for k in range(len(key) - 1, 0, -1):
-                    if key[:k] in target:
-                        break
-                    target[key[:k]] = None
-            if target.get(key) is not None:
-                raise AssertionError(f"two curves of slope {(a, b)}")
-            target[key] = i
-        # (path length, right turn, slot or None) in preorder, which is the
-        # string order of the paths
-        self.walks = tuple(tuple((len(p), p[-1] == "1", tree[p])
-                                 for p in sorted(tree)) for tree in trees)
-
-
-def _stern_brocot(a: int, b: int) -> str:
-    """Path from (1, 1) to (a, b), a, b > 0, in the Stern-Brocot tree
-    between (1, 0) and (0, 1): '0' toward (1, 0), '1' toward (0, 1). With
-    a/b = [q_0; q_1, ..., q_k] it is q_0 '0's, q_1 '1's, and so on
-    alternating, the last run one shorter."""
-    path, turn, other = [], "0", "1"
-    while b:
-        q, r = divmod(a, b)
-        path.append(turn * (q if r else q - 1))
-        a, b, turn, other = b, r, other, turn
-    return "".join(path)
+    index = {(1, 0): 0, (0, 1): 1, (1, 1): 2}  # slope -> node
+    nodes, slots, taken = [], [], set()
+    for v in slopes:
+        chain, w = [], v  # w and its parents, down the younger parent
+        while w not in index:
+            l, r = _farey_parents(*w)
+            chain.append((w, l, r))
+            w = l if l[0] + abs(l[1]) > r[0] + abs(r[1]) else _positive(*r)
+        for w, l, r in reversed(chain):
+            index[w] = len(index)
+            nodes.append((index[l], index[_positive(*r)],
+                          index[_positive(l[0] - r[0], l[1] - r[1])]))
+        if index[v] in taken:
+            raise AssertionError(f"two curves of slope {v}")
+        taken.add(index[v])
+        slots.append(index[v])
+    return nodes, slots
 
 
 class SlopeOrbit(Curves):
@@ -516,7 +517,7 @@ class SlopeOrbit(Curves):
     canonical code string of curve i, takes one substitution and one
     canonical form per level and is kept once formed; a word is formed
     only when asked for, by slot_word or slot_key. Each curve is decided
-    by its slope, in the order of farey."""
+    by its slope, through the parent list farey."""
 
     surface = SPHERE4
 
@@ -545,9 +546,7 @@ class SlopeOrbit(Curves):
             for i in frontier:
                 a, b = self.slopes[i]
                 for t, (p, q, r, s) in enumerate(self.maps):
-                    x, y = p * a + q * b, r * a + s * b
-                    if x < 0 or x == 0 and y < 0:
-                        x, y = -x, -y
+                    x, y = _positive(p * a + q * b, r * a + s * b)
                     if slope_length(x, y) > MAX_ORBIT_WORD_LEN:
                         dropped += 1
                     elif (x, y) not in index:
@@ -579,8 +578,9 @@ class SlopeOrbit(Curves):
         return code
 
     @cached_property
-    def farey(self) -> _FareyPlan:
-        return _FareyPlan(self.slopes)
+    def farey(self) -> tuple[list[tuple[int, int, int]], list[int]]:
+        """The parent list of the slopes (_farey_plan)."""
+        return _farey_plan(self.slopes)
 
     def slot_key(self, i: int) -> str:
         """Sort key of curve i: enumerate_scc's order."""

@@ -184,15 +184,19 @@ def psl_type(x: IntMatrix) -> PslType:
 # and t_A..t_D the traces of A..C and D = adj(ABC), a slope of class c has
 # x = y / sigma_c, sigma_c^2 = D_A D_B, D_B D_C, D_A D_C for
 # c = (1,0), (0,1), (1,1). The roots (1,0) = c1 c2, (0,1) = c2 c3 and
-# (1,1) = c3 c1 have y = their trace, and below them
-# y(v + w) = (k_c - y_v y_w) / kappa_c - y_u, u = +-(v - w), with
+# (1,1) = c3 c1 have y = their trace. Every other slope v of class c is
+# l + r for its Farey parents l and r, and
+# y(v) = (k_c - y_l y_r) / kappa_c - y_u, u = l - r, with
 # (k_c, kappa_c) = (t_A t_B D_C + t_C t_D, D_C), (t_B t_C D_A + t_A t_D, D_A),
-# (t_A t_C D_B + t_B t_D, D_B). y^2 / sigma_c^2 is then the same rational
-# number as tr^2/det of the word's integer image, so the margin rounds to the
-# same float. y itself is a ratio of integers thousands of bits long at depth
-# 6, while a margin needs about 53 bits: each slope keeps an integer interval
-# [m - r, m + r] around Y = 2^PRECISION y instead, r bounding every rounding
-# below it.
+# (t_A t_C D_B + t_B t_D, D_B). A slope and its negative are one curve, so
+# (1,-1) = (1,0) + (0,-1) has the parents (1,0) and (0,1), and u = (1,1).
+# psltilde.curves._farey_plan lists the slopes so that each one's l, r and
+# u come before it: one step per slope in list order. y^2 / sigma_c^2 is
+# then the same rational number as tr^2/det of the word's integer image, so
+# the margin rounds to the same float. y itself is a ratio of integers
+# thousands of bits long at depth 6, while a margin needs about 53 bits:
+# each slope keeps an integer interval [m - r, m + r] around
+# Y = 2^PRECISION y instead, r bounding every rounding that went into it.
 
 
 PRECISION = 128  # fraction bits of the Farey intervals
@@ -203,13 +207,12 @@ PRECISION = 128  # fraction bits of the Farey intervals
 Bracket = tuple[int, int, int, int] | None
 
 
-def _farey_brackets(rep: Representation, plan, count: int
-                    ) -> list[Bracket]:
-    """The bracket of each planned slot's tr^2/det, for plan a SlopeOrbit's
-    farey (the walk of its slopes, psltilde.curves._FareyPlan): its
-    slope's interval around |Y|, over the den of its slope class. Slope
-    classes are numbered 0, 1, 2 for (1,0), (0,1), (1,1), so that the sum
-    of Farey neighbours of classes i and j has class 3 - i - j."""
+def _farey_brackets(rep: Representation, plan) -> list[Bracket]:
+    """The bracket of each slot's tr^2/det, for plan a SlopeOrbit's farey
+    (psltilde.curves._farey_plan): the interval of its slope's node around
+    |Y|, over the den of its slope class. Slope classes are numbered 0, 1,
+    2 for (1,0), (0,1), (1,1), so that the sum of Farey neighbours of
+    classes i and j has class 3 - i - j."""
     A, B, C = (rep.image(g).int_rep for g in ("c1", "c2", "c3"))
     D = _adjugate(_mul(_mul(A, B), C))
     (tA, dA), (tB, dB), (tC, dC) = map(_trace_det, (A, B, C))
@@ -220,57 +223,34 @@ def _farey_brackets(rep: Representation, plan, count: int
     k = (tA * tB * dC + tC * tD << 2 * p, tB * tC * dA + tA * tD << 2 * p,
          tA * tC * dB + tB * tD << 2 * p)
     kappa = (dC << p, dA << p, dB << p)
-
-    def child(node, end, u):
-        """The slope node + end, for the node of a Stern-Brocot frame, an
-        end of its interval and u = node - end, the other end; a slope is
-        (m, r, class) for Y in [m - r, m + r]."""
-        mn, rn, cn = node
-        me, re, ce = end
-        c = 3 - cn - ce
-        # |Y_v Y_w - mn me| <= rad; rad // kappa + 1 bounds rad / kappa, and
-        # 1 more the floor of the midpoint
-        rad = abs(mn) * re + abs(me) * rn + rn * re
-        return (k[c] - mn * me) // kappa[c] - u[0], \
-            rad // kappa[c] + 2 + u[1], c
-
-    # the roots' Y are exact
-    x10, x01, x11 = ((t, 0, c) for c, t in enumerate(
-        sum(_mul(x, y)[::3]) << p for x, y in ((A, B), (B, C), (C, A))))
-    x1m = child(x10, x01, x11)  # (1, -1), by the edge {(1, 0), (0, 1)}
-    brackets = [None] * count
-
-    def record(i, x):
-        m, r, c = x
+    # a node is (m, r, class) for Y in [m - r, m + r]; the roots' Y are exact
+    y = [(sum(_mul(x, z)[::3]) << p, 0, c)
+         for c, (x, z) in enumerate(((A, B), (B, C), (C, A)))]
+    nodes, slots = plan
+    for l, r, u in nodes:
+        ml, rl, cl = y[l]
+        mr, rr, cr = y[r]
+        c = 3 - cl - cr
+        # |Y_l Y_r - ml mr| <= rad; rad // kappa + 1 bounds rad / kappa,
+        # and 1 more the floor of the midpoint
+        rad = abs(ml) * rr + abs(mr) * rl + rl * rr
+        y.append(((k[c] - ml * mr) // kappa[c] - y[u][0],
+                  rad // kappa[c] + 2 + y[u][1], c))
+    brackets = []
+    for n in slots:
+        m, r, c = y[n]
         m = abs(m)
-        brackets[i] = (max(m - r, 0), m + r, dens[c], dens[c])
-
-    for slope, x in zip(plan.ROOTS, (x10, x01, x11, x1m)):
-        if slope in plan.roots:
-            record(plan.roots[slope], x)
-    for root, walk in zip((x11, x1m), plan.walks):
-        stack = [(x10, x01, root)]  # (left, right, node) down the path
-        for depth, right, i in walk:
-            del stack[depth:]
-            left, right_end, node = stack[-1]
-            if right:
-                frame = node, right_end, child(node, right_end, left)
-            else:
-                frame = left, node, child(node, left, right_end)
-            stack.append(frame)
-            if i is not None:
-                record(i, frame[2])
+        brackets.append((max(m - r, 0), m + r, dens[c], dens[c]))
     return brackets
 
 
-def _bracket_margin(a: int, b: int, den: int, den_high: int | None = None
+def _bracket_margin(a: int, b: int, den: int, den_high: int
                     ) -> float | None:
     """The margin of the rational number tt/det for some tt and det with
-    a^2 <= tt <= b^2, 0 <= a <= b, and den <= det <= den_high (den_high
-    defaults to den), or None. When both extremes of tt/det give the same
-    _margin_parts, so does tt/det, as each part is monotone in it, and the
-    margin is exact."""
-    parts = _margin_parts(a * a, den if den_high is None else den_high)
+    a^2 <= tt <= b^2, 0 <= a <= b, and den <= det <= den_high, or None.
+    When both extremes of tt/det give the same _margin_parts, so does
+    tt/det, as each part is monotone in it, and the margin is exact."""
+    parts = _margin_parts(a * a, den_high)
     return _margin(*parts) if parts == _margin_parts(b * b, den) else None
 
 
@@ -434,7 +414,7 @@ def curve_margins(rep: Representation, curves: Curves, below: float
     slot's image comes with its margin."""
     _check_surface(rep, curves)
     if isinstance(curves, SlopeOrbit):
-        brackets = _farey_brackets(rep, curves.farey, len(curves))
+        brackets = _farey_brackets(rep, curves.farey)
     else:
         brackets = _fixed_brackets(rep, curves)
     margins = {i: None if brackets[i] is None

@@ -142,30 +142,30 @@ def _canonical_sign(m: Matrix2) -> Matrix2:
     return m if m.d > 0.0 else -m
 
 
-def _unit_scale(a, b, c, d, det_tol: float = DET_PRE_TOL) -> float:
+def _unit_scale(a, b, c, d) -> float:
     """Factor normalize() scales (a b / c d) by, 1.0 when it leaves the
     matrix unscaled; raises NonUnitDeterminant as normalize() does."""
     p1, e1 = _two_prod(a, d)
     p2, e2 = _two_prod(b, c)
     det = (p1 - p2) + (e1 - e2)
     # written so that a NaN determinant (a non-finite entry) fails it too
-    if not (det > 0.0 and abs(det - 1.0) < det_tol):
+    if not (det > 0.0 and abs(det - 1.0) < DET_PRE_TOL):
         raise NonUnitDeterminant(f"determinant {det!r} not acceptably close to 1")
     if abs(det - 1.0) > _DET_ULPS * (abs(p1) + abs(p2)):
         return 1.0 / math.sqrt(det)
     return 1.0
 
 
-def normalize(m: Matrix2, det_tol: float = DET_PRE_TOL) -> ProjectiveMatrix:
+def normalize(m: Matrix2) -> ProjectiveMatrix:
     """Rescale to determinant 1 and pick the canonical-sign representative.
 
-    Raises NonUnitDeterminant for det <= 0, |det - 1| >= det_tol or a
+    Raises NonUnitDeterminant for det <= 0, |det - 1| >= DET_PRE_TOL or a
     non-finite entry: this layer repairs float drift, not arbitrary GL
     matrices. The determinant is read with compensated products, and a
     matrix whose determinant is 1 to within its rounding error is left
     unscaled, so normalizing is a projection.
     """
-    k = _unit_scale(m.a, m.b, m.c, m.d, det_tol)
+    k = _unit_scale(m.a, m.b, m.c, m.d)
     return ProjectiveMatrix(_canonical_sign(m if k == 1.0 else m.scale(k)))
 
 
@@ -277,10 +277,9 @@ def _positive_trace_rep(p: ProjectiveMatrix) -> Matrix2:
     return p.rep if p.rep.trace() > 0 else -p.rep
 
 
-def _eigenvalues(m: Matrix2) -> tuple[float, float]:
-    """Expanding and contracting eigenvalues of a hyperbolic m with
-    positive trace."""
-    tr = m.trace()
+def _eigenvalues(tr: float) -> tuple[float, float]:
+    """Expanding and contracting eigenvalues of a hyperbolic of trace
+    tr > 2."""
     disc = math.sqrt(tr * tr - 4.0)
     return (tr + disc) / 2.0, (tr - disc) / 2.0
 
@@ -306,7 +305,7 @@ def fixed_directions(p: ProjectiveMatrix):
     m = _positive_trace_rep(p)
     if kind is PslType.HYPERBOLIC:
         return sorted(_angle_of(*_eigenvector(m, lam))
-                      for lam in _eigenvalues(m))
+                      for lam in _eigenvalues(m.trace()))
     return [_angle_of(*_eigenvector(m, 1.0))]
 
 
@@ -335,7 +334,7 @@ def _hyperbolic_frame(p: ProjectiveMatrix) -> Matrix2:
     contracting eigendirections of p, in that order."""
     m = _positive_trace_rep(p)
     cols = []
-    for lam in _eigenvalues(m):
+    for lam in _eigenvalues(m.trace()):
         v = _eigenvector(m, lam)
         n = math.hypot(*v)
         cols.append((v[0] / n, v[1] / n))
@@ -430,7 +429,7 @@ def conjugator(p: ProjectiveMatrix, q: ProjectiveMatrix) -> ProjectiveMatrix:
         gdet = g.det()
         if gdet <= 1e-12:
             continue
-        g = normalize(g.scale(1.0 / math.sqrt(gdet)), det_tol=1.0)
+        g = normalize(g.scale(1.0 / math.sqrt(gdet)))
         check = g @ p @ g.inv()
         if check.rep.maxdiff(q.rep) < CONJ_TOL:
             return g

@@ -6,7 +6,14 @@ import math
 import random
 
 from .cover import CoverElement, special_lift
-from .mobius import Matrix2, ProjectiveMatrix, normalize, rotation
+from .mobius import (
+    Matrix2,
+    ProjectiveMatrix,
+    _eigenvalues,
+    diag,
+    normalize,
+    rotation,
+)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -25,9 +32,8 @@ def random_psl(rng: random.Random, spread: float = 1.5) -> ProjectiveMatrix:
 def random_hyperbolic(rng: random.Random, tmin: float = 2.05,
                       tmax: float = 8.0, spread: float = 1.5) -> ProjectiveMatrix:
     t = rng.uniform(tmin, tmax)
-    lam = (t + math.sqrt(t * t - 4.0)) / 2.0
     g = random_psl(rng, spread)
-    return normalize(g.rep @ Matrix2(lam, 0.0, 0.0, 1.0 / lam) @ g.rep.inv())
+    return normalize(g.rep @ diag(_eigenvalues(t)[0]) @ g.rep.inv())
 
 
 def random_parabolic(rng: random.Random, sign: int = 1) -> ProjectiveMatrix:

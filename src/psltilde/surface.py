@@ -35,7 +35,6 @@ from .mobius import (
     PslType,
     _eigenvalues,
     _hyperbolic_frame,
-    _positive_trace_rep,
     _unit_scale,
     classify_psl,
     normalize_unit,
@@ -440,7 +439,7 @@ def _power_frame(m: ProjectiveMatrix) -> tuple[float, Matrix2, Matrix2]:
     """(lam, f, f^-1): m's expanding eigenvalue and eigenframe, m^t = f
     diag(lam^t, lam^-t) f^-1."""
     f = _hyperbolic_frame(m)
-    return _eigenvalues(_positive_trace_rep(m))[0], f, f.inv()
+    return _eigenvalues(m.trace_abs())[0], f, f.inv()
 
 
 def _power_entries(lam: float, f: Matrix2, fi: Matrix2, t: float) -> tuple:

@@ -31,8 +31,9 @@ from psltilde.constructors import (
 from psltilde.curves import (
     CurveList,
     Curves,
-    _FareyPlan,
-    _stern_brocot,
+    _farey_parents,
+    _farey_plan,
+    _positive,
     enumerate_scc,
     word_slope,
 )
@@ -277,7 +278,7 @@ def _brackets(rep, curves: Curves) -> list:
     """The fixed-precision brackets that curve_margins screens."""
     if isinstance(curves, CurveList):
         return exact._fixed_brackets(rep, curves)
-    return exact._farey_brackets(rep, curves.farey, len(curves))
+    return exact._farey_brackets(rep, curves.farey)
 
 
 def _decided(rep, curves: Curves) -> list[float | None]:
@@ -351,25 +352,43 @@ def test_recursion_margins_equal_the_walk():
 
 
 def _mediant_path(a, b):
-    """The Stern-Brocot path to (a, b) one mediant at a time."""
-    path = []
+    """The Stern-Brocot frame (left, right) of (a, b), a, b > 0, found one
+    mediant at a time: its Farey parents."""
     left, right, node = (1, 0), (0, 1), (1, 1)
     while node != (a, b):
         if b * node[0] < node[1] * a:
             right = node
-            path.append("0")
         else:
             left = node
-            path.append("1")
         node = (left[0] + right[0], left[1] + right[1])
-    return "".join(path)
+    return left, right
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3000), st.integers(1, 3000))
-def test_stern_brocot_path_by_continued_fraction(a, b):
+@given(st.integers(1, 3000), st.integers(1, 3000), st.sampled_from((1, -1)))
+def test_farey_parents_by_mediants(a, b, sign):
+    # below (1, -1) the tree is the mirror image of the one below (1, 1)
     g = math.gcd(a, b)
-    assert _stern_brocot(a // g, b // g) == _mediant_path(a // g, b // g)
+    a, b = a // g, b // g
+    left, right = _mediant_path(a, b)
+    assert _farey_parents(a, sign * b) == \
+        ((left[0], sign * left[1]), (right[0], sign * right[1]))
+
+
+def test_farey_plan_is_a_parent_list():
+    # each node's slope is the sum or the difference of its parents', u
+    # the other one, so the nodes' slopes follow from the roots'
+    curves = Curves.enumerated(SPHERE4, 7)
+    nodes, slots = curves.farey
+    slopes = [(1, 0), (0, 1), (1, 1)]
+    for l, r, u in nodes:
+        (a, b), (c, d) = slopes[l], slopes[r]
+        assert max(l, r, u) < len(slopes) and abs(a * d - b * c) == 1
+        pair = {_positive(a + c, b + d), _positive(a - c, b - d)}
+        assert slopes[u] in pair
+        slopes.append(min(pair - {slopes[u]}))
+    assert len(set(slopes)) == len(slopes) == len(curves) == 1560
+    assert [slopes[n] for n in slots] == curves.slopes
 
 
 def _exact_margin(tt, den):
@@ -401,7 +420,7 @@ def test_bracket_margin_is_exact_or_declines(m, s, sigma2, offset, cut,
                    (s, m * m << 900)):
         for tt in (t * t, t * t + abs(offset)):
             a, b = _bracket(tt, below, above)
-            got = exact._bracket_margin(a, b, den)
+            got = exact._bracket_margin(a, b, den, den)
             assert got is None or got == _exact_margin(tt, den), (tt, den)
 
 
@@ -410,20 +429,21 @@ def test_bracket_margin_at_parabolic_zero_and_overflow():
              (3 ** 1000, 4 ** 1000), (1, 3 * 4 ** 3000), (-4, 4), (7, 12))
     for t, den in cases:
         # a point bracket always decides
-        assert exact._bracket_margin(abs(t), abs(t), den) == \
+        assert exact._bracket_margin(abs(t), abs(t), den, den) == \
             _exact_margin(t * t, den)
         # so does a bracket one unit wide, far enough below the leading
         # bit, except where the margin is exactly that of a parabolic or
         # of trace 0: every wider bracket leaves it
         want = _exact_margin(t * t, den)
         a = abs(t) << 200
-        got = exact._bracket_margin(a, a + 1, den << 400)
+        got = exact._bracket_margin(a, a + 1, den << 400, den << 400)
         assert got == (None if t == 0 or want == 0.0 else want), (t, den)
-    assert exact._bracket_margin(2 * 3 ** 300, 2 * 3 ** 300, 3 ** 600) == 0.0
-    assert exact._bracket_margin(0, 0, 5) == -2.0
-    assert exact._bracket_margin(2 ** 5000, 2 ** 5000, 1) == math.inf
+    assert exact._bracket_margin(2 * 3 ** 300, 2 * 3 ** 300, 3 ** 600,
+                                3 ** 600) == 0.0
+    assert exact._bracket_margin(0, 0, 5, 5) == -2.0
+    assert exact._bracket_margin(2 ** 5000, 2 ** 5000, 1, 1) == math.inf
     # a bracket across a rounding of the margin declines
-    assert exact._bracket_margin(2, 3, 1) is None
+    assert exact._bracket_margin(2, 3, 1, 1) is None
 
 
 ENUMERATED = {d: Curves.enumerated(SPHERE4, d) for d in range(5)}
@@ -541,7 +561,7 @@ def test_a_slope_does_not_decide_a_caller_word():
     odd, simple = parse_word("c1 c2 c3^-1 c2^-1"), parse_word("c1 c2 c3 c2^-1")
     assert word_slope(odd) == word_slope(simple) == (1, -1)
     with pytest.raises(AssertionError, match=r"two curves of slope \(1, -1\)"):
-        _FareyPlan([word_slope(odd), word_slope(simple)])
+        _farey_plan([word_slope(odd), word_slope(simple)])
     margins = [audit_rep(rep, 0, curves=[w]).min_trace_margin
                for w in (odd, simple)]
     assert margins[0] != margins[1]
