@@ -2,6 +2,10 @@
 selftest. All file I/O is JSON/CSV with atomic writes and deterministic bytes
 for identical invocations (including seeds).
 
+Each command builds only its own parser; a command line that does not start
+with a command name builds all of them, so help, usage and error text are the
+same either way.
+
 Exit codes: 0 success, 1 audit violations found, 2 input or infeasibility
 error.
 """
@@ -17,7 +21,6 @@ from .constructors import BuildRequest, build_rep, sample
 from .cover import cover_classify
 from .errors import PslTildeError
 from .mobius import classify_psl
-from .selftest import run_selftest
 
 
 def _parse_signs(text: str) -> tuple[int, ...]:
@@ -49,7 +52,10 @@ def _cmd_construct(args) -> int:
 def _cmd_classify(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
-    items = data if isinstance(data, list) else [data]
+    # one matrix, one cover element, or a list of them
+    many = isinstance(data, list) and not (
+        len(data) == 4 and all(type(v) in (int, float) for v in data))
+    items = data if many else [data]
     out = []
     for item in items:
         if isinstance(item, dict) and "index" in item:
@@ -59,7 +65,7 @@ def _cmd_classify(args) -> int:
             matrix = item["matrix"] if isinstance(item, dict) else item
             p = jsonio.matrix_from_json(matrix)
             out.append({"type": classify_psl(p).value})
-    _write_json(args.output, out if isinstance(data, list) else out[0])
+    _write_json(args.output, out if many else out[0])
     return 0
 
 
@@ -110,42 +116,31 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     ok = run_selftest(scale=args.scale)
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="psltilde",
-        description=("computations in the universal cover of PSL(2,R): "
-                     "representation construction, invariants, and "
-                     "hyperbolicity audits"))
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="build a representation with "
-                       "prescribed Euler class and signs")
+def _request_args(c: argparse.ArgumentParser, signs_help=None) -> None:
     c.add_argument("--genus", type=int, required=True)
     c.add_argument("--punctures", type=int, required=True)
     c.add_argument("--euler", type=int, required=True)
-    c.add_argument("--signs", required=True,
-                   help="comma-separated +, - per puncture")
+    c.add_argument("--signs", required=True, help=signs_help)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("-o", "--output", default=None)
-    c.set_defaults(fn=_cmd_construct)
 
-    c = sub.add_parser("classify", help="classify matrices or cover elements")
+
+def _construct_args(c: argparse.ArgumentParser) -> None:
+    _request_args(c, signs_help="comma-separated +, - per puncture")
+    c.add_argument("-o", "--output", default=None)
+
+
+def _file_args(c: argparse.ArgumentParser) -> None:
     c.add_argument("input")
     c.add_argument("-o", "--output", default=None)
-    c.set_defaults(fn=_cmd_classify)
 
-    c = sub.add_parser("euler", help="Euler class and sign vector of a "
-                       "representation file")
-    c.add_argument("input")
-    c.add_argument("-o", "--output", default=None)
-    c.set_defaults(fn=_cmd_euler)
 
-    c = sub.add_parser("audit", help="hyperbolicity audit over enumerated "
-                       "simple closed curves")
+def _audit_args(c: argparse.ArgumentParser) -> None:
     c.add_argument("input")
     c.add_argument("--depth", type=int, default=4)
     c.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
@@ -153,32 +148,67 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--restrictions", action="store_true",
                    help="also certify the pants/complement restriction "
                    "Euler classes")
-    c.set_defaults(fn=_cmd_audit)
 
-    c = sub.add_parser("sample", help="seeded batch of builds with audits")
-    c.add_argument("--genus", type=int, required=True)
-    c.add_argument("--punctures", type=int, required=True)
-    c.add_argument("--euler", type=int, required=True)
-    c.add_argument("--signs", required=True)
-    c.add_argument("--seed", type=int, default=0)
+
+def _sample_args(c: argparse.ArgumentParser) -> None:
+    _request_args(c)
     c.add_argument("--count", type=int, default=10)
     c.add_argument("--depth", type=int, default=4)
     c.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     c.add_argument("--csv", default=None)
     c.add_argument("-o", "--output", default=None)
-    c.set_defaults(fn=_cmd_sample)
 
-    c = sub.add_parser("selftest", help="run the built-in property suite")
+
+def _selftest_args(c: argparse.ArgumentParser) -> None:
     c.add_argument("--scale", type=float, default=1.0)
-    c.set_defaults(fn=_cmd_selftest)
+
+
+# name -> (help, argument adder, handler), in --help order
+_COMMANDS = {
+    "construct": ("build a representation with prescribed Euler class and "
+                  "signs", _construct_args, _cmd_construct),
+    "classify": ("classify matrices or cover elements", _file_args,
+                 _cmd_classify),
+    "euler": ("Euler class and sign vector of a representation file",
+              _file_args, _cmd_euler),
+    "audit": ("hyperbolicity audit over enumerated simple closed curves",
+              _audit_args, _cmd_audit),
+    "sample": ("seeded batch of builds with audits", _sample_args,
+               _cmd_sample),
+    "selftest": ("run the built-in property suite", _selftest_args,
+                 _cmd_selftest),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, when `command` names one, a parser
+    holding only that command's subparser. Both print the same help, usage
+    and error text for a command line that starts with that command."""
+    parser = argparse.ArgumentParser(
+        prog="psltilde",
+        description=("computations in the universal cover of PSL(2,R): "
+                     "representation construction, invariants, and "
+                     "hyperbolicity audits"))
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # a parser of one command still lists every choice in the usage line
+    # of a top-level error ("unrecognized arguments"); the full parser
+    # leaves the metavar unset, since its errors name the argument by it
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    _, _, handler = _COMMANDS[args.command]
     try:
-        return args.fn(args)
+        return handler(args)
     except (PslTildeError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

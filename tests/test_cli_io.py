@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -122,6 +123,34 @@ def test_cli_classify(tmp_path):
         got = json.load(fh)
     assert got[0] == {"type": "Hyperbolic"}
     assert got[1] == {"tag": "ParPlus", "n": 0}
+
+
+@pytest.mark.parametrize("data, expected", [
+    ([2.0, 0.0, 0.0, 0.5], {"type": "Hyperbolic"}),
+    ([[2.0, 0.0, 0.0, 0.5], [1, 1, 0, 1], [0.0, 1.0, -1.0, 0.0]],
+     [{"type": "Hyperbolic"}, {"type": "ParabolicPlus"},
+      {"type": "Elliptic"}]),
+], ids=["one bare matrix", "a list of bare matrices"])
+def test_cli_classify_bare_matrices(tmp_path, capsys, data, expected):
+    inp = str(tmp_path / "in.json")
+    with open(inp, "w") as fh:
+        json.dump(data, fh)
+    assert run(["classify", inp]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_cli_output_file_mode_follows_the_umask(tmp_path, umask):
+    inp, out = str(tmp_path / "in.json"), str(tmp_path / "out.json")
+    with open(inp, "w") as fh:
+        json.dump([2.0, 0.0, 0.0, 0.5], fh)
+    old = os.umask(umask)
+    try:
+        assert run(["classify", inp, "-o", out]) == 0
+    finally:
+        os.umask(old)
+    # as open() would create it, not mkstemp's 0o600
+    assert os.stat(out).st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_cli_sample_csv(tmp_path):
@@ -371,3 +400,109 @@ def test_cli_sample_golden_bytes(tmp_path):
                               "--csv", csv,
                               "-o", str(tmp_path / "summary.json")]) == 0
     assert _sha256(csv) == GOLDEN_SAMPLE_CSV
+
+
+# -- help, usage and error text ------------------------------------------------
+
+COMMANDS = ["construct", "classify", "euler", "audit", "sample", "selftest"]
+TEXT_CASES = [[], ["--help"]] + [[c, "--help"] for c in COMMANDS] + [
+    ["bogus"], ["construct"], ["construct", "--bogus"],
+    ["construct", "--genus", "0", "--punctures", "4", "--euler", "1",
+     "--signs", "+,+,+,-", "--bogus"],
+    ["euler", "a.json", "b.json"],
+]
+# sha256 of the help text on stdout at 80 columns (exit 0, empty stderr)
+HELP_SHA256 = {
+    "--help":
+        "d45e9700a4edf69824fda5f630c8dacc8cda72b0deacb1f080746e20d7214704",
+    "construct --help":
+        "1dc664586244ed12d12dd0ba4a3b60448fac18b4997ac558cf8e78d962b89635",
+    "classify --help":
+        "00ae0d4007d3dbd37cc62aae14c3fdf12de12c3e3f5cf56cb67d07cd4410a9b4",
+    "euler --help":
+        "522313484c1336210c3e091b1d9317105af3015407f7183719fa2a1a1e6bd365",
+    "audit --help":
+        "68a5d33c7705c76c0a9a4671a4ba51c26de35f1bd9ca99b2022f428b83bea2d9",
+    "sample --help":
+        "fecfc3e05e6c12d1d6521d3d73c3fb7bec402c5350568ab7141b270afdd05a9e",
+    "selftest --help":
+        "01f8d7b33c922ef1ce7bfa8a43e048379681a3a8a4835cd6aa778c9f2123964e",
+}
+USAGE = ("usage: psltilde [-h] "
+         "{construct,classify,euler,audit,sample,selftest} ...\n")
+CONSTRUCT_USAGE = (
+    "usage: psltilde construct [-h] --genus GENUS --punctures PUNCTURES "
+    "--euler\n"
+    "                          EULER --signs SIGNS [--seed SEED] "
+    "[-o OUTPUT]\n")
+CONSTRUCT_REQUIRED = (
+    CONSTRUCT_USAGE + "psltilde construct: error: the following arguments "
+    "are required: --genus, --punctures, --euler, --signs\n")
+# stderr at 80 columns (exit 2, empty stdout)
+ERROR_TEXT = {
+    "": USAGE + "psltilde: error: the following arguments are required: "
+        "command\n",
+    "bogus": USAGE + "psltilde: error: argument command: invalid choice: "
+        "'bogus' (choose from 'construct', 'classify', 'euler', 'audit', "
+        "'sample', 'selftest')\n",
+    "construct": CONSTRUCT_REQUIRED,
+    "construct --bogus": CONSTRUCT_REQUIRED,
+    "construct --genus 0 --punctures 4 --euler 1 --signs +,+,+,- --bogus":
+        USAGE + "psltilde: error: unrecognized arguments: --bogus\n",
+    "euler a.json b.json":
+        USAGE + "psltilde: error: unrecognized arguments: b.json\n",
+}
+
+
+def _cli_text(capsys, fn, argv):
+    try:
+        rc = fn(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", TEXT_CASES, ids=" ".join)
+def test_cli_text_matches_the_full_parser(capsys, monkeypatch, argv):
+    # a command line that names a command builds only that command's
+    # parser; it must print what the parser of every command prints
+    from psltilde.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _cli_text(capsys, run, argv) == \
+        _cli_text(capsys, build_parser().parse_args, argv)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse formats help and usage differently "
+                    "from Python 3.13")
+@pytest.mark.parametrize("argv", TEXT_CASES, ids=" ".join)
+def test_cli_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, out, err = _cli_text(capsys, run, argv)
+    key = " ".join(argv)
+    if key in HELP_SHA256:
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[key]
+    else:
+        assert (rc, out, err) == (2, "", ERROR_TEXT[key])
+
+
+def test_cli_run_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    # main() and the console script call run() without arguments
+    from psltilde.cli import main
+
+    inp = str(tmp_path / "in.json")
+    with open(inp, "w") as fh:
+        json.dump([2.0, 0.0, 0.0, 0.5], fh)
+    monkeypatch.setattr(sys, "argv", ["psltilde", "classify", inp])
+    assert run() == 0
+    assert json.loads(capsys.readouterr().out) == {"type": "Hyperbolic"}
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out) == {"type": "Hyperbolic"}
+    monkeypatch.setattr(sys, "argv", ["psltilde"])
+    assert _cli_text(capsys, lambda _: run(), None) == \
+        (2, "", ERROR_TEXT[""])

@@ -234,14 +234,26 @@ def test_int_matrix_is_exact():
     assert got == [Fraction(v) for v in m]
 
 
-def test_the_package_loads_without_double_double():
-    # every product is exact in integers; a fresh interpreter that loads
-    # the package and its command line must not load psltilde.dd
+def _loads_with_the_cli(module: str) -> bool:
+    """Whether a fresh interpreter that imports the package and its command
+    line loads module."""
     src = os.path.dirname(os.path.dirname(psltilde.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import psltilde, psltilde.cli; "
-            "sys.exit('psltilde.dd' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0
+            "sys.exit(sys.argv[2] in sys.modules)")
+    return subprocess.run([sys.executable, "-c", code, src, module]
+                          ).returncode != 0
+
+
+def test_the_package_loads_without_double_double():
+    # every product is exact in integers; a fresh interpreter that loads
+    # the package and its command line must not load psltilde.dd
+    assert not _loads_with_the_cli("psltilde.dd")
+
+
+def test_the_command_line_loads_without_selftest():
+    # only `psltilde selftest` imports the property suite
+    assert not _loads_with_the_cli("psltilde.selftest")
 
 
 def test_loader_checks_last_peripheral_exactly():
