@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import jsonio
 from .audit import DEFAULT_MARGIN, audit_rep, check_restrictions
@@ -62,7 +63,8 @@ def _cmd_classify(args) -> int:
             elt = jsonio.cover_element_from_json(item)
             out.append(jsonio.cover_class_to_json(cover_classify(elt)))
         else:
-            matrix = item["matrix"] if isinstance(item, dict) else item
+            matrix = jsonio.field(item, "matrix", "a matrix object") \
+                if isinstance(item, dict) else item
             p = jsonio.matrix_from_json(matrix)
             out.append({"type": classify_psl(p).value})
     _write_json(args.output, out if many else out[0])
@@ -87,15 +89,7 @@ def _cmd_audit(args) -> int:
     payload = jsonio.audit_report_to_json(report)
     if args.restrictions:
         try:
-            restriction = check_restrictions(rep)
-            payload["restrictions"] = {
-                "mode": restriction.mode,
-                "negative_puncture": restriction.negative_puncture,
-                "pants_euler": restriction.pants_euler,
-                "piece_eulers": list(restriction.piece_eulers),
-                "piece_chis": list(restriction.piece_chis),
-                "passed": restriction.passed,
-            }
+            payload["restrictions"] = asdict(check_restrictions(rep))
         except PslTildeError as exc:
             payload["restrictions"] = {"error": str(exc)}
     _write_json(args.report, payload)

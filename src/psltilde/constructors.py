@@ -128,10 +128,6 @@ _KIND_CLASS = {
 }
 
 
-def kind_class(kind: FactorKind) -> CoverClass:
-    return _KIND_CLASS[kind]
-
-
 def _product_image_table() -> dict:
     F, H, E = FactorKind, PslType.HYPERBOLIC, PslType.ELLIPTIC
     rows = [
@@ -271,19 +267,20 @@ def _balance_on_centralizer(x: CoverElement, y: CoverElement,
         return x, y
 
 
-def _transport_pair(x: CoverElement, y: CoverElement, target: CoverElement,
-                    rng: random.Random) -> tuple[CoverElement, CoverElement]:
-    """Conjugate a solved pair so its product becomes the exact target, then
-    rebalance along the centralizer for conditioning (plus seeded twist)."""
-    prod = cover_mul(x, y)
-    g = CoverElement(conjugator(prod.base, target.base), 0)
-    x2, y2 = cover_conj(g, x), cover_conj(g, y)
-    return _balance_on_centralizer(x2, y2, target, rng)
+def _transport_pair(x: CoverElement, y: CoverElement, got: CoverElement,
+                    target: CoverElement, rng: random.Random
+                    ) -> tuple[CoverElement, CoverElement]:
+    """Conjugate a solved pair so that got, its product or commutator,
+    becomes the exact target, then rebalance along the centralizer for
+    conditioning (plus seeded twist)."""
+    g = CoverElement(conjugator(got.base, target.base), 0)
+    return _balance_on_centralizer(cover_conj(g, x), cover_conj(g, y),
+                                   target, rng)
 
 
 def _verify_product(x: CoverElement, y: CoverElement, k1: FactorKind,
                     k2: FactorKind, target: CoverElement) -> None:
-    if cover_classify(x) != kind_class(k1) or cover_classify(y) != kind_class(k2):
+    if cover_classify(x) != _KIND_CLASS[k1] or cover_classify(y) != _KIND_CLASS[k2]:
         raise SelfVerificationError(
             f"factor kinds off: {cover_classify(x)}, {cover_classify(y)} "
             f"for requested {k1.value}, {k2.value}")
@@ -298,21 +295,16 @@ def _verify_product(x: CoverElement, y: CoverElement, k1: FactorKind,
 def _par_par_pair(s1: int, s2: int, tau: float) -> tuple[CoverElement, CoverElement]:
     """Normal-form Par0^s1 x Par0^s2 pair whose product has SL trace tau;
     mixed signs come as (s1, s2) = (+1, -1)."""
-    if s1 > 0 and s2 > 0:
-        u = 2.0 - tau  # product trace 2 - u
-        x = special_lift(normalize(Matrix2(1.0, 1.0, 0.0, 1.0)))
-        y = special_lift(normalize(Matrix2(1.0, 0.0, -u, 1.0)))
-        return x, y
     if s1 < 0 and s2 < 0:
         # the orientation flip mirrors components and preserves the SL trace
         xf, yf = _par_par_pair(1, 1, tau)
         return cover_flip(xf), cover_flip(yf)
-    # mixed signs: trace 2 + u with u > 0
-    u = tau - 2.0
-    if u <= 0:
+    if s1 != s2 and tau <= 2.0:
         raise SolveFailed(f"mixed parabolic pair needs trace > 2, got {tau}")
+    # (1 1 / 0 1) (1 0 / tau - 2 1) has trace tau; the entry is written
+    # -(2 - tau), which is -0.0 at tau = 2, so seeded outputs keep their bytes
     x = special_lift(normalize(Matrix2(1.0, 1.0, 0.0, 1.0)))
-    y = special_lift(normalize(Matrix2(1.0, 0.0, u, 1.0)))
+    y = special_lift(normalize(Matrix2(1.0, 0.0, -(2.0 - tau), 1.0)))
     return x, y
 
 
@@ -440,7 +432,7 @@ def _solve_pair(k1: FactorKind, k2: FactorKind, target: CoverElement,
     pair transported onto the target, swapped when the requested order is
     the reverse of the normal form's: (x y x^-1, x) has the product x y."""
     x, y = _normal_form_pair(k1, k2, target, tcls, rng)
-    x, y = _transport_pair(x, y, target, rng)
+    x, y = _transport_pair(x, y, cover_mul(x, y), target, rng)
     if _NORMAL_ORDER.index(k1) > _NORMAL_ORDER.index(k2):
         x, y = cover_conj(x, y), x
     _verify_product(x, y, k1, k2, target)
@@ -554,9 +546,7 @@ def solve_commutator(target: CoverElement, rng: random.Random | None = None
     if cover_classify(comm) != tcls:
         raise SolveFailed(
             f"commutator landed in {cover_classify(comm)}, wanted {tcls}")
-    g = CoverElement(conjugator(comm.base, target.base), 0)
-    x, y = cover_conj(g, x), cover_conj(g, y)
-    x, y = _balance_on_centralizer(x, y, target, rng)
+    x, y = _transport_pair(x, y, comm, target, rng)
     comm = cover_commutator(x, y)
     if not cover_equal(comm, target):
         raise SelfVerificationError(

@@ -19,10 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from os.path import commonprefix
 
 from .surface import (
     SurfacePresentation,
     _expand_last,
+    _standard_curves,
     standard_splits,
 )
 from .words import (
@@ -130,17 +132,12 @@ def validate_auto(f: McgAuto, surf: SurfacePresentation) -> bool:
 def _handle_twists(surf: SurfacePresentation) -> list[McgAuto]:
     out = []
     for j in range(1, surf.genus + 1):
-        a, b = surf.a(j), surf.b(j)
-        fwd = _identity_images(surf)
-        fwd[a] = word(a, b)
-        bwd = _identity_images(surf)
-        bwd[a] = word(a, (b, -1))
-        out.append(McgAuto(f"T_{a}", fwd, bwd))
-        fwd = _identity_images(surf)
-        fwd[b] = word(b, a)
-        bwd = _identity_images(surf)
-        bwd[b] = word(b, (a, -1))
-        out.append(McgAuto(f"T_{b}", fwd, bwd))
+        for x, y in ((surf.a(j), surf.b(j)), (surf.b(j), surf.a(j))):
+            fwd = _identity_images(surf)
+            fwd[x] = word(x, y)
+            bwd = _identity_images(surf)
+            bwd[x] = word(x, (y, -1))
+            out.append(McgAuto(f"T_{x}", fwd, bwd))
     return out
 
 
@@ -205,17 +202,8 @@ def default_autos(surf: SurfacePresentation) -> list[McgAuto]:
 def scc_seeds(surf: SurfacePresentation) -> list[CurveWord]:
     """Seed curves: handle generators, standard subsurface boundaries, and
     adjacent peripheral products; peripheral and trivial classes filtered."""
-    g, p = surf.genus, surf.punctures
-    seeds = []
-    for j in range(1, g + 1):
-        seeds.append(word(surf.a(j)))
-        seeds.append(word(surf.b(j)))
-    for j in range(1, g + 1):
-        seeds.append(surf.gamma_word(j, 0))
-    for k in range(1, p - 1):
-        seeds.append(surf.gamma_word(g, k))
-    for i in range(1, p):
-        seeds.append(surf.peripheral_word(i) * surf.peripheral_word(i + 1))
+    seeds = [word(g) for g in surf.free_generators()[:2 * surf.genus]] \
+        + [spec.curve_word(surf) for spec in _standard_curves(surf)]
     out = []
     seen = set()
     for s in seeds:
@@ -245,13 +233,6 @@ def enumerate_scc(surf: SurfacePresentation, depth: int,
         return words, {"dropped": curves.dropped, "depth": depth,
                        "count": len(words)}
     return words
-
-
-def _common_prefix(u: str, v: str) -> int:
-    k, n = 0, min(len(u), len(v))
-    while k < n and u[k] == v[k]:
-        k += 1
-    return k
 
 
 class Curves:
@@ -287,9 +268,9 @@ class CurveList(Curves):
     Each word has its implied last peripheral written out, one character
     per letter of alphabet (codes, in the order of words). The walks of
     words take them in the sorted order of those strings, so that each
-    word shares a prefix with the one before, and keep for each word only
-    the prefix products that a later word resumes from; alphabet, codes
-    and that plan (walk) are made on first use."""
+    word shares a prefix with the one before and resumes from a product of
+    that prefix left on the walk's stack (psltilde.exact._walk); alphabet,
+    codes and that plan (walk) are made on first use."""
 
     def __init__(self, surf: SurfacePresentation, words,
                  dropped: int | None = None):
@@ -312,27 +293,14 @@ class CurveList(Curves):
                 for w in self.words]
 
     @cached_property
-    def walk(self) -> list[tuple[int, int, tuple[int, ...]]]:
-        """(word index, resume, keep) in walk order: resume is the length
-        of the prefix the word shares with the word before, keep the resume
-        points of later words inside it, ascending."""
+    def walk(self) -> list[tuple[int, int]]:
+        """(word index, resume) in walk order: resume is the length of the
+        prefix the word shares with the word before."""
         codes = self.codes
         order = sorted(range(len(codes)), key=codes.__getitem__)
-        resume = [0] + [_common_prefix(codes[i], codes[j])
+        resume = [0] + [len(commonprefix((codes[i], codes[j])))
                         for i, j in zip(order, order[1:])]
-        # keep[j]: the running minima of resume[j + 1:] above resume[j]
-        keep = [()] * len(order)
-        minima: list[int] = []  # running minima of resume[j + 1:], ascending
-        for j in range(len(order) - 1, -1, -1):
-            r = resume[j]
-            k = len(minima)
-            while k and minima[k - 1] > r:
-                k -= 1
-            keep[j] = tuple(minima[k:])
-            del minima[k:]
-            if not minima or minima[-1] < r:
-                minima.append(r)
-        return list(zip(order, resume, keep))
+        return list(zip(order, resume))
 
     def __len__(self) -> int:
         return len(self.words)

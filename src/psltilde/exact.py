@@ -80,32 +80,32 @@ def _check_surface(rep: Representation, curves: Curves) -> None:
 def _walk(curves: CurveList, start, step):
     """(index into curves.words, state) of every word in walk order. The
     state of a word is step(state, run) folded over its runs of up to BLOCK
-    letters from start, resumed from the state of the prefix it shares
-    with the word before."""
-    stack = [(0, start)]  # (prefix length, state) kept for later words
-    for i, r, keep in curves.walk:
+    letters from start. A stack holds the state after each run of the word
+    before; a word resumes from the last of them at or before the end of
+    the prefix it shares with that word, so runs start at multiples of
+    BLOCK, or where the word before, a prefix of this one, ends."""
+    stack = [(0, start)]  # (prefix length, state) of the word before
+    for i, r in curves.walk:
         codes = curves.codes[i]
         while stack[-1][0] > r:
             stack.pop()
         pos, state = stack[-1]
-        for stop in keep + (len(codes),):
-            while pos < stop:
-                run = codes[pos:min(pos + BLOCK, stop)]
-                state = step(state, run)
-                pos += len(run)
+        while pos < len(codes):
+            run = codes[pos:pos + BLOCK]
+            state = step(state, run)
+            pos += len(run)
             stack.append((pos, state))
         yield i, state
 
 
 def curve_products(rep: Representation, curves: CurveList):
     """(index into curves.words, integer image) of every curve, in walk
-    order. Each image starts from the product of the prefix it shares with
-    the previous word and goes on in steps of up to BLOCK letters, whose
-    products are formed once per representation. Fewer, wider steps take a
-    third less time than letter by letter on (0,4) at depth 7, as the
-    accumulated entries are much longer than a block's; 8 letters a step
-    take about a tenth less than 4 there and on (1,3) at depth 6, and the
-    fixed-point walk, whose entries are short, about 40% less."""
+    order (_walk), in steps of up to BLOCK letters whose products are
+    formed once per representation. Fewer, wider steps take less time, as
+    the accumulated entries are much longer than a block's: 8 letters a
+    step take about 40% less time than 1 on stored (0,4) inputs at depth 7
+    and (1,3) at depth 6, and about a tenth less than 4; the fixed-point
+    walk on (1,3) takes 60% and 13% less."""
     _check_surface(rep, curves)
     if not isinstance(curves, CurveList):
         raise TypeError(f"{type(curves).__name__} holds no words to walk; "

@@ -122,8 +122,9 @@ def _json_int(data, what: str) -> int:
 
 
 def cover_element_from_json(data) -> CoverElement:
-    return CoverElement(matrix_from_json(data["matrix"]),
-                        _json_int(data["index"], "index"))
+    what = "a cover element"
+    return CoverElement(matrix_from_json(field(data, "matrix", what)),
+                        _json_int(field(data, "index", what), "index"))
 
 
 def cover_class_to_json(cls: CoverClass) -> dict:
@@ -152,16 +153,25 @@ def _json_object(data, what: str) -> dict:
     return data
 
 
+def field(data, key: str, what: str):
+    """data[key] of the JSON object data, which `what` names; ValueError
+    naming both when data is not an object or has no such key."""
+    if key not in _json_object(data, what):
+        raise ValueError(f"{what} has no {key!r}")
+    return data[key]
+
+
 def representation_from_json(data) -> Representation:
     """ValueError on a malformed document; see matrix_from_json."""
-    surface = _json_object(_json_object(data, "a representation")["surface"],
-                           "surface")
-    stored = _json_object(data["images"], "images")
-    surf = SurfacePresentation(_json_int(surface["genus"], "genus"),
-                               _json_int(surface["punctures"], "punctures"))
+    what = "a representation"
+    surface = _json_object(field(data, "surface", what), "surface")
+    stored = _json_object(field(data, "images", what), "images")
+    surf = SurfacePresentation(
+        _json_int(field(surface, "genus", "surface"), "genus"),
+        _json_int(field(surface, "punctures", "surface"), "punctures"))
     images = {}
     for gen in surf.free_generators():
-        images[gen] = matrix_from_json(stored[gen])
+        images[gen] = matrix_from_json(field(stored, gen, "images"))
     rep = Representation(surf, images)
     last = surf.c(surf.punctures)
     if last in stored:

@@ -371,13 +371,18 @@ class SplittingSpec:
             raise UnsupportedCurve(f"unknown splitting kind {self.kind!r}")
 
 
-def standard_splits(surf: SurfacePresentation) -> list[SplittingSpec]:
+def _standard_curves(surf: SurfacePresentation) -> list[SplittingSpec]:
+    """The standard curves before validation: gamma_(j,0) for j <= g,
+    gamma_(g,k) for 1 <= k <= p - 2, and the pants pairs."""
     g, p = surf.genus, surf.punctures
-    candidates = [SplittingSpec.prefix(j, 0) for j in range(1, g + 1)] \
+    return [SplittingSpec.prefix(j, 0) for j in range(1, g + 1)] \
         + [SplittingSpec.prefix(g, k) for k in range(1, p - 1)] \
         + [SplittingSpec.pants_pair(i) for i in range(1, p)]
+
+
+def standard_splits(surf: SurfacePresentation) -> list[SplittingSpec]:
     out = []
-    for spec in candidates:
+    for spec in _standard_curves(surf):
         try:
             spec.validate(surf)
         except UnsupportedCurve:

@@ -252,6 +252,49 @@ def test_cli_refuses_malformed_representation(tmp_path, capsys, kind):
         assert err.startswith("error: ") and "must be" in err
 
 
+def _without(path: tuple[str, ...]) -> dict:
+    """A stored (0,4) representation with the field at path removed."""
+    data = jsonio.representation_to_json(
+        build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 3)))
+    outer, key = path
+    del data[outer][key]
+    return data
+
+
+_MISSING = [
+    (["classify"], {"index": 0}, "a cover element has no 'matrix'"),
+    (["classify"], [{"matrix": [1, 1, 0, 1]}, {"index": 1}],
+     "a cover element has no 'matrix'"),
+    (["classify"], {"type": "matrix"}, "a matrix object has no 'matrix'"),
+    (["euler"], {"images": {}}, "a representation has no 'surface'"),
+    (["euler"], {"surface": {"genus": 0, "punctures": 3}},
+     "a representation has no 'images'"),
+]
+_MISSING += [(command, path, f"{what} has no {path[-1]!r}")
+             for command in (["euler"], ["audit", "--depth", "0"])
+             for path, what in ((("images", "c2"), "images"),
+                                (("surface", "genus"), "surface"),
+                                (("surface", "punctures"), "surface"))]
+
+
+@pytest.mark.parametrize("command,data,message", _MISSING,
+                         ids=[f"{c[0]}-{m}" for c, _, m in _MISSING])
+def test_cli_names_the_missing_field(tmp_path, capsys, command, data,
+                                     message):
+    if isinstance(data, tuple):
+        data = _without(data)
+    path = str(tmp_path / "input.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    assert run([command[0], path, *command[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_cover_element_without_an_index_is_refused():
+    with pytest.raises(ValueError, match="a cover element has no 'index'"):
+        jsonio.cover_element_from_json({"matrix": [1.0, 1.0, 0.0, 1.0]})
+
+
 def test_cli_rejects_unknown_flag():
     with pytest.raises(SystemExit):
         run(["construct", "--genus", "0", "--punctures", "4", "--euler", "1",

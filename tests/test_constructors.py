@@ -17,6 +17,7 @@ from psltilde.constructors import (
     _class_flip,
     _conj_probe,
     _grid_refine,
+    _par_par_pair,
     _reachable_classes,
     build_boundary_extremal,
     build_negative_control,
@@ -88,6 +89,48 @@ def test_parplus_pair_spec_example():
     assert cover_classify(y) == ParPlus(0)
     prod = cover_mul(x, y)
     assert prod.base.rep.maxdiff(target.base.rep) < 1e-8
+
+
+def _reference_par_par_pair(s1, s2, tau):
+    """_par_par_pair as it wrote each sign case."""
+    if s1 > 0 and s2 > 0:
+        u = 2.0 - tau  # product trace 2 - u
+        x = special_lift(normalize(Matrix2(1.0, 1.0, 0.0, 1.0)))
+        y = special_lift(normalize(Matrix2(1.0, 0.0, -u, 1.0)))
+        return x, y
+    if s1 < 0 and s2 < 0:
+        xf, yf = _reference_par_par_pair(1, 1, tau)
+        return cover_flip(xf), cover_flip(yf)
+    u = tau - 2.0
+    if u <= 0:
+        raise SolveFailed(f"mixed parabolic pair needs trace > 2, got {tau}")
+    x = special_lift(normalize(Matrix2(1.0, 1.0, 0.0, 1.0)))
+    y = special_lift(normalize(Matrix2(1.0, 0.0, u, 1.0)))
+    return x, y
+
+
+def _bits(pair):
+    """Every float of a pair by its bits, signed zeros apart, with the
+    lift indices."""
+    return [(tuple(map(float.hex, x.base.rep.entries())), x.lift_index)
+            for x in pair]
+
+
+def test_par_par_pair_matches_its_sign_cases_bit_for_bit():
+    taus = [-7.5, -2.0, 0.0, 1.25, math.nextafter(2.0, 0.0), 2.0,
+            math.nextafter(2.0, 3.0), 2.5, 3.0, 19.75]
+    for s1, s2 in ((1, 1), (1, -1), (-1, -1)):
+        for tau in taus:
+            try:
+                want = _reference_par_par_pair(s1, s2, tau)
+            except SolveFailed as exc:
+                with pytest.raises(SolveFailed) as got:
+                    _par_par_pair(s1, s2, tau)
+                assert str(got.value) == str(exc)
+                assert s1 != s2 and tau <= 2.0
+                continue
+            got = _par_par_pair(s1, s2, tau)
+            assert got == want and _bits(got) == _bits(want), (s1, s2, tau)
 
 
 def test_parplus_pair_hyp0_unreachable():

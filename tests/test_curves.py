@@ -20,7 +20,14 @@ from psltilde.curves import (
     validate_auto,
     word_slope,
 )
-from psltilde.surface import SurfacePresentation
+from psltilde.errors import UnsupportedCurve
+from psltilde.surface import (
+    SplittingSpec,
+    SurfacePresentation,
+    _expand_last,
+    standard_splits,
+)
+from psltilde.words import canonical_form
 from psltilde.words import format_word, parse_word, word
 
 S04 = SurfacePresentation(0, 4)
@@ -115,6 +122,58 @@ def test_seeds_are_nonperipheral_classes():
 def test_sphere_seeds():
     seeds = {str(w) for w in scc_seeds(S04)}
     assert len(seeds) == 2  # adjacent pair curves; the third pair coincides
+
+
+def _reference_seeds(surf):
+    """scc_seeds as it listed its own standard curves."""
+    g, p = surf.genus, surf.punctures
+    seeds = []
+    for j in range(1, g + 1):
+        seeds.append(word(surf.a(j)))
+        seeds.append(word(surf.b(j)))
+    for j in range(1, g + 1):
+        seeds.append(surf.gamma_word(j, 0))
+    for k in range(1, p - 1):
+        seeds.append(surf.gamma_word(g, k))
+    for i in range(1, p):
+        seeds.append(surf.peripheral_word(i) * surf.peripheral_word(i + 1))
+    out = []
+    seen = set()
+    for s in seeds:
+        s = _expand_last(surf, s)
+        canon = canonical_form(s)
+        if not canon or canon.letters in seen:
+            continue
+        if classify_curve(canon, surf).kind == "peripheral":
+            continue
+        seen.add(canon.letters)
+        out.append(canon)
+    return sorted(out, key=lambda w: w.letters)
+
+
+def _reference_splits(surf):
+    """standard_splits as it listed its own candidates."""
+    g, p = surf.genus, surf.punctures
+    candidates = [SplittingSpec.prefix(j, 0) for j in range(1, g + 1)] \
+        + [SplittingSpec.prefix(g, k) for k in range(1, p - 1)] \
+        + [SplittingSpec.pants_pair(i) for i in range(1, p)]
+    out = []
+    for spec in candidates:
+        try:
+            spec.validate(surf)
+        except UnsupportedCurve:
+            continue
+        out.append(spec)
+    return out
+
+
+def test_seeds_and_splits_share_one_list_of_standard_curves():
+    surfaces = [SurfacePresentation(g, p) for g in range(4)
+                for p in range(1, 9) if -6 <= 2 - 2 * g - p < 0]
+    assert len(surfaces) == 18
+    for surf in surfaces:
+        assert scc_seeds(surf) == _reference_seeds(surf), surf
+        assert standard_splits(surf) == _reference_splits(surf), surf
 
 
 def test_thrice_punctured_sphere_has_no_curves():

@@ -71,6 +71,50 @@ letter = st.tuples(st.sampled_from(("c1", "c2", "c3", "c4")),
                    st.sampled_from((1, -1)))
 words = st.lists(st.lists(letter, min_size=1, max_size=24).map(CurveWord),
                  min_size=1, max_size=8)
+EDGE_LETTERS = ("c1", "c2", "c3")  # positive, so no word reduces
+
+
+def _edge_list(base: list[str], inside: int, at: int) -> list[CurveWord]:
+    """Words of the walk's edges, from a base of EDGE_LETTERS and cuts
+    0 < inside < at < len(base), inside not a multiple of BLOCK and at one:
+    base[:inside] and base[:at], prefixes of a later word, and base[:k] x
+    for k = inside, at and each letter x other than base[k], which share
+    with their neighbours a prefix that ends inside a block or at its end."""
+    ws = [base, base[:inside], base[:at]]
+    ws += [base[:k] + [x] for k in (inside, at) for x in EDGE_LETTERS
+           if x != base[k]]
+    return [word(*w) for w in ws]
+
+
+@st.composite
+def edge_words(draw):
+    """An _edge_list of a random base and cuts."""
+    n = exact.BLOCK
+    at = n * draw(st.integers(1, 2))
+    inside = draw(st.integers(1, at - 1).filter(lambda k: k % n))
+    base = draw(st.lists(st.sampled_from(EDGE_LETTERS), min_size=at + 1,
+                         max_size=at + n + 2))
+    return _edge_list(base, inside, at)
+
+
+def _check_walks(rep, ws: list[CurveWord]) -> CurveList:
+    """Both walks of the words against their separate products: each
+    integer image equals word_product digit for digit, and each fixed-point
+    bracket holds the exact tr^2/det of the Fraction reference."""
+    curves = CurveList(rep.surface, ws)
+    seen = set()
+    for i, image in curve_products(rep, curves):
+        assert image == word_product(rep, ws[i]), format_word(ws[i])
+        seen.add(i)
+    assert seen == set(range(len(ws)))
+    gens = ref.generator_images(rep)
+    for w, bracket in zip(ws, exact._fixed_brackets(rep, curves)):
+        if bracket is not None:
+            a, b, den_lo, den_hi = bracket
+            x = ref.trace_ratio_squared(ref.image(rep, w, gens))
+            assert Fraction(a * a, den_hi) <= x <= Fraction(b * b, den_lo), \
+                format_word(w)
+    return curves
 
 
 def _close(got: float, exact: Decimal, ulps: int = 8) -> bool:
@@ -88,8 +132,8 @@ def _audit_any(rep, threshold, curves):
         return audit_rep(rep, 0, threshold, curves=curves)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.tuples(generator, generator, generator), words,
+@settings(max_examples=160, deadline=None)
+@given(st.tuples(generator, generator, generator), words | edge_words(),
        st.sampled_from((1e-6, 0.5, 3.0)))
 def test_margins_and_verdicts_match_fractions(gens, ws, threshold):
     rep = Representation(SPHERE4, dict(zip(("c1", "c2", "c3"), gens)))
@@ -99,8 +143,9 @@ def test_margins_and_verdicts_match_fractions(gens, ws, threshold):
     fgens = ref.generator_images(rep)
     exact = [ref.image(rep, w, fgens) for w in ws]
     margins = [ref.margin(x) for x in exact]
-    # the kernel's margin of each word
-    curves = CurveList(SPHERE4, ws)
+    # the kernel's margin of each word, and its walks against the words'
+    # separate products
+    curves = _check_walks(rep, ws)
     for i, image in curve_products(rep, curves):
         assert _close(trace_margin(image), margins[i]), format_word(ws[i])
     # the audit's verdicts, minimum, and violation entries
@@ -123,17 +168,25 @@ def test_margins_and_verdicts_match_fractions(gens, ws, threshold):
 def test_walk_matches_separate_products():
     # integer products are associative exactly, so sharing prefixes and
     # multiplying in blocks must give each word's own product, digit for digit
-    for req, depth in ((BuildRequest(0, 4, 1, (1, 1, 1, -1), 5), 5),
-                       (BuildRequest(1, 2, 1, (1, -1), 5), 4)):
-        rep = build_rep(req)
-        curves = CurveList(rep.surface, enumerate_scc(rep.surface, depth))
-        seen = set()
-        for i, image in curve_products(rep, curves):
-            assert image == word_product(rep, curves.words[i])
-            seen.add(i)
-        assert seen == set(range(len(curves)))
-    with pytest.raises(ValueError):
+    sphere = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 5))
+    for rep, depth in ((sphere, 5),
+                       (build_rep(BuildRequest(1, 2, 1, (1, -1), 5)), 4)):
+        _check_walks(rep, enumerate_scc(rep.surface, depth))
+    with pytest.raises(ValueError):  # the (1,2) build on (0,4) words
         next(curve_products(rep, CurveList(SPHERE4, [word("c1", "c2")])))
+    # the edges of resuming: a word whose shared prefix ends inside a block,
+    # or at its end, and a word that is a prefix of the next one
+    n = exact.BLOCK
+    base = [EDGE_LETTERS[k * k % 3] for k in range(3 * n + 3)]
+    for inside, at in ((n + 3, 2 * n), (1, n), (n - 1, 3 * n)):
+        curves = _check_walks(sphere, _edge_list(base, inside, at))
+        edges = set()
+        for (i, _), (_, r) in zip(curves.walk, curves.walk[1:]):
+            if r == len(curves.codes[i]):
+                edges.add(("prefix", r % n == 0))
+            edges.add(("shared", r % n == 0))
+        assert edges == {("prefix", False), ("prefix", True),
+                         ("shared", False), ("shared", True)}
 
 
 def test_traces_past_the_float_range():
