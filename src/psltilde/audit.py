@@ -158,16 +158,20 @@ def _split_off_pants_with(rep: Representation, puncture: int
 
 
 def check_restrictions(rep: Representation) -> RestrictionReport:
-    """Certify the almost-Fuchsian structure: the pants containing the
-    negative puncture carries Euler class 0 and every complementary piece is
-    extremal (|e| = -chi, the Fuchsian certificate). Extremal input passes
-    degenerately with every piece extremal."""
+    """Certify the almost-Fuchsian structure of a counterexample component,
+    e = sign (-chi - 1) with exactly one puncture of sign -sign (sign -1 for
+    the mirrored family): the pants containing that odd-sign puncture, the
+    report's negative_puncture, carries Euler class 0 and every
+    complementary piece is extremal with e = -sign chi (the Fuchsian
+    certificate). Extremal input passes degenerately with every piece
+    extremal (|e| = -chi)."""
     n, s = invariants(rep)
     chi = rep.surface.chi
-    if n == -chi - 1 and s.p_minus == 1 and chi <= -2:
-        neg = list(s.entries).index(-1) + 1
+    sign = -1 if n < 0 else 1
+    if n == sign * (-chi - 1) and s.entries.count(-sign) == 1 and chi <= -2:
+        odd = s.entries.index(-sign) + 1
         try:
-            pants, pieces = _split_off_pants_with(rep, neg)
+            pants, pieces = _split_off_pants_with(rep, odd)
         except BoundaryElliptic:
             raise BoundaryElliptic(
                 "splitting curve around the negative puncture has elliptic "
@@ -176,8 +180,9 @@ def check_restrictions(rep: Representation) -> RestrictionReport:
         pe = euler_class(pants)
         piece_es = tuple(euler_class(q) for q in pieces)
         piece_chis = tuple(q.surface.chi for q in pieces)
-        ok = pe == 0 and all(e == -c for e, c in zip(piece_es, piece_chis))
-        return RestrictionReport("counterexample", neg, pe, piece_es,
+        ok = pe == 0 and all(e == -sign * c
+                             for e, c in zip(piece_es, piece_chis))
+        return RestrictionReport("counterexample", odd, pe, piece_es,
                                  piece_chis, ok)
     if abs(n) == -chi:
         pants, pieces = _split_off_pants_with(rep, rep.surface.punctures)

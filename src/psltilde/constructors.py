@@ -165,8 +165,10 @@ COMMUTATOR_IMAGE = frozenset({
 
 
 def _reachable_table() -> dict[frozenset[FactorKind], frozenset[CoverClass]]:
-    # Hyp0 x Hyp0 also reaches the Par(0) targets, by trace shooting
-    table = {frozenset((FactorKind.HYP0,)): {ParPlus(0), ParMinus(0)}}
+    # Hyp0 x Hyp0 also reaches, by trace shooting, the parabolic classes in
+    # the closure of Hyp(-1), Hyp(0) and Hyp(1)
+    table = {frozenset((FactorKind.HYP0,)):
+             {ParPlus(-1), ParPlus(0), ParMinus(0), ParMinus(1)}}
     for (pair, _), allowed in PRODUCT_IMAGE.items():
         table.setdefault(pair, set()).update(allowed)
     return {pair: frozenset(classes) for pair, classes in table.items()}
@@ -177,8 +179,10 @@ _REACHABLE = _reachable_table()
 
 def _reachable_classes(k1: FactorKind, k2: FactorKind) -> frozenset[CoverClass]:
     """Components a product of the two factor kinds can land in: the
-    PRODUCT_IMAGE entries of the pair, plus the Par(0) targets the
-    Hyp0 x Hyp0 family reaches by trace shooting."""
+    PRODUCT_IMAGE entries of the pair, plus the parabolic targets the
+    Hyp0 x Hyp0 family reaches by trace shooting: ParPlus(-1), ParPlus(0),
+    ParMinus(0) and ParMinus(1), those in the closure of Hyp(-1), Hyp(0)
+    and Hyp(1)."""
     return _REACHABLE.get(frozenset((k1, k2)), frozenset())
 
 
@@ -425,33 +429,26 @@ def _normal_form_pair(k1: FactorKind, k2: FactorKind, target: CoverElement,
     raise UnreachableTarget(f"no solver for ({k1.value}, {k2.value})")
 
 
-def _solve_pair(k1: FactorKind, k2: FactorKind, target: CoverElement,
-                tcls: CoverClass, rng: random.Random
-                ) -> tuple[CoverElement, CoverElement]:
-    """Verified (x, y) of kinds (k1, k2) with x*y = target: the normal-form
-    pair transported onto the target, swapped when the requested order is
-    the reverse of the normal form's: (x y x^-1, x) has the product x y."""
+def solve_product(k1: FactorKind, k2: FactorKind, target: CoverElement,
+                  rng: random.Random | None = None
+                  ) -> tuple[CoverElement, CoverElement]:
+    """Pair (x, y) with the requested component kinds and x*y = target
+    exactly (base within 1e-8, deck index exact): the normal-form pair
+    transported onto the target, swapped to (x y x^-1, x) when the
+    requested order reverses the normal form's, and verified.
+    UnreachableTarget outside _reachable_classes of the pair. Without rng
+    the free parameters come from random.Random(DEFAULT_SEED)."""
+    tcls = cover_classify(target)
+    if tcls not in _reachable_classes(k1, k2):
+        raise UnreachableTarget(
+            f"{tcls} not reachable from ({k1.value}, {k2.value})")
+    rng = rng or random.Random(DEFAULT_SEED)
     x, y = _normal_form_pair(k1, k2, target, tcls, rng)
     x, y = _transport_pair(x, y, cover_mul(x, y), target, rng)
     if _NORMAL_ORDER.index(k1) > _NORMAL_ORDER.index(k2):
         x, y = cover_conj(x, y), x
     _verify_product(x, y, k1, k2, target)
     return x, y
-
-
-def solve_product(k1: FactorKind, k2: FactorKind, target: CoverElement,
-                  rng: random.Random | None = None
-                  ) -> tuple[CoverElement, CoverElement]:
-    """Pair (x, y) with the requested component kinds and x*y = target
-    exactly (base within 1e-8, deck index exact). UnreachableTarget when the
-    target's component is off the product-image tables. Without rng the
-    free parameters come from random.Random(DEFAULT_SEED)."""
-    tcls = cover_classify(target)
-    if tcls not in _reachable_classes(k1, k2):
-        raise UnreachableTarget(
-            f"{tcls} not reachable from ({k1.value}, {k2.value})")
-    return _solve_pair(k1, k2, target, tcls,
-                       rng or random.Random(DEFAULT_SEED))
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -635,15 +632,22 @@ def _extremal_recursive(surf: SurfacePresentation,
     return rep.conjugate(gmove)
 
 
-def _glue_handles(surf: SurfacePresentation, x: ProjectiveMatrix,
-                  y: ProjectiveMatrix, rng: random.Random
-                  ) -> Representation:
-    """One-punctured genus-g representation from a pants with boundaries
-    x^-1, y^-1: an extremal one-holed torus bounded by x^-1 carries the first
-    handle, an extremal genus-(g-1) piece bounded by y^-1 the others."""
+def _handles(surf: SurfacePresentation, target: CoverElement,
+             rng: random.Random) -> Representation:
+    """One-punctured genus-g representation whose handle product
+    [a1, b1] ... [ag, bg] is the target: a commutator solve for g = 1;
+    otherwise a pants with boundaries x^-1, y^-1 for a Hyp0 x Hyp0 product
+    x y = target, an extremal one-holed torus bounded by x^-1 carrying the
+    first handle and an extremal genus-(g-1) piece bounded by y^-1 the
+    others."""
     g = surf.genus
-    sub1 = _extremal_recursive(SurfacePresentation(1, 1), x.inv(), rng)
-    sub2 = _extremal_recursive(SurfacePresentation(g - 1, 1), y.inv(), rng)
+    if g == 1:
+        x, y = solve_commutator(target, rng)
+        return Representation(surf, {"a1": x.base, "b1": y.base})
+    x, y = solve_product(FactorKind.HYP0, FactorKind.HYP0, target, rng)
+    sub1 = _extremal_recursive(SurfacePresentation(1, 1), x.base.inv(), rng)
+    sub2 = _extremal_recursive(SurfacePresentation(g - 1, 1), y.base.inv(),
+                               rng)
     images = {"a1": sub1.images["a1"], "b1": sub1.images["b1"]}
     for j in range(1, g):
         images[surf.a(j + 1)] = sub2.images[sub2.surface.a(j)]
@@ -656,52 +660,35 @@ def _extremal_core(surf: SurfacePresentation,
                    rng: random.Random) -> Representation:
     g, p = surf.genus, surf.punctures
     target = lift_in_class(boundary.inv(), Hyp(1))
-    if (g, p) == (1, 1):
-        x, y = solve_commutator(target, rng)
-        return Representation(surf, {"a1": x.base, "b1": y.base})
+    if p == 1:
+        return _handles(surf, target, rng)
     if (g, p) == (0, 3):
         x, y = solve_product(FactorKind.PAR_PLUS0, FactorKind.PAR_PLUS0,
                              target, rng)
         return Representation(surf, {"c1": x.base, "c2": y.base})
-    if p >= 2:
-        x, y = solve_product(FactorKind.HYP0, FactorKind.PAR_PLUS0, target, rng)
-        sub = _extremal_recursive(SurfacePresentation(g, p - 1),
-                                  x.base.inv(), rng)
-        images = dict(sub.images)
-        images[surf.c(p - 1)] = y.base
-        return Representation(surf, images)
-    # p == 1, g >= 2: peel a pants with two hyperbolic boundaries
-    x, y = solve_product(FactorKind.HYP0, FactorKind.HYP0, target, rng)
-    return _glue_handles(surf, x.base, y.base, rng)
-
-
-def _type_preserving_extremal(surf: SurfacePresentation,
-                              rng: random.Random) -> Representation:
-    """All-plus type-preserving representation with e = -chi (Fuchsian by
-    extremality)."""
-    g, p = surf.genus, surf.punctures
-    if (g, p) == (0, 3):
-        u = rng.uniform(1.0, 3.0)
-        rep = Representation(surf, {
-            "c1": normalize(Matrix2(1.0, u, 0.0, 1.0)),
-            "c2": normalize(Matrix2(1.0, 0.0, -4.0 / u, 1.0)),
-        })
-        return rep.conjugate(random_psl(rng, spread=0.4))
-    if (g, p) == (1, 1):
-        ct = special_lift(random_parabolic(rng, 1))
-        target = cover_mul(Z, cover_inv(ct))  # ParMinus(1), in the image
-        x, y = solve_commutator(target, rng)
-        return Representation(surf, {"a1": x.base, "b1": y.base})
-    return _peel_last(surf, 1, rng)
+    x, y = solve_product(FactorKind.HYP0, FactorKind.PAR_PLUS0, target, rng)
+    sub = _extremal_recursive(SurfacePresentation(g, p - 1),
+                              x.base.inv(), rng)
+    images = dict(sub.images)
+    images[surf.c(p - 1)] = y.base
+    return Representation(surf, images)
 
 
 def _peel_last(surf: SurfacePresentation, last_sign: int,
                rng: random.Random) -> Representation:
     """Type-preserving representation with every puncture positive except
     the last, which carries last_sign: the pants holding the last puncture
-    carries Euler class 1 (last_sign +1, e = -chi) or 0 (last_sign -1,
-    e = -chi - 1), and its complement is extremal."""
+    carries Euler class 1 (last_sign +1, e = -chi, Fuchsian by
+    extremality) or 0 (last_sign -1, e = -chi - 1), and its complement is
+    extremal."""
     g, p = surf.genus, surf.punctures
+    if (g, p) == (0, 3) and last_sign > 0:
+        u = rng.uniform(1.0, 3.0)
+        rep = Representation(surf, {
+            "c1": normalize(Matrix2(1.0, u, 0.0, 1.0)),
+            "c2": normalize(Matrix2(1.0, 0.0, -4.0 / u, 1.0)),
+        })
+        return rep.conjugate(random_psl(rng, spread=0.4))
     if p >= 2:
         d = random_hyperbolic(rng, 2.4, 4.5, spread=0.5)
         rest = _extremal_recursive(SurfacePresentation(g, p - 1), d, rng)
@@ -711,16 +698,13 @@ def _peel_last(surf: SurfacePresentation, last_sign: int,
         images = dict(rest.images)
         images[surf.c(p - 1)] = x.base
         return Representation(surf, images)
-    # p == 1, g >= 2: the blocks product must land in the inverse of the
-    # puncture's lift, times z for e = -chi: ParMinus(1) or ParPlus(0), both
-    # Hyp0 x Hyp0 targets, though ParMinus(1) is outside solve_product's table
+    # p == 1: the handle product is the inverse of the puncture's lift, times
+    # z for e = -chi: ParMinus(1) or ParPlus(0)
     ct = special_lift(random_parabolic(rng, last_sign))
     target = cover_inv(ct)
     if last_sign > 0:
         target = cover_mul(Z, target)
-    x, y = _solve_pair(FactorKind.HYP0, FactorKind.HYP0, target,
-                       cover_classify(target), rng)
-    return _glue_handles(surf, x.base, y.base, rng)
+    return _handles(surf, target, rng)
 
 
 def _precompose(rep: Representation, images: dict[str, CurveWord]
@@ -813,7 +797,7 @@ def _build_rep_once(req: BuildRequest, sv: SignVector,
     euler = -req.euler if flip else req.euler
     minus = sv.p_plus if flip else sv.p_minus
     if euler == -chi and minus == 0:
-        rep = _type_preserving_extremal(surf, rng)
+        rep = _peel_last(surf, 1, rng)
     elif euler == -chi - 1 and minus == 1:
         if chi > -2:
             raise NotSupported("counterexample components need chi <= -2")
@@ -852,16 +836,13 @@ def build_negative_control() -> Representation:
     c2 = normalize(Matrix2(1.0, 0.0, -2.0, 1.0))
     m = c1.rep @ c2.rep  # trace exactly 0
 
-    def residual(psi: float) -> float:
+    def c3_at(psi: float) -> Matrix2:
         cp, sp = math.cos(psi), math.sin(psi)
-        c3 = Matrix2(1.0 - cp * sp, cp * cp, -sp * sp, 1.0 + cp * sp)
-        return (m @ c3).trace() + 2.0
+        return Matrix2(1.0 - cp * sp, cp * cp, -sp * sp, 1.0 + cp * sp)
 
-    psi = _bisect(residual, 1.8, 2.2)
-    cp, sp = math.cos(psi), math.sin(psi)
-    c3 = normalize(Matrix2(1.0 - cp * sp, cp * cp, -sp * sp, 1.0 + cp * sp))
+    psi = _bisect(lambda psi: (m @ c3_at(psi)).trace() + 2.0, 1.8, 2.2)
     rep = Representation(SurfacePresentation(0, 4),
-                         {"c1": c1, "c2": c2, "c3": c3})
+                         {"c1": c1, "c2": c2, "c3": normalize(c3_at(psi))})
     s = sign_vector(rep)  # also asserts all peripherals parabolic
     if s.p_zero:
         raise SelfVerificationError("negative control must be type-preserving")

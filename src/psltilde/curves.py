@@ -328,33 +328,49 @@ def _orbit_tables(surf: SurfacePresentation
         + [alphabet.substitution(f.inverse_images) for f in autos]
 
 
-def _word_orbit(surf: SurfacePresentation, depth: int
-                ) -> tuple[list[CurveWord], int]:
-    """The curves of enumerate_scc and the number dropped, by a breadth
-    first search on canonical code strings."""
+def _orbit(seeds, depth: int, images):
+    """Breadth-first search from the seeds to the given depth, images(x)
+    giving the images of x, one per map, None for one dropped. Returns
+    (orbit, parents, dropped): the elements in the order first reached,
+    parents[i] = (j, t) when orbit[i] came first as the t-th image of
+    orbit[j] (None for a seed), and the times a dropped image was reached."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    alphabet, tables = _orbit_tables(surf)
-    apply, canonical = alphabet.substitute, alphabet.canonical
-    frontier = [alphabet.encode(w) for w in scc_seeds(surf)]
-    curves = list(frontier)
-    seen = set(frontier)
+    orbit = list(seeds)
+    parents: list[tuple[int, int] | None] = [None] * len(orbit)
+    index = {x: i for i, x in enumerate(orbit)}
+    frontier = range(len(orbit))
     dropped = 0
     for _ in range(depth):
-        new_frontier = []
-        for w in frontier:
-            for table in tables:
-                img = canonical(apply(w, table))
-                if len(img) > MAX_ORBIT_WORD_LEN:
+        start = len(orbit)
+        for i in frontier:
+            for t, img in enumerate(images(orbit[i])):
+                if img is None:
                     dropped += 1
-                    continue
-                if img and img not in seen:
-                    seen.add(img)
-                    new_frontier.append(img)
-        curves += new_frontier
-        frontier = new_frontier
+                elif img not in index:
+                    index[img] = len(orbit)
+                    orbit.append(img)
+                    parents.append((i, t))
+        frontier = range(start, len(orbit))
         if not frontier:
             break
+    return orbit, parents, dropped
+
+
+def _word_orbit(surf: SurfacePresentation, depth: int
+                ) -> tuple[list[CurveWord], int]:
+    """The curves of enumerate_scc and the number dropped, by the orbit
+    search on canonical code strings."""
+    alphabet, tables = _orbit_tables(surf)
+    apply, canonical = alphabet.substitute, alphabet.canonical
+
+    def images(w: str):
+        for table in tables:
+            img = canonical(apply(w, table))
+            yield None if len(img) > MAX_ORBIT_WORD_LEN else img
+
+    curves, _, dropped = _orbit(map(alphabet.encode, scc_seeds(surf)), depth,
+                                images)
     curves.sort(key=alphabet.tuple_key)
     return list(map(alphabet.decode, curves)), dropped
 
@@ -476,11 +492,11 @@ def _farey_plan(slopes) -> tuple[list[tuple[int, int, int]], list[int]]:
 
 class SlopeOrbit(Curves):
     """Curves.enumerated on the four-punctured sphere, as slopes: the
-    seeds' slopes, then each level's images under the integer matrices L_f
-    of the automorphisms and their inverses, in the order of the word
-    search, with a slope dropped, and counted each time it is reached,
-    where its word would be longer than MAX_ORBIT_WORD_LEN. No word is
-    formed to find a slope. slopes[i] came from slopes[parents[i][0]] by
+    orbit search (_orbit) of the word search, run on the seeds' slopes
+    with the integer matrices L_f of the automorphisms and their inverses,
+    a slope dropped, and counted each time it is reached, where its word
+    would be longer than MAX_ORBIT_WORD_LEN. No word is formed to find a
+    slope. slopes[i] came from slopes[parents[i][0]] by
     tables[parents[i][1]] (parents[i] is None for a seed), so code(i), the
     canonical code string of curve i, takes one substitution and one
     canonical form per level and is kept once formed; a word is formed
@@ -490,8 +506,6 @@ class SlopeOrbit(Curves):
     surface = SPHERE4
 
     def __init__(self, depth: int):
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
         alphabet, self.tables = _orbit_tables(SPHERE4)
         self.alphabet = alphabet
         self.centres = centres = _code_centres(alphabet)
@@ -502,29 +516,17 @@ class SlopeOrbit(Curves):
             (p, r), (q, s) = (_translation(alphabet.substitute(w, table),
                                            centres) for w in (c1c2, c2c3))
             self.maps.append((-p, -q, -r, -s))
+
+        def images(v: tuple[int, int]):
+            a, b = v
+            for p, q, r, s in self.maps:
+                w = _positive(p * a + q * b, r * a + s * b)
+                yield None if slope_length(*w) > MAX_ORBIT_WORD_LEN else w
+
         seeds = scc_seeds(SPHERE4)
-        self.slopes = list(map(word_slope, seeds))
-        self.parents: list[tuple[int, int] | None] = [None] * len(seeds)
+        self.slopes, self.parents, self.dropped = _orbit(
+            map(word_slope, seeds), depth, images)
         self._codes = dict(enumerate(map(alphabet.encode, seeds)))
-        index = {v: i for i, v in enumerate(self.slopes)}
-        frontier = range(len(seeds))
-        dropped = 0
-        for _ in range(depth):
-            start = len(self.slopes)
-            for i in frontier:
-                a, b = self.slopes[i]
-                for t, (p, q, r, s) in enumerate(self.maps):
-                    x, y = _positive(p * a + q * b, r * a + s * b)
-                    if slope_length(x, y) > MAX_ORBIT_WORD_LEN:
-                        dropped += 1
-                    elif (x, y) not in index:
-                        index[x, y] = len(self.slopes)
-                        self.slopes.append((x, y))
-                        self.parents.append((i, t))
-            frontier = range(start, len(self.slopes))
-            if not frontier:
-                break
-        self.dropped = dropped
 
     def __len__(self) -> int:
         return len(self.slopes)

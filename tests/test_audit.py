@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from psltilde.audit import audit_rep, check_restrictions
@@ -6,6 +8,7 @@ from psltilde.constructors import (
     build_boundary_extremal,
     build_negative_control,
     build_rep,
+    pgl_flip,
 )
 from psltilde.curves import enumerate_scc
 from psltilde.errors import NotSupported, NotTypePreserving
@@ -147,6 +150,44 @@ def test_check_restrictions_negative_anywhere():
         r = check_restrictions(rep)
         assert r.negative_puncture == signs.index(-1) + 1
         assert r.passed
+
+
+@pytest.mark.parametrize("g, p, e, signs", [
+    (0, 4, -1, (-1, -1, -1, 1)), (0, 4, -1, (1, -1, -1, -1)),
+    (0, 4, -1, (-1, 1, -1, -1)), (1, 2, -1, (-1, 1)), (2, 1, -2, (1,))])
+def test_check_restrictions_of_a_mirror_match_its_flip(g, p, e, signs):
+    # the mirrored counterexample components, e = chi + 1 with one positive
+    # puncture: the report is that of the flip with the piece Euler
+    # classes negated, the odd-sign puncture named as negative_puncture
+    for seed in (3, 5):
+        mirror = build_rep(BuildRequest(g, p, e, signs, seed))
+        r = check_restrictions(mirror)
+        flip = check_restrictions(pgl_flip(mirror))
+        assert flip.mode == "counterexample" and flip.passed
+        assert r == dataclasses.replace(
+            flip, piece_eulers=tuple(-n for n in flip.piece_eulers))
+        assert r.negative_puncture == signs.index(1) + 1
+        assert all(n == c for n, c in zip(r.piece_eulers, r.piece_chis))
+
+
+@pytest.mark.parametrize("genus, counterexample, extremal", [
+    (2, (1, 1), (1, 1, 1)), (3, (1, 3), (1, 1, 3))])
+def test_check_restrictions_one_puncture(genus, counterexample, extremal):
+    # one puncture: the pants around it is cut off after the first handle,
+    # which leaves two complementary pieces
+    chi = 1 - 2 * genus
+    for sign in (1, -1):
+        cases = ((sign * (-chi - 1), (-sign,), "counterexample", 1, 0,
+                  counterexample),
+                 (-sign * chi, (sign,), "extremal", None, None, extremal))
+        for e, signs, mode, odd, pants, pieces in cases:
+            rep = build_rep(BuildRequest(genus, 1, e, signs, 1))
+            r = check_restrictions(rep)
+            assert (r.mode, r.negative_puncture, r.pants_euler) == \
+                (mode, odd, pants)
+            assert r.piece_eulers == tuple(sign * n for n in pieces)
+            assert r.piece_chis == tuple(-n for n in pieces)
+            assert r.passed
 
 
 def test_check_restrictions_fuchsian_degenerate():

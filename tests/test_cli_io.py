@@ -93,6 +93,28 @@ def test_cli_infeasible_exit_code(capsys):
     assert "Milnor-Wood" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_bad_sign_token(capsys):
+    rc = run(["construct", "--genus", "0", "--punctures", "4", "--euler", "1",
+              "--signs", "+,x,+,-"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: bad sign token 'x': use +, - or 0\n"
+
+
+def test_a_matrix_entry_past_the_float_range_is_refused():
+    # float(10**400) overflows inside the finiteness check
+    with pytest.raises(ValueError, match="^a matrix must be a list of 4 "
+                       "finite numbers, got "):
+        jsonio.matrix_from_json([10 ** 400, 0, 0, 1])
+
+
+def test_atomic_write_leaves_no_temporary_file_on_failure(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(UnicodeEncodeError):
+        jsonio.atomic_write(str(path), "\ud800")  # a lone surrogate
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_refuses_negative_genus(capsys):
     # used to print a Milnor-Wood range of [4, -1] for a chi = -1 "surface"
     rc = run(["construct", "--genus", "-1", "--punctures", "3", "--euler", "1",

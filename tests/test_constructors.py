@@ -189,7 +189,7 @@ def test_reachable_classes_for_every_ordered_pair():
     F = FactorKind
     expected = {
         (F.HYP0, F.HYP0): {Hyp(-1), Hyp(0), Hyp(1), Ell(-1), Ell(1),
-                           ParPlus(0), ParMinus(0)},
+                           ParPlus(-1), ParPlus(0), ParMinus(0), ParMinus(1)},
         (F.PAR_PLUS0, F.PAR_PLUS0): {Hyp(1), Ell(1)},
         (F.PAR_MINUS0, F.PAR_MINUS0): {Hyp(-1), Ell(-1)},
         (F.PAR_PLUS0, F.PAR_MINUS0): {Hyp(0)},
@@ -365,6 +365,40 @@ def test_build_rep_unsupported():
         build_rep(BuildRequest(0, 4, 0, (1, 1, -1, -1), 1))
     with pytest.raises(NotSupported):
         build_rep(BuildRequest(0, 4, 1, (1, 1, 0, 0), 1))
+
+
+def test_counterexample_components_need_chi_at_most_minus_two():
+    # (1,1), e = 0, one negative puncture: inside Milnor-Wood, not built
+    with pytest.raises(NotSupported,
+                       match="^counterexample components need chi <= -2$"):
+        build_rep(BuildRequest(1, 1, 0, (-1,)))
+
+
+def test_a_twist_refused_by_its_split_is_skipped(monkeypatch):
+    # the twist time is drawn before _twist is called, so a split whose
+    # image is not hyperbolic leaves the build of a zero twist on it
+    from psltilde import constructors
+    from psltilde.errors import NotHyperbolic
+
+    twist = constructors._twist
+    req = BuildRequest(0, 4, 1, (1, 1, 1, -1), 42)
+    first = constructors.standard_splits(req.surface())[0]
+
+    def refusing(rep, split, t):
+        if split == first:
+            raise NotHyperbolic("twist curve image must be hyperbolic")
+        return twist(rep, split, t)
+
+    def untwisted(rep, split, t):
+        return twist(rep, split, 0.0 if split == first else t)
+
+    monkeypatch.setattr(constructors, "_twist", refusing)
+    skipped = build_rep(req)
+    monkeypatch.setattr(constructors, "_twist", untwisted)
+    zero = build_rep(req)
+    monkeypatch.setattr(constructors, "_twist", twist)
+    assert skipped.images == zero.images
+    assert skipped.images != build_rep(req).images
 
 
 def test_build_rep_deterministic():
