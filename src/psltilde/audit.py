@@ -174,7 +174,7 @@ def check_restrictions(rep: Representation) -> RestrictionReport:
             pants, pieces = _split_off_pants_with(rep, odd)
         except BoundaryElliptic:
             raise BoundaryElliptic(
-                "splitting curve around the negative puncture has elliptic "
+                "splitting curve around the odd-sign puncture has elliptic "
                 "image: the representation is not totally hyperbolic on the "
                 "standard curves") from None
         pe = euler_class(pants)

@@ -256,10 +256,11 @@ class Curves:
         """The curves of enumerate_scc(surf, depth). These are simple, so on
         the four-punctured sphere each is decided by its slope and not by
         its word, and the list is the SlopeOrbit; on every other surface it
-        is the CurveList of the word search."""
+        is the CurveList of the word search's code strings
+        (CurveList.searched)."""
         if surf == SPHERE4:
             return SlopeOrbit(depth)
-        return CurveList(surf, *_word_orbit(surf, depth))
+        return CurveList.searched(surf, depth)
 
 
 class CurveList(Curves):
@@ -270,7 +271,9 @@ class CurveList(Curves):
     words take them in the sorted order of those strings, so that each
     word shares a prefix with the one before and resumes from a product of
     that prefix left on the walk's stack (psltilde.exact._walk); alphabet,
-    codes and that plan (walk) are made on first use."""
+    codes and that plan (walk) are made on first use. The list of the word
+    search (searched) holds its code strings alone, words None, and
+    decodes the word of a slot when asked for."""
 
     def __init__(self, surf: SurfacePresentation, words,
                  dropped: int | None = None):
@@ -278,11 +281,21 @@ class CurveList(Curves):
         self.words = list(words)
         self.dropped = dropped
 
+    @classmethod
+    def searched(cls, surf: SurfacePresentation, depth: int) -> "CurveList":
+        """The curves of enumerate_scc(surf, depth) in its order, by the
+        word search (_word_orbit). No enumerated word names c_p, so its
+        string is its code string."""
+        curves = cls.__new__(cls)
+        curves.surface, curves.words = surf, None
+        curves.alphabet, curves.codes, curves.dropped = \
+            _word_orbit(surf, depth)
+        return curves
+
     @cached_property
     def alphabet(self) -> Alphabet:
         """Letter codes of the free generators and of the implied c_p."""
-        surf = self.surface
-        return Alphabet(surf.free_generators() + (surf.c(surf.punctures),))
+        return _curve_alphabet(self.surface)
 
     @cached_property
     def codes(self) -> list[str]:
@@ -294,7 +307,7 @@ class CurveList(Curves):
 
     @cached_property
     def walk(self) -> list[tuple[int, int]]:
-        """(word index, resume) in walk order: resume is the length of the
+        """(slot, resume) in walk order: resume is the length of the
         prefix the word shares with the word before."""
         codes = self.codes
         order = sorted(range(len(codes)), key=codes.__getitem__)
@@ -303,9 +316,11 @@ class CurveList(Curves):
         return list(zip(order, resume))
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.codes if self.words is None else self.words)
 
     def slot_word(self, slot: int) -> CurveWord:
+        if self.words is None:
+            return self.alphabet.decode(self.codes[slot])
         return self.words[slot]
 
     def slot_key(self, slot: int) -> int:
@@ -317,40 +332,66 @@ class CurveList(Curves):
         return self if len(slots) == len(self) else super().sublist(slots)
 
 
+def _curve_alphabet(surf: SurfacePresentation) -> Alphabet:
+    """Letter codes of surf's free generators and of the implied c_p.
+    Adding the codes of c_p keeps the relative order of the others, so on
+    words without c_p canonical forms and the order of code strings are
+    those of the free generators alone."""
+    return Alphabet(surf.free_generators() + (surf.c(surf.punctures),))
+
+
 def _orbit_tables(surf: SurfacePresentation
                   ) -> tuple[Alphabet, list[dict[int, str]]]:
-    """The alphabet of surf's free generators and the substitution tables
-    of the default automorphisms, then of their inverses: the maps of the
-    orbit search, in its order."""
+    """The alphabet of CurveList and the substitution tables of the default
+    automorphisms, then of their inverses: the maps of the orbit search, in
+    its order, tables[t] and tables[(t + n/2) % n] inverse to each other."""
     autos = default_autos(surf)
-    alphabet = Alphabet(surf.free_generators())
+    alphabet = _curve_alphabet(surf)
     return alphabet, [alphabet.substitution(f.images) for f in autos] \
         + [alphabet.substitution(f.inverse_images) for f in autos]
 
 
-def _orbit(seeds, depth: int, images):
-    """Breadth-first search from the seeds to the given depth, images(x)
-    giving the images of x, one per map, None for one dropped. Returns
-    (orbit, parents, dropped): the elements in the order first reached,
-    parents[i] = (j, t) when orbit[i] came first as the t-th image of
-    orbit[j] (None for a seed), and the times a dropped image was reached."""
+def _orbit(seeds, depth: int, image, n: int):
+    """Breadth-first search from the seeds to the given depth under n maps,
+    map t and map (t + n/2) % n inverse to each other on the elements:
+    image(x, t) is the image of x under map t, None for one dropped.
+    Returns (orbit, parents, dropped): the elements in the order first
+    reached, parents[i] = (j, t) when orbit[i] came first as the image of
+    orbit[j] under map t (None for a seed), and the times a dropped image
+    was reached.
+
+    When map t takes orbit[i] to orbit[j], new, old or orbit[i] itself, the
+    inverse map takes orbit[j] back to orbit[i], so that image is not
+    formed when orbit[j] is expanded: known[j] holds one bit per such map.
+    A skipped image is never new and never dropped, so the orbit, parents
+    and drop count are those of the search that forms every image."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     orbit = list(seeds)
     parents: list[tuple[int, int] | None] = [None] * len(orbit)
     index = {x: i for i, x in enumerate(orbit)}
+    known = [0] * len(orbit)
+    back = [1 << ((t + n // 2) % n) for t in range(n)]
     frontier = range(len(orbit))
     dropped = 0
     for _ in range(depth):
         start = len(orbit)
         for i in frontier:
-            for t, img in enumerate(images(orbit[i])):
+            x = orbit[i]
+            for t in range(n):
+                if known[i] >> t & 1:
+                    continue
+                img = image(x, t)
                 if img is None:
                     dropped += 1
-                elif img not in index:
-                    index[img] = len(orbit)
+                    continue
+                j = index.get(img)
+                if j is None:
+                    j = index[img] = len(orbit)
                     orbit.append(img)
                     parents.append((i, t))
+                    known.append(0)
+                known[j] |= back[t]
         frontier = range(start, len(orbit))
         if not frontier:
             break
@@ -358,21 +399,26 @@ def _orbit(seeds, depth: int, images):
 
 
 def _word_orbit(surf: SurfacePresentation, depth: int
-                ) -> tuple[list[CurveWord], int]:
-    """The curves of enumerate_scc and the number dropped, by the orbit
-    search on canonical code strings."""
+                ) -> tuple[Alphabet, list[str], int]:
+    """(alphabet, codes, dropped): the canonical code strings of the curves
+    of enumerate_scc in the alphabet of CurveList, sorted, and the number
+    dropped, by the orbit search. Every string of the orbit is canonical,
+    so an image that the substitution leaves as it was needs no canonical
+    form."""
     alphabet, tables = _orbit_tables(surf)
     apply, canonical = alphabet.substitute, alphabet.canonical
 
-    def images(w: str):
-        for table in tables:
-            img = canonical(apply(w, table))
-            yield None if len(img) > MAX_ORBIT_WORD_LEN else img
+    def image(w: str, t: int):
+        img = apply(w, tables[t])
+        if img == w:
+            return w
+        img = canonical(img)
+        return None if len(img) > MAX_ORBIT_WORD_LEN else img
 
-    curves, _, dropped = _orbit(map(alphabet.encode, scc_seeds(surf)), depth,
-                                images)
-    curves.sort(key=alphabet.tuple_key)
-    return list(map(alphabet.decode, curves)), dropped
+    codes, _, dropped = _orbit(map(alphabet.encode, scc_seeds(surf)), depth,
+                               image, len(tables))
+    codes.sort(key=alphabet.tuple_key)
+    return alphabet, codes, dropped
 
 
 # -- the four-punctured sphere by slopes --------------------------------------
@@ -517,15 +563,14 @@ class SlopeOrbit(Curves):
                                            centres) for w in (c1c2, c2c3))
             self.maps.append((-p, -q, -r, -s))
 
-        def images(v: tuple[int, int]):
-            a, b = v
-            for p, q, r, s in self.maps:
-                w = _positive(p * a + q * b, r * a + s * b)
-                yield None if slope_length(*w) > MAX_ORBIT_WORD_LEN else w
+        def image(v: tuple[int, int], t: int):
+            (a, b), (p, q, r, s) = v, self.maps[t]
+            w = _positive(p * a + q * b, r * a + s * b)
+            return None if slope_length(*w) > MAX_ORBIT_WORD_LEN else w
 
         seeds = scc_seeds(SPHERE4)
         self.slopes, self.parents, self.dropped = _orbit(
-            map(word_slope, seeds), depth, images)
+            map(word_slope, seeds), depth, image, len(self.maps))
         self._codes = dict(enumerate(map(alphabet.encode, seeds)))
 
     def __len__(self) -> int:

@@ -78,9 +78,9 @@ def _check_surface(rep: Representation, curves: Curves) -> None:
 
 
 def _walk(curves: CurveList, start, step):
-    """(index into curves.words, state) of every word in walk order. The
-    state of a word is step(state, run) folded over its runs of up to BLOCK
-    letters from start. A stack holds the state after each run of the word
+    """(slot, state) of every word of curves in walk order. The state of
+    a word is step(state, run) folded over its runs of up to BLOCK letters
+    from start. A stack holds the state after each run of the word
     before; a word resumes from the last of them at or before the end of
     the prefix it shares with that word, so runs start at multiples of
     BLOCK, or where the word before, a prefix of this one, ends."""
@@ -99,9 +99,9 @@ def _walk(curves: CurveList, start, step):
 
 
 def curve_products(rep: Representation, curves: CurveList):
-    """(index into curves.words, integer image) of every curve, in walk
-    order (_walk), in steps of up to BLOCK letters whose products are
-    formed once per representation. Fewer, wider steps take less time, as
+    """(slot, integer image) of every curve, in walk order (_walk), in
+    steps of up to BLOCK letters whose products are formed once per
+    representation. Fewer, wider steps take less time, as
     the accumulated entries are much longer than a block's: 8 letters a
     step take about 40% less time than 1 on stored (0,4) inputs at depth 7
     and (1,3) at depth 6, and about a tenth less than 4; the fixed-point

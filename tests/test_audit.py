@@ -11,7 +11,7 @@ from psltilde.constructors import (
     pgl_flip,
 )
 from psltilde.curves import enumerate_scc
-from psltilde.errors import NotSupported, NotTypePreserving
+from psltilde.errors import BoundaryElliptic, NotSupported, NotTypePreserving
 from psltilde.mobius import Matrix2, normalize, rotation
 from psltilde.sampling import random_hyperbolic
 from psltilde.surface import Representation, SurfacePresentation
@@ -168,6 +168,23 @@ def test_check_restrictions_of_a_mirror_match_its_flip(g, p, e, signs):
             flip, piece_eulers=tuple(-n for n in flip.piece_eulers))
         assert r.negative_puncture == signs.index(1) + 1
         assert all(n == c for n, c in zip(r.piece_eulers, r.piece_chis))
+
+
+def test_check_restrictions_names_the_odd_sign_puncture(monkeypatch):
+    # an elliptic splitting curve is reported around the odd-sign puncture,
+    # which on a mirrored component is the positive one
+    from psltilde import audit
+
+    def elliptic(rep, puncture):
+        raise BoundaryElliptic("elliptic boundary")
+
+    rep = build_rep(BuildRequest(1, 2, 1, (1, -1), 3))
+    monkeypatch.setattr(audit, "_split_off_pants_with", elliptic)
+    for r in (rep, pgl_flip(rep)):
+        with pytest.raises(BoundaryElliptic,
+                           match="^splitting curve around the odd-sign "
+                                 "puncture has elliptic image: "):
+            check_restrictions(r)
 
 
 @pytest.mark.parametrize("genus, counterexample, extremal", [

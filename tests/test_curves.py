@@ -10,6 +10,9 @@ from psltilde.curves import (
     Curves,
     McgAuto,
     SlopeOrbit,
+    _orbit,
+    _orbit_tables,
+    _positive,
     _translation,
     _word_orbit,
     classify_curve,
@@ -221,6 +224,95 @@ def test_enumeration_golden_digest(g, p, d):
     assert (stats["count"], stats["dropped"], digest) == GOLDEN[g, p, d]
 
 
+def _plain_orbit(seeds, depth, images):
+    """The breadth-first search that forms every image: images(x) gives the
+    images of x, one per map, None for one dropped. Returns (orbit,
+    parents, dropped) as _orbit does."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    orbit = list(seeds)
+    parents = [None] * len(orbit)
+    index = {x: i for i, x in enumerate(orbit)}
+    frontier = range(len(orbit))
+    dropped = 0
+    for _ in range(depth):
+        start = len(orbit)
+        for i in frontier:
+            for t, img in enumerate(images(orbit[i])):
+                if img is None:
+                    dropped += 1
+                elif img not in index:
+                    index[img] = len(orbit)
+                    orbit.append(img)
+                    parents.append((i, t))
+        frontier = range(start, len(orbit))
+        if not frontier:
+            break
+    return orbit, parents, dropped
+
+
+@pytest.mark.parametrize("g,p,d,dropped", [
+    (1, 2, 8, 0), (1, 3, 7, 2), (2, 1, 6, 0), (0, 5, 5, 0), (1, 4, 4, 0)])
+def test_word_orbit_matches_the_plain_search(g, p, d, dropped):
+    # the search that skips the way back along every known edge, and the
+    # word search that also skips the canonical form of fixed images, find
+    # the orbit, parents and drops of the search that forms every image
+    surf = SurfacePresentation(g, p)
+    alphabet, tables = _orbit_tables(surf)
+
+    def image(w, t):
+        img = alphabet.canonical(alphabet.substitute(w, tables[t]))
+        return None if len(img) > MAX_ORBIT_WORD_LEN else img
+
+    seeds = [alphabet.encode(w) for w in scc_seeds(surf)]
+    plain = _plain_orbit(
+        seeds, d, lambda w: [image(w, t) for t in range(len(tables))])
+    assert plain[2] == dropped
+    assert _orbit(seeds, d, image, len(tables)) == plain
+    searched, codes, n = _word_orbit(surf, d)
+    assert searched.letters == alphabet.letters
+    assert (codes, n) == (sorted(plain[0], key=alphabet.tuple_key), dropped)
+
+
+def test_slope_orbit_matches_the_plain_search():
+    orbit = SlopeOrbit(9)
+
+    def images(v):
+        a, b = v
+        for p, q, r, s in orbit.maps:
+            w = _positive(p * a + q * b, r * a + s * b)
+            yield None if slope_length(*w) > MAX_ORBIT_WORD_LEN else w
+
+    plain = _plain_orbit(map(word_slope, scc_seeds(S04)), 9, images)
+    assert plain[2] == 299
+    assert (orbit.slopes, orbit.parents, orbit.dropped) == plain
+
+
+def test_each_map_of_the_orbit_search_is_inverse_to_its_pair():
+    # map t and map (t + n/2) % n undo each other, on every surface with
+    # chi >= -5: the pairing that lets the search skip the way back
+    surfaces = [SurfacePresentation(g, p) for g in range(4)
+                for p in range(1, 8) if -5 <= 2 - 2 * g - p < 0]
+    assert len(surfaces) == 14
+    for surf in surfaces:
+        alphabet, tables = _orbit_tables(surf)
+        n = len(tables)
+        letters = [alphabet.codes[g, e] for g in surf.free_generators()
+                   for e in (1, -1)]
+        for t in range(n):
+            back = tables[(t + n // 2) % n]
+            for x in letters:
+                assert alphabet.substitute(
+                    alphabet.substitute(x, tables[t]), back) == x, (surf, t)
+    maps = SlopeOrbit(0).maps
+    n = len(maps)
+    for t in range(n):
+        (p, q, r, s), (p2, q2, r2, s2) = maps[t], maps[(t + n // 2) % n]
+        product = (p * p2 + q * r2, p * q2 + q * s2,
+                   r * p2 + s * r2, r * q2 + s * s2)
+        assert product in ((1, 0, 0, 1), (-1, 0, 0, -1)), t
+
+
 def test_enumeration_outputs_nonperipheral():
     curves, stats = enumerate_scc(S12, 4, return_stats=True)
     assert stats["count"] == len(curves)
@@ -252,7 +344,8 @@ def test_fuchsian_soundness_oracle():
 
 @pytest.mark.parametrize("depth", range(9))
 def test_slope_orbit_matches_the_word_search(depth):
-    words, dropped = _word_orbit(S04, depth)
+    alphabet, codes, dropped = _word_orbit(S04, depth)
+    words = list(map(alphabet.decode, codes))
     assert enumerate_scc(S04, depth) == words
     for orbit in (SlopeOrbit(depth), Curves.enumerated(S04, depth)):
         assert isinstance(orbit, SlopeOrbit)
