@@ -164,7 +164,7 @@ def check_restrictions(rep: Representation) -> RestrictionReport:
     report's negative_puncture, carries Euler class 0 and every
     complementary piece is extremal with e = -sign chi (the Fuchsian
     certificate). Extremal input passes degenerately with every piece
-    extremal (|e| = -chi)."""
+    extremal (|e| = -chi); on chi = -1 the one piece is rep itself."""
     n, s = invariants(rep)
     chi = rep.surface.chi
     sign = -1 if n < 0 else 1
@@ -185,6 +185,8 @@ def check_restrictions(rep: Representation) -> RestrictionReport:
         return RestrictionReport("counterexample", odd, pe, piece_es,
                                  piece_chis, ok)
     if abs(n) == -chi:
+        if chi == -1:  # no standard split: the surface is its one piece
+            return RestrictionReport("extremal", None, None, (n,), (-1,), True)
         pants, pieces = _split_off_pants_with(rep, rep.surface.punctures)
         allp = [pants] + pieces
         es = tuple(euler_class(q) for q in allp)

@@ -496,11 +496,6 @@ def _triple_pair(x: float, y: float, z: float) -> tuple[Matrix2, Matrix2]:
     return a, b
 
 
-def fricke_commutator_trace(x: float, y: float, z: float) -> float:
-    """Trace of the matrix commutator of any pair with traces (x, y, z)."""
-    return x * x + y * y + z * z - x * y * z - 2.0
-
-
 def solve_commutator(target: CoverElement, rng: random.Random | None = None
                      ) -> tuple[CoverElement, CoverElement]:
     """Pair (x, y) with [x, y] = target exactly. TargetOutsideImage for

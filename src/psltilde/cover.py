@@ -230,13 +230,13 @@ def cover_classify(x: CoverElement) -> CoverClass:
 
 def special_lift(p: ProjectiveMatrix) -> CoverElement:
     """The distinguished lift of p: the unique lift with component index 0
-    (Hyp(0), Par(0) or Center(0)). Elliptic input raises
-    EllipticHasNoHyp0Lift."""
-    tag = cover_classify(CoverElement(p, 0)).tag
-    if tag == "Ell":
+    (Hyp(0), Par(0) or Center(0)), lift index n when index 0 lies in
+    component n. Elliptic input raises EllipticHasNoHyp0Lift."""
+    got = cover_classify(CoverElement(p, 0))
+    if got.tag == "Ell":
         raise EllipticHasNoHyp0Lift(
             "elliptic elements have no lift with component index 0")
-    return lift_in_class(p, CoverClass(tag, 0))
+    return CoverElement(p, got.n)
 
 
 def lift_in_class(p: ProjectiveMatrix, cls: CoverClass) -> CoverElement:

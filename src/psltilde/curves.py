@@ -275,11 +275,9 @@ class CurveList(Curves):
     search (searched) holds its code strings alone, words None, and
     decodes the word of a slot when asked for."""
 
-    def __init__(self, surf: SurfacePresentation, words,
-                 dropped: int | None = None):
+    def __init__(self, surf: SurfacePresentation, words):
         self.surface = surf
         self.words = list(words)
-        self.dropped = dropped
 
     @classmethod
     def searched(cls, surf: SurfacePresentation, depth: int) -> "CurveList":

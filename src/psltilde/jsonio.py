@@ -111,10 +111,6 @@ def matrix_from_json(data) -> ProjectiveMatrix:
     return normalize(m)
 
 
-def cover_element_to_json(x: CoverElement) -> dict:
-    return {"matrix": matrix_to_json(x.base), "index": x.lift_index}
-
-
 def _json_int(data, what: str) -> int:
     if type(data) is not int:
         raise ValueError(f"{what} must be an integer, got {data!r:.60}")

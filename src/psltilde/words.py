@@ -98,16 +98,6 @@ def format_word(w: CurveWord) -> str:
     return " ".join(g if e == 1 else f"{g}^-1" for g, e in w.letters)
 
 
-def cyclic_reduce(w: CurveWord) -> CurveWord:
-    letters = w.letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i][0] == letters[j - 1][0] \
-            and letters[i][1] == -letters[j - 1][1]:
-        i += 1
-        j -= 1
-    return CurveWord._reduced(letters[i:j])
-
-
 def _least_rotation(s: str) -> str:
     # a least rotation starts at an occurrence of the least character
     n, doubled, c = len(s), s + s, min(s)

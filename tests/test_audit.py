@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from psltilde.audit import audit_rep, check_restrictions
+from psltilde.audit import RestrictionReport, audit_rep, check_restrictions
 from psltilde.constructors import (
     BuildRequest,
     build_boundary_extremal,
@@ -205,6 +205,16 @@ def test_check_restrictions_one_puncture(genus, counterexample, extremal):
             assert r.piece_eulers == tuple(sign * n for n in pieces)
             assert r.piece_chis == tuple(-n for n in pieces)
             assert r.passed
+
+
+@pytest.mark.parametrize("genus, punctures", [(0, 3), (1, 1)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_check_restrictions_chi_minus_one(genus, punctures, sign):
+    # no standard curve splits a chi = -1 surface: it is its one piece
+    rep = build_rep(BuildRequest(genus, punctures, sign, (sign,) * punctures,
+                                 1))
+    assert check_restrictions(rep) == RestrictionReport(
+        "extremal", None, None, (sign,), (-1,), True)
 
 
 def test_check_restrictions_fuchsian_degenerate():

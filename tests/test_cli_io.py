@@ -36,7 +36,8 @@ def test_matrix_round_trip():
 
 def test_cover_element_round_trip():
     x = CoverElement(normalize(Matrix2(1, 1, 0, 1)), -2)
-    back = jsonio.cover_element_from_json(jsonio.cover_element_to_json(x))
+    back = jsonio.cover_element_from_json(
+        {"matrix": jsonio.matrix_to_json(x.base), "index": x.lift_index})
     assert back == x
 
 
@@ -132,6 +133,31 @@ def test_cli_audit_violation_exit_code(tmp_path):
         jsonio.dumps(jsonio.representation_to_json(build_negative_control())))
     rc = run(["audit", rep_path, "--depth", "0"])
     assert rc == 1
+
+
+def test_cli_audit_reports_a_restriction_error(tmp_path):
+    from psltilde.constructors import build_negative_control
+
+    rep_path = str(tmp_path / "neg.json")
+    jsonio.atomic_write(
+        rep_path,
+        jsonio.dumps(jsonio.representation_to_json(build_negative_control())))
+    out = str(tmp_path / "report.json")
+    assert run(["audit", rep_path, "--depth", "2", "--restrictions",
+                "--report", out]) == 1
+    with open(out) as fh:
+        restrictions = json.load(fh)["restrictions"]
+    assert restrictions == {"error": "(euler, signs) = (1, (1, 1, 1, 1)) is "
+                            "neither a counterexample component nor extremal"}
+
+
+def test_cli_euler(tmp_path, capsys):
+    rep_path = str(tmp_path / "rep.json")
+    assert run(["construct", "--genus", "0", "--punctures", "4", "--euler",
+                "1", "--signs=+,+,+,-", "--seed", "42", "-o", rep_path]) == 0
+    assert run(["euler", rep_path]) == 0
+    assert capsys.readouterr().out == \
+        jsonio.dumps({"euler": 1, "signs": [1, 1, 1, -1]})
 
 
 def test_cli_classify(tmp_path):

@@ -23,7 +23,6 @@ from psltilde.constructors import (
     build_negative_control,
     build_rep,
     cover_flip,
-    fricke_commutator_trace,
     pgl_flip,
     sample,
     solve_commutator,
@@ -218,7 +217,6 @@ def test_commutator_trace_slice_root():
             lo = mid
     t = (lo + hi) / 2
     assert t == pytest.approx(3.103803402735536, abs=1e-9)
-    assert fricke_commutator_trace(t, t, t) == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_solve_commutator_center():
@@ -358,6 +356,12 @@ def test_build_rep_infeasible():
         build_rep(BuildRequest(0, 4, 2, (1, 1, 1, -1), 1))
     with pytest.raises(InfeasibleRequest):
         build_rep(BuildRequest(0, 3, 2, (1, 1, 0), 1))
+
+
+def test_build_rep_refuses_a_sign_count_off_the_punctures():
+    with pytest.raises(InfeasibleRequest,
+                       match="^sign vector length != puncture count$"):
+        build_rep(BuildRequest(0, 4, 1, (1, 1, -1), 1))
 
 
 def test_build_rep_unsupported():

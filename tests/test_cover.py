@@ -5,6 +5,7 @@ import pytest
 
 from psltilde.cover import (
     Center,
+    CoverClass,
     CoverElement,
     Ell,
     Hyp,
@@ -14,6 +15,7 @@ from psltilde.cover import (
     angle_lift,
     central_index,
     cover_classify,
+    cover_equal,
     cover_inv,
     cover_mul,
     exact_product,
@@ -187,6 +189,33 @@ def test_exact_product_is_the_canonical_exact_product():
 def test_special_lift_identity():
     assert cover_classify(special_lift(normalize(Matrix2(1, 0, 0, 1)))) \
         == Center(0)
+
+
+def test_special_lift_is_the_lift_in_component_zero():
+    rng = random.Random(31)
+    bases = [random_hyperbolic(rng) for _ in range(300)]
+    bases += [random_parabolic(rng, sign) for sign in (1, -1)
+              for _ in range(200)]
+    bases.append(normalize(Matrix2(1, 0, 0, 1)))
+    bases += [_near_horizontal(rng).base for _ in range(400)]
+    for p in bases:
+        tag = cover_classify(CoverElement(p, 0)).tag
+        assert special_lift(p) == lift_in_class(p, CoverClass(tag, 0))
+    for _ in range(50):
+        with pytest.raises(EllipticHasNoHyp0Lift):
+            special_lift(random_elliptic(rng))
+
+
+def test_lift_in_class_refuses_another_type():
+    with pytest.raises(ValueError,
+                       match="^base has Hyp lifts, requested Ell$"):
+        lift_in_class(normalize(diag(2.0)), Ell(1))
+
+
+def test_cover_equal_needs_equal_bases():
+    x = CoverElement(normalize(diag(2.0)), 0)
+    assert cover_equal(x, CoverElement(normalize(diag(2.0)), 0))
+    assert not cover_equal(x, CoverElement(normalize(diag(3.0)), 0))
 
 
 def test_homomorphism_and_associativity():

@@ -82,6 +82,11 @@ def test_non_automorphism_rejected():
     assert not validate_auto(McgAuto("implied", images, images), S12)
 
 
+def test_automorphism_missing_an_image_rejected():
+    images = {g: word(g) for g in S12.free_generators() if g != "b1"}
+    assert not validate_auto(McgAuto("partial", images, images), S12)
+
+
 def test_peripheral_shuffling_to_relator_rejected():
     # the half-twist braiding the last two punctures moves the relator class
     # onto a peripheral class, so the gate must reject it
@@ -185,6 +190,13 @@ def test_thrice_punctured_sphere_has_no_curves():
 
 def test_depth_zero_is_seeds():
     assert enumerate_scc(S04, 0) == scc_seeds(S04)
+
+
+@pytest.mark.parametrize("surf", [S04, S12])
+def test_negative_depth_is_refused(surf):
+    # (0,4) enumerates by slope, (1,2) by the word search
+    with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+        enumerate_scc(surf, -1)
 
 
 def test_growth_sanity():

@@ -23,6 +23,7 @@ from psltilde.cover import (
 from psltilde.errors import (
     BoundaryElliptic,
     NotHP,
+    NotHyperbolic,
     SelfVerificationError,
     UnknownGenerator,
     UnsupportedCurve,
@@ -45,6 +46,7 @@ from psltilde.surface import (
     euler_class,
     eval_word,
     evaluation_map,
+    find_standard_split,
     invariants,
     mw_bounds,
     restrict,
@@ -462,3 +464,50 @@ def test_milnor_wood_on_all_builds():
         e = euler_class(rep)
         chi = rep.surface.chi
         assert chi <= e <= -chi
+
+
+def test_twist_rejects_parabolic_curve_image():
+    # c1 c2 = (1 2 / 0 1) bounds the pants of the first two punctures
+    par = Matrix2(1, 1, 0, 1)
+    rep = Representation(SurfacePresentation(0, 4), {
+        "c1": normalize(par), "c2": normalize(par),
+        "c3": normalize(Matrix2(1, 0, 1, 1))})
+    with pytest.raises(NotHyperbolic,
+                       match="^twist curve image must be hyperbolic$"):
+        twist_deform(rep, parse_word("c1 c2"), 0.5)
+
+
+def test_find_standard_split_refuses_other_curves():
+    with pytest.raises(UnsupportedCurve,
+                       match="^curve c1 c3 is not in the standard list$"):
+        find_standard_split(SurfacePresentation(0, 4), parse_word("c1 c3"))
+
+
+@pytest.mark.parametrize("genus, punctures, spec, message", [
+    (1, 2, SplittingSpec.prefix(2, 0), r"gamma_\(2,0\) out of range"),
+    (1, 2, SplittingSpec.prefix(1, 2), r"gamma_\(1,2\) out of range"),
+    (0, 4, SplittingSpec.pants_pair(0), "pants pair index 0 out of range"),
+    (0, 4, SplittingSpec.pants_pair(4), "pants pair index 4 out of range"),
+    (0, 4, SplittingSpec("bogus"), "unknown splitting kind 'bogus'"),
+])
+def test_splitting_spec_refuses_bad_input(genus, punctures, spec, message):
+    with pytest.raises(UnsupportedCurve, match=f"^{message}$"):
+        spec.validate(SurfacePresentation(genus, punctures))
+
+
+def test_presentation_inputs_are_checked():
+    surf = SurfacePresentation(0, 4)
+    for i in (0, 5):
+        with pytest.raises(ValueError,
+                           match=f"^puncture index {i} out of range$"):
+            surf.peripheral_word(i)
+    with pytest.raises(UnknownGenerator,
+                       match=r"^missing generator images: \['c3'\]$"):
+        Representation(surf, {"c1": normalize(Matrix2(1, 1, 0, 1)),
+                              "c2": normalize(Matrix2(1, 0, 1, 1))})
+    with pytest.raises(ValueError,
+                       match=r"^sign entries must be -1, 0 or \+1$"):
+        SignVector((1, 2, -1, 1))
+    with pytest.raises(ValueError, match="^sign vector length must equal "
+                       "puncture count$"):
+        mw_bounds(0, 4, 1, (1, 1, -1))
