@@ -64,7 +64,6 @@ from .mobius import (
     conjugator,
     diag,
     normalize,
-    normalize_unit,
     rotation,
 )
 from .sampling import derive_seed, random_hyperbolic, random_parabolic, random_psl
@@ -198,7 +197,7 @@ def cover_flip(x: CoverElement) -> CoverElement:
     m = x.base.rep
     # g(0) = theta in (0, pi) becomes pi - theta when c != 0, so the
     # reflected lift -g(-t) is the flipped canonical lift minus pi
-    return CoverElement(normalize_unit(_flip_matrix(m)),
+    return CoverElement(ProjectiveMatrix(_flip_matrix(m)),
                         -x.lift_index - (m.c != 0.0))
 
 
@@ -714,7 +713,7 @@ def pgl_flip(rep: Representation) -> Representation:
     """Conjugate every image by the orientation-reversing diag(1,-1);
     negates the Euler class and the sign vector."""
     return Representation(rep.surface, {
-        gen: normalize_unit(_flip_matrix(m.rep))
+        gen: ProjectiveMatrix(_flip_matrix(m.rep))
         for gen, m in rep.images.items()
     })
 

@@ -91,8 +91,6 @@ def matrix_to_json(m: ProjectiveMatrix) -> list[float]:
 
 def matrix_from_json(data) -> ProjectiveMatrix:
     """ValueError unless data is a list of 4 finite numbers."""
-    from .mobius import normalize_unit
-
     try:
         ok = (isinstance(data, (list, tuple)) and len(data) == 4
               and all(type(v) in (int, float) and math.isfinite(v)
@@ -104,10 +102,9 @@ def matrix_from_json(data) -> ProjectiveMatrix:
                          f"got {data!r:.60}")
     a, b, c, d = (float(v) for v in data)
     m = Matrix2(a, b, c, d)
-    det = m.det()
-    if abs(det - 1.0) < 1e-12:
+    if abs(m.det() - 1.0) < 1e-12:
         # round-trips of serialized matrices must be entrywise exact
-        return normalize_unit(m)
+        return ProjectiveMatrix(m)
     return normalize(m)
 
 

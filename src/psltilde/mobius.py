@@ -102,11 +102,18 @@ def diag(m: float) -> Matrix2:
 class ProjectiveMatrix:
     """Canonical-sign unit-determinant representative of a PSL(2,R) element.
 
-    Construct through normalize(); the first nonzero entry in scan order
-    (a, b, c) is strictly positive, so a matrix and its negation coincide.
+    The constructor enforces the sign: rep is negated unless the first
+    nonzero entry in scan order (a, b, c, d) is strictly positive, so a
+    matrix and its negation construct the same element. It does not
+    rescale; normalize() brings a determinant near 1 to 1 first.
     """
 
     rep: Matrix2
+
+    def __post_init__(self):
+        m = self.rep
+        if not (m.a or m.b or m.c or m.d) > 0.0:
+            object.__setattr__(self, "rep", -m)
 
     @cached_property
     def int_rep(self) -> IntMatrix:
@@ -134,14 +141,6 @@ class PslType(Enum):
     IDENTITY = "Identity"
 
 
-def _canonical_sign(m: Matrix2) -> Matrix2:
-    for entry in (m.a, m.b, m.c):
-        if entry != 0.0:
-            return m if entry > 0.0 else -m
-    # det 1 rules this out except for contrived inputs; keep a defined answer
-    return m if m.d > 0.0 else -m
-
-
 def _unit_scale(a, b, c, d) -> float:
     """Factor normalize() scales (a b / c d) by, 1.0 when it leaves the
     matrix unscaled; raises NonUnitDeterminant as normalize() does."""
@@ -157,7 +156,7 @@ def _unit_scale(a, b, c, d) -> float:
 
 
 def normalize(m: Matrix2) -> ProjectiveMatrix:
-    """Rescale to determinant 1 and pick the canonical-sign representative.
+    """Rescale to determinant 1; the constructor picks the sign.
 
     Raises NonUnitDeterminant for det <= 0, |det - 1| >= DET_PRE_TOL or a
     non-finite entry: this layer repairs float drift, not arbitrary GL
@@ -166,15 +165,7 @@ def normalize(m: Matrix2) -> ProjectiveMatrix:
     unscaled, so normalizing is a projection.
     """
     k = _unit_scale(m.a, m.b, m.c, m.d)
-    return ProjectiveMatrix(_canonical_sign(m if k == 1.0 else m.scale(k)))
-
-
-def normalize_unit(m: Matrix2) -> ProjectiveMatrix:
-    """Canonical-sign representative of a matrix whose determinant is known
-    to be 1 up to its entries' rounding (e.g. an exact product's rounded
-    representative, whose entries may be too large for the determinant to
-    be measurable in floats)."""
-    return ProjectiveMatrix(_canonical_sign(m))
+    return ProjectiveMatrix(m if k == 1.0 else m.scale(k))
 
 
 # -- exact integer products ---------------------------------------------------
@@ -232,7 +223,8 @@ def _sqrt_ratio(n: int, d: int) -> float:
 
 def unit_entries(x: IntMatrix) -> tuple[float, float, float, float]:
     """Entries of the canonical unit-determinant representative: x/sqrt(det),
-    negated if needed so that the first nonzero of a, b, c is positive."""
+    negated if needed so that the first nonzero of a, b, c is positive.
+    Negating the integers, not the floats, keeps a zero entry +0.0."""
     _, det = _trace_det(x)
     if next((v for v in x[:3] if v), x[3]) < 0:
         x = tuple(-v for v in x)
@@ -243,7 +235,7 @@ def unit_entries(x: IntMatrix) -> tuple[float, float, float, float]:
 
 def _unit_rep(x: IntMatrix) -> ProjectiveMatrix:
     """The canonical representative of x, each entry rounded once."""
-    return normalize_unit(Matrix2(*unit_entries(x)))
+    return ProjectiveMatrix(Matrix2(*unit_entries(x)))
 
 
 def classify_psl(p: ProjectiveMatrix) -> PslType:
@@ -257,7 +249,7 @@ def classify_psl(p: ProjectiveMatrix) -> PslType:
         return PslType.HYPERBOLIC
     if abs(tr) < 2.0 - PAR_BAND:
         return PslType.ELLIPTIC
-    m = p.rep if tr > 0 else -p.rep
+    m = _positive_trace_rep(p)
     if m.b != 0.0:
         sign = 1.0 if m.b > 0 else -1.0
     else:

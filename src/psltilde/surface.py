@@ -37,7 +37,6 @@ from .mobius import (
     _hyperbolic_frame,
     _unit_scale,
     classify_psl,
-    normalize_unit,
 )
 from .words import CurveWord, EMPTY_WORD, canonical_form, substitute, word
 
@@ -127,11 +126,12 @@ class Representation:
         return _invariants(self, {})
 
     def peripheral_image(self, i: int) -> ProjectiveMatrix:
-        """eval_word of the peripheral word; c_p is read off the relator
-        walk, which is that value bit for bit."""
-        if i == self.surface.punctures:
-            return self._relator[1].base
-        return eval_word(self, self.surface.peripheral_word(i))
+        """The stored image of c_i for i < p, and for i = p the relator
+        walk's c_p, the exact inverse of the rest rounded once."""
+        p = self.surface.punctures
+        if not 1 <= i <= p:
+            raise ValueError(f"puncture index {i} out of range")
+        return self._relator[1].base if i == p else self.images[f"c{i}"]
 
     def conjugate(self, g: ProjectiveMatrix) -> "Representation":
         return _conjugated(self, g, self.images)
@@ -222,10 +222,11 @@ _SIGN = {PslType.HYPERBOLIC: 0, PslType.PARABOLIC_PLUS: 1,
 def _invariants(rep: Representation, shifts: dict[str, int]
                 ) -> tuple[tuple[PslType, ...], CoverElement]:
     """One walk of the lifted relator: the types of the p peripheral
-    images, and the lift of c_p. That lift is the exact inverse of the
-    lifted W = [a1,b1]..c_{p-1}, with c_1..c_{p-1} at their evaluation-map
-    lifts, so its base is peripheral_image(p) bit for bit and the relator
-    is central by construction."""
+    images (the stored c_1..c_{p-1} and the walk's c_p), and the lift of
+    c_p. That lift is the exact inverse of the lifted W = [a1,b1]..c_{p-1},
+    with c_1..c_{p-1} at their evaluation-map lifts, so its base is
+    peripheral_image(p) bit for bit and the relator is central by
+    construction."""
     p = rep.surface.punctures
     images = [rep.peripheral_image(i) for i in range(1, p)]
     factors = _relator_factors(
@@ -430,8 +431,7 @@ def restrict(rep: Representation, split: SplittingSpec
     g, p = surf.genus, surf.punctures
     handles = [(rep.image(surf.a(j)), rep.image(surf.b(j)))
                for j in range(1, g + 1)]
-    cs = [rep.image(surf.c(i)) for i in range(1, p)]
-    cs.append(rep.peripheral_image(p))
+    cs = [rep.peripheral_image(i) for i in range(1, p + 1)]
     if split.kind == "prefix":
         j, k = split.j, split.k
         return _piece(handles[:j], cs[:k]), _piece(handles[j:], cs[k:])
@@ -461,7 +461,7 @@ def _power_entries(lam: float, f: Matrix2, fi: Matrix2, t: float) -> tuple:
 
 def _one_parameter_power(m: ProjectiveMatrix, t: float) -> ProjectiveMatrix:
     """Time-t element of the hyperbolic one-parameter subgroup through m."""
-    return normalize_unit(Matrix2(*_power_entries(*_power_frame(m), t)))
+    return ProjectiveMatrix(Matrix2(*_power_entries(*_power_frame(m), t)))
 
 
 def find_standard_split(surf: SurfacePresentation, curve: CurveWord

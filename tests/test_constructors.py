@@ -206,17 +206,15 @@ def test_reachable_classes_for_every_ordered_pair():
 
 
 def test_commutator_trace_slice_root():
-    # equal-trace slice for commutator trace -3
-    f = lambda t: t ** 3 - 3 * t ** 2 - 1
-    lo, hi = 3.0, 4.0
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    t = (lo + hi) / 2
-    assert t == pytest.approx(3.103803402735536, abs=1e-9)
+    # a Hyp(+-1) target of SL trace -3 is solved on the equal-trace slice,
+    # whose root above 3 (t^3 - 3 t^2 - 1 = 0) is the trace of both factors
+    base = normalize(diag((3.0 + math.sqrt(5.0)) / 2.0))
+    for tag in (Hyp(1), Hyp(-1)):
+        target = lift_in_class(base, tag)
+        assert sl_trace(target) == pytest.approx(-3.0, abs=1e-12)
+        for factor in solve_commutator(target):
+            assert abs(sl_trace(factor)) == \
+                pytest.approx(3.103803402735536, abs=1e-9)
 
 
 def test_solve_commutator_center():

@@ -173,13 +173,19 @@ def test_special_lift_rejects_elliptic_in_closure_mode():
 
 def test_exact_product_is_the_canonical_exact_product():
     assert exact_product() == identity_cover()
-    # det 2 and det 1/2: the exact product has det 1, and its canonical
-    # representative negates the leading -1/2
-    m = CoverElement(ProjectiveMatrix(Matrix2(-1.0, 0.0, 0.5, -2.0)), 0)
+    # det 2 and det 1/2: the exact product has det 1
+    m = CoverElement(ProjectiveMatrix(Matrix2(1.0, 0.0, -0.5, 2.0)), 0)
     n = CoverElement(ProjectiveMatrix(Matrix2(0.5, 0.0, 0.0, 1.0)), 0)
     got = exact_product((m, 1), (n, 1))
     assert (got.base.rep.entries(), got.lift_index) == \
         ((0.5, 0.0, -0.25, 2.0), 0)
+    # (0 1 / -1 0)^2 is -I exactly: its canonical representative negates
+    # the leading -1, and the squared quarter turn is central
+    r = CoverElement(ProjectiveMatrix(Matrix2(0.0, 1.0, -1.0, 0.0)), 0)
+    got = exact_product((r, 1), (r, 1))
+    assert (got.base.rep.entries(), got.lift_index) == \
+        ((1.0, 0.0, 0.0, 1.0), 1)
+    assert cover_classify(got) == Center(-1)
     # the exact determinant is 0: no unit-determinant multiple exists
     with pytest.raises(NonUnitDeterminant):
         exact_product((CoverElement(

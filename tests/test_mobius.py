@@ -4,10 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from psltilde.cover import Center, CoverElement, cover_classify
 from psltilde.errors import NonUnitDeterminant, NotConjugate, NotHyperbolic
 from psltilde.mobius import (
     ALL_DIRECTIONS,
+    IDENTITY,
     Matrix2,
+    ProjectiveMatrix,
     PslType,
     axes_cross,
     classify_psl,
@@ -28,6 +31,22 @@ def test_normalize_identity_class():
 def test_normalize_sign_scan_hits_a12():
     p = normalize(Matrix2(0, -2, 0.5, 0))
     assert p.rep.entries() == (0, 2, -0.5, 0)
+
+
+def test_constructor_enforces_the_canonical_sign():
+    minus_i = ProjectiveMatrix(Matrix2(-1.0, 0.0, 0.0, -1.0))
+    assert minus_i == normalize(IDENTITY)
+    assert classify_psl(minus_i) is PslType.IDENTITY
+    assert cover_classify(CoverElement(minus_i, 0)) == Center(0)
+    rng = random.Random(7)
+    ms = [random_psl(rng).rep for _ in range(1000)]
+    for _ in range(100):
+        x, d = rng.choice((-1, 1)) * rng.uniform(0.2, 5.0), rng.uniform(-3, 3)
+        ms += [Matrix2(0.0, x, -1.0 / x, d), Matrix2(x, 0.0, d, 1.0 / x)]
+    for m in ms:
+        got = ProjectiveMatrix(-m)
+        assert got == ProjectiveMatrix(m)
+        assert next(v for v in got.rep.entries() if v != 0.0) > 0.0
 
 
 def test_normalize_rejects_det_2():

@@ -384,6 +384,27 @@ def test_restricted_pieces_carry_the_stored_images(req):
                     assert piece.image(gen) is m, (split, gen)
 
 
+@pytest.mark.parametrize("genus, punctures, euler, signs",
+                         [(0, 4, 1, (1, 1, 1, -1)), (1, 2, 1, (1, -1)),
+                          (2, 2, 3, (1, -1))])
+def test_peripheral_images_are_the_stored_ones(genus, punctures, euler,
+                                               signs):
+    sign_of = {PslType.HYPERBOLIC: 0, PslType.PARABOLIC_PLUS: 1,
+               PslType.PARABOLIC_MINUS: -1}
+    for seed in range(3):
+        rep = build_rep(BuildRequest(genus, punctures, euler, signs, seed))
+        stored = [rep.images[f"c{i}"] for i in range(1, punctures)]
+        for i, m in enumerate(stored, start=1):
+            assert rep.peripheral_image(i) is m
+        for i in (0, punctures + 1):
+            with pytest.raises(ValueError,
+                               match=f"^puncture index {i} out of range$"):
+                rep.peripheral_image(i)
+        kinds = [classify_psl(m) for m in stored + [rep._relator[1].base]]
+        assert sign_vector(rep).entries == tuple(sign_of[k] for k in kinds) \
+            == signs
+
+
 def _elliptic_commutator_rep():
     # crossing axes at pi/4 give a commutator of trace ~ -0.73
     surf = SurfacePresentation(1, 2)
