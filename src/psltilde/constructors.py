@@ -17,7 +17,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 
 from .audit import DEFAULT_MARGIN, _check_depth_and_margin, audit_rep
 from .cover import (
@@ -211,9 +210,16 @@ _REBALANCE_GRID = [(k - 12) * 0.25 for k in range(25)]
 _DIAG_GRID = [math.exp((k - 12) * 0.25) for k in range(25)]
 
 
-def _conj_probe(h: tuple[float, float, float, float], mats) -> float:
+def _conj_probe(h: tuple[float, float, float, float], mats,
+                bound: float | None = None, ties: bool = False
+                ) -> float | None:
     """The searches' conditioning score: max |entry| of (h @ m) @ h.inv()
-    over mats (entry 4-tuples), in the same float operations, bit for bit."""
+    over mats (plain entry 4-tuples, which unpack faster than a Matrix2),
+    in the same float operations, bit for bit.
+
+    None, early, once the running maximum shows that the score loses
+    against bound: when it passes bound, or reaches it and ties is False.
+    A NaN maximum loses too. With bound None the score is always formed."""
     a, b, c, d = h
     best = None
     for ma, mb, mc, md in mats:
@@ -223,27 +229,54 @@ def _conj_probe(h: tuple[float, float, float, float], mats) -> float:
                    abs(pc * d + pd * -c), abs(pc * -b + pd * a))
         if best is None or size > best:
             best = size
+            if bound is not None and not (
+                    best < bound or ties and best == bound):
+                return None
     return best
 
 
 def _grid_refine(size, grid, steps, move) -> float:
     """Grid point minimizing size, moved at each step to the best of
-    move(best, d * step), d = -2..2; like min, keeps the first minimum. The
-    point at d = 0 keeps the score it was chosen with."""
-    best, score = min(((t, size(t)) for t in grid), key=itemgetter(1))
+    move(best, d * step), d = -2..2; like min, keeps the first minimum.
+
+    size(t, bound, ties) scores t as _conj_probe does, None when t loses
+    against the best score so far. Points are visited in min's order: a
+    later point wins only with a strictly smaller score, and the points at
+    d = -2 and -1, which come before the kept point at d = 0, win ties
+    against it. The kept point is not scored again. For scores that are
+    not NaN this is min's choice."""
+    best, score = grid[0], size(grid[0], None, False)
+    for t in grid[1:]:
+        got = size(t, score, False)
+        if got is not None:
+            best, score = t, got
     for step in steps:
-        points = [move(best, d * step) for d in (-2, -1, 0, 1, 2)]
-        scores = [size(points[0]), size(points[1]), score,
-                  size(points[3]), size(points[4])]
-        best, score = min(zip(points, scores), key=itemgetter(1))
+        kept, moved = best, False
+        for d in (-2, -1, 1, 2):
+            t = move(kept, d * step)
+            got = size(t, score, d < 0 and not moved)
+            if got is not None:
+                best, score, moved = t, got, True
     return best
 
 
 def _centralizer_search(m: ProjectiveMatrix, mats, grid, steps) -> float:
     """Time t whose power of the hyperbolic m best conditions mats."""
     frame, mats = _power_frame(m), [g.entries() for g in mats]
-    return _grid_refine(lambda t: _conj_probe(_power_entries(*frame, t), mats),
-                        grid, steps, lambda t, off: t + off)
+    # every power is formed: its _unit_scale can raise NonUnitDeterminant
+    return _grid_refine(
+        lambda t, bound, ties: _conj_probe(_power_entries(*frame, t), mats,
+                                           bound, ties),
+        grid, steps, lambda t, off: t + off)
+
+
+def _diagonal_search(mats, grid, steps) -> float:
+    """Scale s whose diag(s) best conditions mats."""
+    mats = [g.entries() for g in mats]
+    return _grid_refine(
+        lambda s, bound, ties: _conj_probe((s, 0.0, 0.0, 1.0 / s), mats,
+                                           bound, ties),
+        grid, steps, lambda s, x: s * math.exp(x))
 
 
 def _balance_on_centralizer(x: CoverElement, y: CoverElement,
@@ -610,9 +643,8 @@ def _rebalance_along_boundary(rep: Representation,
 def _rebalance_diag(rep: Representation) -> Representation:
     """Conjugate by a diagonal element minimizing the generator entry sizes;
     preserves any diagonal boundary image exactly."""
-    mats = [m.rep.entries() for m in rep.images.values()]
-    best = _grid_refine(lambda s: _conj_probe((s, 0.0, 0.0, 1.0 / s), mats),
-                        _DIAG_GRID, (0.1, 0.03), lambda s, x: s * math.exp(x))
+    best = _diagonal_search([m.rep for m in rep.images.values()],
+                            _DIAG_GRID, (0.1, 0.03))
     if abs(best - 1.0) < 1e-12:
         return rep
     return rep.conjugate(normalize(diag(best)))

@@ -22,6 +22,7 @@ index 0 classifies ParPlus(0).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import EllipticHasNoHyp0Lift
@@ -43,10 +44,11 @@ PI = math.pi
 EQUAL_TOL = 1e-8        # entrywise tolerance between two bases
 
 
-@dataclass(frozen=True)
-class CoverElement:
-    base: ProjectiveMatrix
-    lift_index: int
+class CoverElement(namedtuple("CoverElement", "base lift_index")):
+    """The pair (base: ProjectiveMatrix, lift_index: int) of the module
+    docstring, immutable and compared by value."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 
 from .audit import AuditReport
 from .cover import EQUAL_TOL, CoverClass, CoverElement
@@ -67,17 +66,13 @@ def _write(obj, out: list[str], indent: int) -> None:
 
 def atomic_write(path: str, text: str) -> None:
     """Write text to path by renaming a finished temporary file over it. The
-    file gets the mode open() would give a new file (0o666 less the umask),
-    not mkstemp's 0o600. Reading the umask sets it for a moment, so no other
-    thread should create files meanwhile."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".json")
+    temporary is created next to path, exclusively, with mode 0o666 less
+    the umask, as open() would give a new file."""
+    tmp = f"{path}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        umask = os.umask(0)  # the one way to read it; put back at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -6,6 +6,7 @@ direction with angle x in [0, pi) is the line through (cos x, sin x).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -36,14 +37,11 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, err
 
 
-@dataclass(frozen=True)
-class Matrix2:
-    """Row-major 2x2 real matrix (a b / c d)."""
+class Matrix2(namedtuple("Matrix2", "a b c d")):
+    """Row-major 2x2 real matrix (a b / c d) of floats, an immutable
+    4-tuple compared by value."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ()
 
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
@@ -73,7 +71,7 @@ class Matrix2:
         return (self.a * vx + self.b * vy, self.c * vx + self.d * vy)
 
     def entries(self) -> tuple[float, float, float, float]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def maxdiff(self, other: "Matrix2") -> float:
         return max(
@@ -118,7 +116,7 @@ class ProjectiveMatrix:
     @cached_property
     def int_rep(self) -> IntMatrix:
         """rep as an exact integer matrix (int_matrix), converted once."""
-        return int_matrix(self.rep.entries())
+        return int_matrix(self.rep)
 
     def trace_abs(self) -> float:
         return abs(self.rep.trace())
@@ -182,9 +180,14 @@ IntMatrix = tuple[int, int, int, int]  # row-major (a b / c d)
 def int_matrix(entries) -> IntMatrix:
     """The four floats (a, b, c, d) as integers over their common power of
     two."""
-    ratios = [float(v).as_integer_ratio() for v in entries]
-    den = max(d for _, d in ratios)
-    return tuple(n * (den // d) for n, d in ratios)
+    a, b, c, d = entries
+    na, da = float(a).as_integer_ratio()
+    nb, db = float(b).as_integer_ratio()
+    nc, dc = float(c).as_integer_ratio()
+    nd, dd = float(d).as_integer_ratio()
+    den = max(da, db, dc, dd)
+    return (na * (den // da), nb * (den // db), nc * (den // dc),
+            nd * (den // dd))
 
 
 def _adjugate(x: IntMatrix) -> IntMatrix:
@@ -208,12 +211,15 @@ def _trace_det(x: IntMatrix) -> tuple[int, int]:
 
 def _sqrt_ratio(n: int, d: int) -> float:
     """sqrt(n/d) for integers n >= 0, d > 0, to within an ulp in the normal
-    float range; inf past it. n/d is first brought near 1 by a power of 4,
-    so no quotient overflows or underflows and no big int goes through
-    float()."""
+    float range; inf past it. Far from 1, n/d is first brought near 1 by a
+    power of 4, so no quotient overflows or underflows and no big int goes
+    through float(). Within 4^500 of 1, n/d and its root are normal floats,
+    on which that scaling rounds alike, so the quotient is taken as it is."""
     if not n:
         return 0.0
     s = (d.bit_length() - n.bit_length()) // 2  # n * 4^s / d is in [1/4, 4]
+    if -500 < s < 500:
+        return math.sqrt(n / d)
     r = math.sqrt((n << 2 * s) / d if s >= 0 else n / (d << -2 * s))
     try:
         return math.ldexp(r, -s)
@@ -226,11 +232,14 @@ def unit_entries(x: IntMatrix) -> tuple[float, float, float, float]:
     negated if needed so that the first nonzero of a, b, c is positive.
     Negating the integers, not the floats, keeps a zero entry +0.0."""
     _, det = _trace_det(x)
-    if next((v for v in x[:3] if v), x[3]) < 0:
-        x = tuple(-v for v in x)
-    # the sign comes from v >= 0: copysign would convert a big v to float
-    return tuple(math.copysign(_sqrt_ratio(v * v, det),
-                               1.0 if v >= 0 else -1.0) for v in x)
+    a, b, c, d = x
+    if (a or b or c or d) < 0:  # the first nonzero of a, b, c, else d
+        a, b, c, d = -a, -b, -c, -d
+    # each sign is read off the integer, which float() could overflow on
+    ra, rb = _sqrt_ratio(a * a, det), _sqrt_ratio(b * b, det)
+    rc, rd = _sqrt_ratio(c * c, det), _sqrt_ratio(d * d, det)
+    return (ra if a >= 0 else -ra, rb if b >= 0 else -rb,
+            rc if c >= 0 else -rc, rd if d >= 0 else -rd)
 
 
 def _unit_rep(x: IntMatrix) -> ProjectiveMatrix:

@@ -116,6 +116,22 @@ def test_atomic_write_leaves_no_temporary_file_on_failure(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_gives_the_mode_open_would(tmp_path, umask):
+    path = tmp_path / "out.json"
+    old = os.umask(umask)
+    try:
+        jsonio.atomic_write(str(path), "first\n")
+        first = os.stat(path).st_mode & 0o777
+        jsonio.atomic_write(str(path), "second\n")
+        second = os.stat(path).st_mode & 0o777
+    finally:
+        os.umask(old)
+    assert first == second == 0o666 & ~umask
+    assert path.read_text() == "second\n"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
 def test_cli_refuses_negative_genus(capsys):
     # used to print a Milnor-Wood range of [4, -1] for a chi = -1 "surface"
     rc = run(["construct", "--genus", "-1", "--punctures", "3", "--euler", "1",

@@ -14,8 +14,10 @@ from psltilde.constructors import (
     _REBALANCE_GRID,
     BuildRequest,
     FactorKind,
+    _centralizer_search,
     _class_flip,
     _conj_probe,
+    _diagonal_search,
     _grid_refine,
     _par_par_pair,
     _reachable_classes,
@@ -556,27 +558,116 @@ def test_probe_reproduces_diagonal_conjugator_floats(mats, s):
             == _conj_size_reference(Matrix2(s, 0.0, 0.0, 1.0 / s), mats))
 
 
+def _bounded(score, bound, ties):
+    """score under the size(t, bound, ties) protocol of _grid_refine."""
+    if bound is None or score < bound or ties and score == bound:
+        return score
+    return None
+
+
 def test_grid_refine_scores_like_the_min_loop():
     # a size with ties everywhere: the first minimum must win, as in the
     # coarse-grid-then-refine min loop, and each refinement step must score
     # the four moved points in that loop's order but not the best point,
     # whose score is known
-    def size(t):
+    def full(t):
         seen.append(t)
         return round(abs(t - 0.3), 1)
 
     seen = []
-    best = _grid_refine(size, _BALANCE_GRID, (0.1, 0.03, 0.01), operator.add)
+    best = _grid_refine(lambda t, bound, ties: _bounded(full(t), bound, ties),
+                        _BALANCE_GRID, (0.1, 0.03, 0.01), operator.add)
     got = seen
     seen = []
-    want = min(_BALANCE_GRID, key=size)
+    want = min(_BALANCE_GRID, key=full)
     scored = list(seen)
     for step in (0.1, 0.03, 0.01):
         points = [want + d * step for d in (-2, -1, 0, 1, 2)]
         scored += points[:2] + points[3:]
-        want = min(points, key=size)
+        want = min(points, key=full)
     assert (best, got) == (want, scored)
     assert len(got) == len(_BALANCE_GRID) + 12
+
+
+def _grid_refine_in_full(size, grid, steps, move) -> float:
+    """The search as it was before the probe could give up early: every
+    point scored in full by size(t), and min picking the first minimum."""
+    best, score = min(((t, size(t)) for t in grid),
+                      key=operator.itemgetter(1))
+    for step in steps:
+        points = [move(best, d * step) for d in (-2, -1, 0, 1, 2)]
+        scores = [size(points[0]), size(points[1]), score,
+                  size(points[3]), size(points[4])]
+        best, score = min(zip(points, scores), key=operator.itemgetter(1))
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 3), st.floats(0.1, 10.0))
+def test_grid_refine_picks_the_full_min_under_ties(levels, shift, scale):
+    # a few score levels over the grid and its refinements: ties between
+    # grid points and against the kept point at every step
+    def full(t):
+        return float((round(t * scale) + shift) % levels)
+
+    for grid, steps, move in ((_BALANCE_GRID, (0.1, 0.03, 0.01), operator.add),
+                              (_DIAG_GRID, (0.1, 0.03),
+                               lambda s, x: s * math.exp(x))):
+        got = _grid_refine(lambda t, bound, ties: _bounded(full(t), bound,
+                                                           ties),
+                           grid, steps, move)
+        assert got == _grid_refine_in_full(full, grid, steps, move)
+
+
+def _centralizer_search_in_full(m, mats, grid, steps):
+    frame, mats = _power_frame(m), [g.entries() for g in mats]
+    return _grid_refine_in_full(
+        lambda t: _conj_probe(_power_entries(*frame, t), mats),
+        grid, steps, operator.add)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hyperbolic_targets(), st.lists(_unit_matrices, min_size=1, max_size=6),
+       st.integers(0, 2), st.booleans(), st.booleans())
+def test_centralizer_search_matches_scoring_in_full(target, mats, dup,
+                                                    with_target, rebalance):
+    # duplicated mats tie the running maximum with itself; the target
+    # commutes with every probed power, so its own score is flat in t
+    mats = mats + mats[:dup] + ([target.rep] if with_target else [])
+    grid, steps = ((_REBALANCE_GRID, (0.1, 0.03)) if rebalance
+                   else (_BALANCE_GRID, (0.1, 0.03, 0.01)))
+    try:
+        want = _centralizer_search_in_full(target, mats, grid, steps)
+    except NonUnitDeterminant:
+        with pytest.raises(NonUnitDeterminant):
+            _centralizer_search(target, mats, grid, steps)
+        return
+    assert _centralizer_search(target, mats, grid, steps) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_unit_matrices, min_size=1, max_size=6), st.integers(0, 2),
+       st.one_of(st.none(), st.floats(1.0, 1e3)))
+def test_diagonal_search_matches_scoring_in_full(mats, dup, lam):
+    # diag(s) commutes with diag(lam): with lam large, its score lam ties
+    # at every grid point near s = 1
+    mats = mats + mats[:dup] + ([diag(lam)] if lam is not None else [])
+    entries = [m.entries() for m in mats]
+    want = _grid_refine_in_full(
+        lambda s: _conj_probe((s, 0.0, 0.0, 1.0 / s), entries),
+        _DIAG_GRID, (0.1, 0.03), lambda s, x: s * math.exp(x))
+    assert _diagonal_search(mats, _DIAG_GRID, (0.1, 0.03)) == want
+
+
+def test_conj_probe_gives_up_only_on_a_losing_point():
+    mats = [(2.0, 0.0, 0.0, 0.5), (3.0, 0.0, 0.0, 1.0 / 3.0)]
+    h = (1.0, 0.0, 0.0, 1.0)
+    assert _conj_probe(h, mats) == 3.0
+    assert _conj_probe(h, mats, 3.5) == 3.0
+    assert _conj_probe(h, mats, 3.0, True) == 3.0
+    assert _conj_probe(h, mats, 3.0, False) is None
+    assert _conj_probe(h, mats, 2.5, True) is None
+    assert _conj_probe(h, mats, math.nan, True) is None
 
 
 # sha256 of the written build (jsonio.dumps of representation_to_json with the

@@ -16,7 +16,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference as ref
 import psltilde
@@ -37,7 +37,7 @@ from psltilde.curves import (
     enumerate_scc,
     word_slope,
 )
-from psltilde.errors import RelatorNotCentral
+from psltilde.errors import NonUnitDeterminant, RelatorNotCentral
 from psltilde.exact import (
     curve_margins,
     curve_products,
@@ -48,9 +48,12 @@ from psltilde.mobius import (
     PAR_BAND,
     Matrix2,
     PslType,
+    _sqrt_ratio,
+    _trace_det,
     classify_psl,
     int_matrix,
     normalize,
+    unit_entries,
 )
 from psltilde.surface import (
     Representation,
@@ -285,6 +288,119 @@ def test_int_matrix_is_exact():
     scale = max(v.as_integer_ratio()[1] for v in m)
     got = [Fraction(n, scale) for n in int_matrix(m)]
     assert got == [Fraction(v) for v in m]
+
+
+# -- rounding of exact products against the scaled-path versions ------------
+#
+# Verbatim copies of _sqrt_ratio, unit_entries and int_matrix as they were
+# before _sqrt_ratio took n / d directly near 1 and the other two lost their
+# generators: the package must round every entry to the same float.
+
+def _sqrt_ratio_scaled(n: int, d: int) -> float:
+    if not n:
+        return 0.0
+    s = (d.bit_length() - n.bit_length()) // 2  # n * 4^s / d is in [1/4, 4]
+    r = math.sqrt((n << 2 * s) / d if s >= 0 else n / (d << -2 * s))
+    try:
+        return math.ldexp(r, -s)
+    except OverflowError:
+        return math.inf
+
+
+def _unit_entries_scaled(x):
+    _, det = _trace_det(x)
+    if next((v for v in x[:3] if v), x[3]) < 0:
+        x = tuple(-v for v in x)
+    return tuple(math.copysign(_sqrt_ratio_scaled(v * v, det),
+                               1.0 if v >= 0 else -1.0) for v in x)
+
+
+def _int_matrix_by_list(entries):
+    ratios = [float(v).as_integer_ratio() for v in entries]
+    den = max(d for _, d in ratios)
+    return tuple(n * (den // d) for n, d in ratios)
+
+
+def _same_floats(x, y) -> bool:
+    """Entrywise identical floats, the sign of a zero included."""
+    return [v.hex() for v in x] == [v.hex() for v in y]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((-501, -500, -499, 499, 500, 501,
+                        -513, -512, 511, 512, -1025, -1024, -1023, 1021,
+                        1022, 1050, 1074, 1075)),
+       st.integers(0, 1), st.integers(1, 200), st.randoms())
+def test_sqrt_ratio_takes_the_quotient_as_the_scaled_path_rounds(
+        s, extra, bits, rnd):
+    # d.bit_length() - n.bit_length() = 2s + extra gives this s; the first
+    # six cover the shortcut's edges, the next four where n / d itself
+    # leaves the normal floats, the rest the ends of the float range: roots
+    # near the largest float and past it (inf), subnormal roots and roots
+    # that underflow to zero
+    nbits = bits + max(0, -(2 * s + extra))
+    n = rnd.getrandbits(nbits) | (1 << (nbits - 1))
+    dbits = nbits + 2 * s + extra
+    d = rnd.getrandbits(dbits) | (1 << (dbits - 1))
+    assert (d.bit_length() - n.bit_length()) // 2 == s
+    got = _sqrt_ratio(n, d)
+    assert got.hex() == _sqrt_ratio_scaled(n, d).hex()
+    assert _sqrt_ratio(0, d) == 0.0
+
+
+_big_ints = st.integers(0, 1300).flatmap(
+    lambda k: st.integers(-(2 ** k), 2 ** k))
+
+
+@st.composite
+def _int_matrices(draw):
+    """Integer matrices of mixed sizes up to 2^1300, with zeros among a, b,
+    c so that any entry can lead, and the lead negative half the time."""
+    x = list(draw(st.tuples(_big_ints, _big_ints, _big_ints, _big_ints)))
+    for i in draw(st.sets(st.integers(0, 2), max_size=3)):
+        x[i] = 0
+    if draw(st.booleans()):
+        x = [-v for v in x]
+    return tuple(x)
+
+
+_BIG = 2 ** 600
+
+
+@settings(max_examples=500, deadline=None)
+@given(_int_matrices())
+@example((0, 0, -3, -5))
+@example((0, -1, 1, 0))
+@example((-_BIG, 1, 0, -1))
+@example((_BIG * _BIG, 1, 0, 1))
+@example((1, 0, 5, _BIG * _BIG))
+@example((-7, 0, 0, -_BIG))
+@example((0, 0, 0, 0))
+@example((1, 0, 0, -1))
+def test_unit_entries_rounds_as_the_scaled_path(x):
+    try:
+        want = _unit_entries_scaled(x)
+    except NonUnitDeterminant:
+        with pytest.raises(NonUnitDeterminant):
+            unit_entries(x)
+        return
+    assert _same_floats(unit_entries(x), want)
+
+
+_wide_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-620, 620)),
+    st.sampled_from((0.0, -0.0, 1.0, -1.0)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(_wide_floats, _wide_floats, _wide_floats, _wide_floats))
+def test_int_matrix_matches_the_list_version(m):
+    got = int_matrix(m)
+    assert type(got) is tuple and got == _int_matrix_by_list(m)
+    a, b, c, d = got
+    if a * d - b * c > 0:
+        assert _same_floats(unit_entries(got), _unit_entries_scaled(got))
 
 
 def _loads_with_the_cli(module: str) -> bool:

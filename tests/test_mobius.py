@@ -49,6 +49,28 @@ def test_constructor_enforces_the_canonical_sign():
         assert next(v for v in got.rep.entries() if v != 0.0) > 0.0
 
 
+def test_value_types_are_immutable_and_compare_by_value():
+    m = Matrix2(1.0, 2.0, 3.0, 4.0)
+    x = CoverElement(normalize(IDENTITY), -1)
+    for obj, name in ((m, "a"), (m, "d"), (m, "extra"), (x, "base"),
+                      (x, "lift_index"), (x, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    assert m == Matrix2(1.0, 2.0, 3.0, 4.0) and m != Matrix2(1.0, 2.0, 3.0, 5.0)
+    assert hash(m) == hash(Matrix2(1.0, 2.0, 3.0, 4.0))
+    assert x == CoverElement(ProjectiveMatrix(IDENTITY), -1)
+    assert x != CoverElement(normalize(IDENTITY), 0)
+    assert hash(x) == hash(CoverElement(ProjectiveMatrix(IDENTITY), -1))
+    assert len({m, Matrix2(1.0, 2.0, 3.0, 4.0), x,
+                CoverElement(normalize(IDENTITY), -1)}) == 2
+    assert repr(m) == "Matrix2(a=1.0, b=2.0, c=3.0, d=4.0)"
+    assert repr(x) == ("CoverElement(base=ProjectiveMatrix(rep=Matrix2("
+                       "a=1.0, b=0.0, c=0.0, d=1.0)), lift_index=-1)")
+    assert (m.a, m.b, m.c, m.d, m.entries()) == (1.0, 2.0, 3.0, 4.0,
+                                                 (1.0, 2.0, 3.0, 4.0))
+    assert (x.base, x.lift_index) == (normalize(IDENTITY), -1)
+
+
 def test_normalize_rejects_det_2():
     with pytest.raises(NonUnitDeterminant):
         normalize(Matrix2(1, 0, 0, 2))
