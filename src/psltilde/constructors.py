@@ -63,7 +63,6 @@ from .mobius import (
     conjugator,
     diag,
     normalize,
-    rotation,
 )
 from .sampling import derive_seed, random_hyperbolic, random_parabolic, random_psl
 from .surface import (
@@ -162,13 +161,20 @@ COMMUTATOR_IMAGE = frozenset({
 })
 
 
+# the factor kinds solve_product solves, those of type-preserving builds
+# (parabolic peripherals, hyperbolic pants boundaries), in the factor order
+# of the normal-form pairs: Hyp before Par, Par+ before Par-
+_NORMAL_ORDER = (FactorKind.HYP0, FactorKind.PAR_PLUS0, FactorKind.PAR_MINUS0)
+
+
 def _reachable_table() -> dict[frozenset[FactorKind], frozenset[CoverClass]]:
     # Hyp0 x Hyp0 also reaches, by trace shooting, the parabolic classes in
     # the closure of Hyp(-1), Hyp(0) and Hyp(1)
     table = {frozenset((FactorKind.HYP0,)):
              {ParPlus(-1), ParPlus(0), ParMinus(0), ParMinus(1)}}
     for (pair, _), allowed in PRODUCT_IMAGE.items():
-        table.setdefault(pair, set()).update(allowed)
+        if pair.issubset(_NORMAL_ORDER):
+            table.setdefault(pair, set()).update(allowed)
     return {pair: frozenset(classes) for pair, classes in table.items()}
 
 
@@ -176,11 +182,11 @@ _REACHABLE = _reachable_table()
 
 
 def _reachable_classes(k1: FactorKind, k2: FactorKind) -> frozenset[CoverClass]:
-    """Components a product of the two factor kinds can land in: the
-    PRODUCT_IMAGE entries of the pair, plus the parabolic targets the
-    Hyp0 x Hyp0 family reaches by trace shooting: ParPlus(-1), ParPlus(0),
-    ParMinus(0) and ParMinus(1), those in the closure of Hyp(-1), Hyp(0)
-    and Hyp(1)."""
+    """Components solve_product reaches from the two factor kinds: none
+    when either is elliptic, else the PRODUCT_IMAGE entries of the pair,
+    plus the parabolic targets the Hyp0 x Hyp0 family reaches by trace
+    shooting: ParPlus(-1), ParPlus(0), ParMinus(0) and ParMinus(1), those
+    in the closure of Hyp(-1), Hyp(0) and Hyp(1)."""
     return _REACHABLE.get(frozenset((k1, k2)), frozenset())
 
 
@@ -359,44 +365,6 @@ def _hyp_par_pair(sign: int, tau: float, rng: random.Random
     return cover_flip(xf), cover_flip(yf)
 
 
-def _par_ell_pair(sign: int, tau: float) -> tuple[CoverElement, CoverElement]:
-    """Par0^sign x Ell1 pair with product SL trace tau in (-2, 2)."""
-    if sign > 0:
-        cth = (tau + 2.0) / 4.0
-    else:
-        cth = (tau - 2.0) / 4.0
-    th = math.acos(cth)
-    a_mag = abs((2.0 * cth - tau) / math.sin(th))
-    par = normalize(Matrix2(1.0, a_mag if sign > 0 else -a_mag, 0.0, 1.0))
-    ell = lift_in_class(normalize(rotation(th)), Ell(1))
-    return special_lift(par), ell
-
-
-def _hyp_ell_pair(tau: float, rng: random.Random
-                  ) -> tuple[CoverElement, CoverElement]:
-    m = rng.uniform(1.4, 3.0)
-    th = math.acos(tau / (m + 1.0 / m))
-    hyp = special_lift(normalize(diag(m)))
-    ell = lift_in_class(normalize(rotation(th)), Ell(1))
-    return hyp, ell
-
-
-def _ell_ell_pair(target_n: int, tau: float) -> tuple[CoverElement, CoverElement]:
-    """EllMinus1 x Ell1 pair whose product lies in Ell(target_n)."""
-    delta = math.acos(max(-1.0, min(1.0, tau / 2.0)))
-    alpha = (math.pi - delta) / 2.0
-    if target_n == 1:
-        theta = alpha + delta
-    else:
-        theta = alpha
-        alpha = theta + delta
-    if not (0.0 < alpha < math.pi and 0.0 < theta < math.pi):
-        raise SolveFailed(f"rotation angles out of range for trace {tau}")
-    ccw = lift_in_class(normalize(rotation(alpha).inv()), Ell(-1))
-    cw = lift_in_class(normalize(rotation(theta)), Ell(1))
-    return ccw, cw
-
-
 def _hyp_hyp_pair(tcls: CoverClass, target: CoverElement,
                   rng: random.Random
                   ) -> tuple[CoverElement, CoverElement]:
@@ -432,11 +400,6 @@ def _hyp_hyp_pair(tcls: CoverClass, target: CoverElement,
 
 _PAR_SIGN = {FactorKind.PAR_PLUS0: 1, FactorKind.PAR_MINUS0: -1}
 
-# factor order of the normal-form pairs: Hyp before Par before Ell, Par+
-# before Par-, Ell(-1) before Ell(1)
-_NORMAL_ORDER = (FactorKind.HYP0, FactorKind.PAR_PLUS0, FactorKind.PAR_MINUS0,
-                 FactorKind.ELL_MINUS1, FactorKind.ELL1)
-
 
 def _normal_form_pair(k1: FactorKind, k2: FactorKind, target: CoverElement,
                       tcls: CoverClass, rng: random.Random
@@ -450,15 +413,7 @@ def _normal_form_pair(k1: FactorKind, k2: FactorKind, target: CoverElement,
         return _hyp_hyp_pair(tcls, target, rng)
     if a in _PAR_SIGN and b in _PAR_SIGN:
         return _par_par_pair(_PAR_SIGN[a], _PAR_SIGN[b], tau)
-    if a == F.HYP0 and b in _PAR_SIGN:
-        return _hyp_par_pair(_PAR_SIGN[b], tau, rng)
-    if a in _PAR_SIGN and b == F.ELL1:
-        return _par_ell_pair(_PAR_SIGN[a], tau)
-    if (a, b) == (F.HYP0, F.ELL1):
-        return _hyp_ell_pair(tau, rng)
-    if (a, b) == (F.ELL_MINUS1, F.ELL1):
-        return _ell_ell_pair(tcls.n, tau)
-    raise UnreachableTarget(f"no solver for ({k1.value}, {k2.value})")
+    return _hyp_par_pair(_PAR_SIGN[b], tau, rng)
 
 
 def solve_product(k1: FactorKind, k2: FactorKind, target: CoverElement,
@@ -468,8 +423,9 @@ def solve_product(k1: FactorKind, k2: FactorKind, target: CoverElement,
     exactly (base within 1e-8, deck index exact): the normal-form pair
     transported onto the target, swapped to (x y x^-1, x) when the
     requested order reverses the normal form's, and verified.
-    UnreachableTarget outside _reachable_classes of the pair. Without rng
-    the free parameters come from random.Random(DEFAULT_SEED)."""
+    UnreachableTarget outside _reachable_classes of the pair, so for every
+    Ell1 or EllMinus1 factor. Without rng the free parameters come from
+    random.Random(DEFAULT_SEED)."""
     tcls = cover_classify(target)
     if tcls not in _reachable_classes(k1, k2):
         raise UnreachableTarget(

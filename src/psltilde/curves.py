@@ -237,19 +237,26 @@ def enumerate_scc(surf: SurfacePresentation, depth: int,
 
 class Curves:
     """Curves by slot, prepared once for any number of audits on one
-    surface: a list of words (CurveList), or the enumerated curves of the
-    four-punctured sphere by slope (SlopeOrbit). A subclass has a length,
-    slot_word, the word of one slot, and slot_key, its sort key: the order
-    of words in a CurveList, that of their code strings for slopes.
+    surface: a list of code strings (CurveList), or the enumerated curves
+    of the four-punctured sphere by slope (SlopeOrbit). A subclass has a
+    length, an alphabet (_curve_alphabet of its surface), code(slot), the
+    code string of one slot's word, and slot_key, its sort key: the slot
+    in a CurveList, the tuple order of the code string for slopes.
     psltilde.exact.curve_margins takes any list; the walks of words take a
     CurveList only, which sublist makes of any slots."""
 
     surface: SurfacePresentation
+    alphabet: Alphabet
     dropped: int | None = None  # words the enumeration dropped, if enumerated
 
-    def sublist(self, slots: list[int]) -> "CurveList":
-        """The curves in the given slots as a list of words to walk."""
-        return CurveList(self.surface, map(self.slot_word, slots))
+    def slot_word(self, slot: int) -> CurveWord:
+        return self.alphabet.decode(self.code(slot))
+
+    def sublist(self, slots) -> "CurveList":
+        """The curves in the given slots, in the order given, as a list to
+        walk."""
+        return CurveList._of_codes(self.surface, self.alphabet,
+                                   [self.code(i) for i in slots])
 
     @staticmethod
     def enumerated(surf: SurfacePresentation, depth: int) -> "Curves":
@@ -264,44 +271,34 @@ class Curves:
 
 
 class CurveList(Curves):
-    """Curve words; slot i is words[i].
-
-    Each word has its implied last peripheral written out, one character
-    per letter of alphabet (codes, in the order of words). The walks of
-    words take them in the sorted order of those strings, so that each
-    word shares a prefix with the one before and resumes from a product of
-    that prefix left on the walk's stack (psltilde.exact._walk); alphabet,
-    codes and that plan (walk) are made on first use. The list of the word
-    search (searched) holds its code strings alone, words None, and
-    decodes the word of a slot when asked for."""
+    """Curve words as code strings; slot i is codes[i], one character per
+    letter of alphabet, the implied last peripheral c_p one letter of its
+    own (psltilde.exact.letter_matrices gives it its image). A caller's
+    words are encoded as given, so slot_word gives each back unchanged.
+    The walks of words take them in the sorted order of those strings, so
+    that each word shares a prefix with the one before and resumes from a
+    product of that prefix left on the walk's stack (psltilde.exact._walk);
+    that plan (walk) is made on first use."""
 
     def __init__(self, surf: SurfacePresentation, words):
         self.surface = surf
-        self.words = list(words)
+        self.alphabet = _curve_alphabet(surf)
+        self.codes = list(map(self.alphabet.encode, words))
+
+    @classmethod
+    def _of_codes(cls, surf: SurfacePresentation, alphabet: Alphabet,
+                  codes: list[str], dropped: int | None = None
+                  ) -> "CurveList":
+        curves = cls.__new__(cls)
+        curves.surface, curves.alphabet = surf, alphabet
+        curves.codes, curves.dropped = codes, dropped
+        return curves
 
     @classmethod
     def searched(cls, surf: SurfacePresentation, depth: int) -> "CurveList":
         """The curves of enumerate_scc(surf, depth) in its order, by the
-        word search (_word_orbit). No enumerated word names c_p, so its
-        string is its code string."""
-        curves = cls.__new__(cls)
-        curves.surface, curves.words = surf, None
-        curves.alphabet, curves.codes, curves.dropped = \
-            _word_orbit(surf, depth)
-        return curves
-
-    @cached_property
-    def alphabet(self) -> Alphabet:
-        """Letter codes of the free generators and of the implied c_p."""
-        return _curve_alphabet(self.surface)
-
-    @cached_property
-    def codes(self) -> list[str]:
-        alphabet, surf = self.alphabet, self.surface
-        expand = alphabet.substitution({surf.c(surf.punctures):
-                                        surf.last_peripheral_word()})
-        return [alphabet.substitute(alphabet.encode(w), expand)
-                for w in self.words]
+        word search (_word_orbit)."""
+        return cls._of_codes(surf, *_word_orbit(surf, depth))
 
     @cached_property
     def walk(self) -> list[tuple[int, int]]:
@@ -314,20 +311,13 @@ class CurveList(Curves):
         return list(zip(order, resume))
 
     def __len__(self) -> int:
-        return len(self.codes if self.words is None else self.words)
+        return len(self.codes)
 
-    def slot_word(self, slot: int) -> CurveWord:
-        if self.words is None:
-            return self.alphabet.decode(self.codes[slot])
-        return self.words[slot]
+    def code(self, slot: int) -> str:
+        return self.codes[slot]
 
     def slot_key(self, slot: int) -> int:
         return slot
-
-    def sublist(self, slots: list[int]) -> "CurveList":
-        """As Curves.sublist; this list itself when the slots are all of
-        its words."""
-        return self if len(slots) == len(self) else super().sublist(slots)
 
 
 def _curve_alphabet(surf: SurfacePresentation) -> Alphabet:
@@ -598,6 +588,3 @@ class SlopeOrbit(Curves):
     def slot_key(self, i: int) -> str:
         """Sort key of curve i: enumerate_scc's order."""
         return self.alphabet.tuple_key(self.code(i))
-
-    def slot_word(self, i: int) -> CurveWord:
-        return self.alphabet.decode(self.code(i))

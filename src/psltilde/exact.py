@@ -41,19 +41,28 @@ BLOCK = 8  # letters per multiplication step of the curve walks
 
 def letter_matrices(rep: Representation, curves: CurveList
                     ) -> dict[str, IntMatrix]:
-    """Integer image of each free generator's letter code in
-    curves.alphabet; an inverse is the adjugate, a positive multiple of
-    the inverse."""
+    """Integer image of each letter code in curves.alphabet; an inverse is
+    the adjugate, a positive multiple of the inverse. The implied c_p gets
+    adj(W) and c_p^-1 gets W, for W the product of the images of the
+    letters of [a1,b1]..[ag,bg] c1..c_(p-1): positive multiples of its
+    true images, as the relator puts c_p = W^-1."""
     out = {}
-    codes = curves.alphabet.codes
-    for gen in rep.surface.free_generators():
+    alphabet, surf = curves.alphabet, rep.surface
+    codes = alphabet.codes
+    for gen in surf.free_generators():
         m = rep.image(gen).int_rep
         out[codes[gen, 1]], out[codes[gen, -1]] = m, _adjugate(m)
+    w = IDENTITY
+    for code in alphabet.encode(surf.gamma_word(surf.genus,
+                                                surf.punctures - 1)):
+        w = _mul(w, out[code])
+    last = surf.c(surf.punctures)
+    out[codes[last, 1]], out[codes[last, -1]] = _adjugate(w), w
     return out
 
 
 def word_product(rep: Representation, w: CurveWord) -> IntMatrix:
-    """The image of w, the implied last peripheral written out."""
+    """The integer image of w, c_p's letter that of letter_matrices."""
     curves = CurveList(rep.surface, [w])
     mats = letter_matrices(rep, curves)
     acc = IDENTITY

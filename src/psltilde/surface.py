@@ -123,7 +123,7 @@ class Representation:
     @cached_property
     def _relator(self) -> tuple[tuple[PslType, ...], CoverElement]:
         """The one walk of the lifted relator (_invariants)."""
-        return _invariants(self, {})
+        return _invariants(self)
 
     def peripheral_image(self, i: int) -> ProjectiveMatrix:
         """The stored image of c_i for i < p, and for i = p the relator
@@ -194,14 +194,13 @@ class SignVector:
         return len(self.entries)
 
 
-def _relator_factors(rep: Representation, indices: list[int],
-                     shifts: dict[str, int]) -> list[tuple[CoverElement, int]]:
+def _relator_factors(rep: Representation, indices: list[int]
+                     ) -> list[tuple[CoverElement, int]]:
     """exact_product factors of the letters of W = gamma_word(g, p-1):
-    handle generators at index shifts.get(gen, 0), and c_i at index
-    indices[i-1] over its stored image, the factor eval_word multiplies."""
+    handle generators at index 0, and c_i at index indices[i-1] over its
+    stored image, the factor eval_word multiplies."""
     surf = rep.surface
-    index = dict(shifts)
-    index.update((surf.c(i), k) for i, k in enumerate(indices, start=1))
+    index = {surf.c(i): k for i, k in enumerate(indices, start=1)}
     w = surf.gamma_word(surf.genus, surf.punctures - 1)
     return [(CoverElement(rep.image(gen), index.get(gen, 0)), exp)
             for gen, exp in w.letters]
@@ -219,7 +218,7 @@ _SIGN = {PslType.HYPERBOLIC: 0, PslType.PARABOLIC_PLUS: 1,
          PslType.PARABOLIC_MINUS: -1}
 
 
-def _invariants(rep: Representation, shifts: dict[str, int]
+def _invariants(rep: Representation
                 ) -> tuple[tuple[PslType, ...], CoverElement]:
     """One walk of the lifted relator: the types of the p peripheral
     images (the stored c_1..c_{p-1} and the walk's c_p), and the lift of
@@ -230,7 +229,7 @@ def _invariants(rep: Representation, shifts: dict[str, int]
     p = rep.surface.punctures
     images = [rep.peripheral_image(i) for i in range(1, p)]
     factors = _relator_factors(
-        rep, [_eval_lift(m).lift_index for m in images], shifts)
+        rep, [_eval_lift(m).lift_index for m in images])
     last = exact_product(*((x, -e) for x, e in reversed(factors)))
     return tuple(classify_psl(m) for m in images + [last.base]), last
 
@@ -250,18 +249,15 @@ def _checked(walk: tuple[tuple[PslType, ...], CoverElement]
             SignVector(tuple(_SIGN[kind] for kind in kinds)))
 
 
-def euler_class(rep: Representation, ab_lift_shifts: dict[str, int] | None = None) -> int:
+def euler_class(rep: Representation) -> int:
     """Relative Euler class: the central power reached by the lifted relator.
 
-    Handle generators are lifted at index 0 (any shift leaves the commutator
-    unchanged; ab_lift_shifts exists so tests can exercise exactly that, and
-    walks afresh), peripherals at their component-index-0 lifts. The
-    relator is walked once per representation in exact integers, c_p as the
-    exact inverse of the rest, so it is central with no tolerance. Raises
-    NotHP for elliptic peripherals.
+    Handle generators are lifted at index 0 (any lift gives the same
+    commutator, cover_commutator), peripherals at their component-index-0
+    lifts. The relator is walked once per representation in exact integers,
+    c_p as the exact inverse of the rest, so it is central with no
+    tolerance. Raises NotHP for elliptic peripherals.
     """
-    if ab_lift_shifts:
-        return _checked(_invariants(rep, ab_lift_shifts))[0]
     return invariants(rep)[0]
 
 
@@ -307,7 +303,7 @@ def evaluation_map(rep: Representation) -> CoverElement:
     image."""
     indices = [_eval_lift(rep.peripheral_image(i)).lift_index
                for i in range(1, rep.surface.punctures)]
-    return exact_product(*_relator_factors(rep, indices, {}))
+    return exact_product(*_relator_factors(rep, indices))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from psltilde.constructors import (
     build_rep,
     pgl_flip,
 )
+from psltilde.cover import CoverElement, cover_commutator
 from psltilde.curves import Curves
 from psltilde.mobius import Matrix2, normalize
 from psltilde.sampling import derive_seed, random_hyperbolic, random_psl
@@ -84,11 +85,17 @@ def test_criterion_4_euler_checks():
     assert euler_class(rep0) == 0
     assert tuple(sign_vector(rep0)) == (1, -1, 0)
 
+    # any lifts of the handle generators give the index-0 commutator, base
+    # bits and index alike, so the relator walk's choice of index 0 is free
     rng = random.Random(1004)
     rep = build_rep(BuildRequest(1, 2, 1, (1, -1), 19))
+    a, b = rep.image("a1"), rep.image("b1")
+    want = cover_commutator(CoverElement(a, 0), CoverElement(b, 0))
     for _ in range(1000):
-        shifts = {"a1": rng.randint(-3, 3), "b1": rng.randint(-3, 3)}
-        assert euler_class(rep, ab_lift_shifts=shifts) == 1
+        sa, sb = rng.randint(-3, 3), rng.randint(-3, 3)
+        assert cover_commutator(CoverElement(a, sa), CoverElement(b, sb)) \
+            == want
+    assert euler_class(rep) == 1
 
     for seed in range(50):
         r = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), seed))

@@ -44,8 +44,7 @@ def test_build_and_audit_walk_each_relator_once(monkeypatch):
 
     walked, walk = [], surface._invariants
     monkeypatch.setattr(surface, "_invariants",
-                        lambda rep, shifts: walked.append(rep) or
-                        walk(rep, shifts))
+                        lambda rep: walked.append(rep) or walk(rep))
     attempts, once = [], constructors._build_rep_once
     monkeypatch.setattr(constructors, "_build_rep_once",
                         lambda *args: attempts.append(1) or once(*args))

@@ -374,9 +374,9 @@ def test_cli_construct_and_audit_walk_each_relator_once(tmp_path,
     walked = []
     walk, eval_word = surface._invariants, surface.eval_word
 
-    def counted_walk(r, shifts):
+    def counted_walk(r):
         walked.append(r)
-        return walk(r, shifts)
+        return walk(r)
 
     def counted_eval_word(r, w):
         if w == r.surface.last_peripheral_word():

@@ -196,10 +196,6 @@ def test_reachable_classes_for_every_ordered_pair():
         (F.PAR_PLUS0, F.PAR_MINUS0): {Hyp(0)},
         (F.HYP0, F.PAR_PLUS0): {Hyp(0), Hyp(1), Ell(1)},
         (F.HYP0, F.PAR_MINUS0): {Hyp(0), Hyp(-1), Ell(-1)},
-        (F.PAR_PLUS0, F.ELL1): {Ell(1)},
-        (F.PAR_MINUS0, F.ELL1): {Ell(1)},
-        (F.HYP0, F.ELL1): {Ell(1)},
-        (F.ELL_MINUS1, F.ELL1): {Ell(-1), Ell(1)},
     }
     for k1 in F:
         for k2 in F:

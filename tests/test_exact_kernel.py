@@ -105,6 +105,8 @@ def _check_walks(rep, ws: list[CurveWord]) -> CurveList:
     integer image equals word_product digit for digit, and each fixed-point
     bracket holds the exact tr^2/det of the Fraction reference."""
     curves = CurveList(rep.surface, ws)
+    # a caller's words come back as given, the implied c_p included
+    assert [curves.slot_word(i) for i in range(len(ws))] == ws
     seen = set()
     for i, image in curve_products(rep, curves):
         assert image == word_product(rep, ws[i]), format_word(ws[i])
@@ -763,7 +765,7 @@ def test_enumerated_audit_walks_only_flagged_curves():
     walked = []
 
     def products(r, curves):
-        walked.append(list(curves.words))
+        walked.append([curves.slot_word(i) for i in range(len(curves))])
         return curve_products(r, curves)
 
     def audited(rep, depth, threshold, curves):
@@ -904,6 +906,19 @@ def test_a_slope_list_has_no_words_to_walk():
     walked = [image for _, image in
               curve_products(rep, slopes.sublist(range(len(slopes))))]
     assert len(walked) == len(slopes)
+
+
+def test_sublist_gives_the_slots_in_the_order_given():
+    pair = CurveList(SPHERE4, [word("c1", "c2"), word("c2", "c3")])
+    for slots in ([1, 0], [1, 1], [], [0, 1]):
+        sub = pair.sublist(slots)
+        assert sub.codes == [pair.codes[i] for i in slots]
+        assert [sub.slot_word(j) for j in range(len(sub))] == \
+            [pair.slot_word(i) for i in slots]
+    # a slope list's sublist reads the code strings of the slots
+    slopes = ENUMERATED[3]
+    slots = [5, 0, 2, 5, len(slopes) - 1]
+    assert slopes.sublist(slots).codes == [slopes.code(i) for i in slots]
 
 
 # -- the fixed-point word walk ------------------------------------------------
