@@ -82,14 +82,15 @@ def audit_rep(rep: Representation, depth: int,
     Each verdict is exact about the stored float matrices: the margins come
     from exact integers (psltilde.exact.curve_margins), and only each
     margin is rounded, to within a few ulps. Each curve's tr^2/det is
-    first bracketed in fixed precision with a proven error bound:
-    enumerated curves on the four-punctured sphere by their slopes, and
-    every other curve, including every word a caller passes, by a
-    fixed-point walk of its word. An integer screen on the brackets keeps
+    first bounded with a proven error, and a screen on the bounds keeps
     only the curves the report can name, which are rounded exactly: those
     that can attain the minimum margin or fall below the margin. Every
     other margin is only bounded, proven above the minimum and not below
-    the margin. The kept curves the brackets leave undecided (counted in
+    the margin. Enumerated curves on the four-punctured sphere are bounded
+    by their slopes, in floats, and only the kept ones are then bracketed
+    in fixed precision; every other curve, including every word a caller
+    passes, is bracketed by a fixed-point walk of its word and screened in
+    integers. The kept curves the brackets leave undecided (counted in
     exact_fallbacks) and the flagged are then walked in exact integers; the
     words of enumerated slopes are formed only for those and for the
     curves tied at the minimum. Pass a Curves list (such as

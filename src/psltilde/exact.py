@@ -7,11 +7,14 @@ read here are invariant under positive scaling: the trace ratio
 type. So words are multiplied out in Python integers, inverses are
 adjugates, and only the numbers read off a finished product are rounded to
 floats. Those integers grow with every letter, so each margin is first
-bracketed in fixed precision with a proven error bound, by slopes on the
-four-punctured sphere and by words elsewhere. The brackets screen out the
-curves that cannot be at the audit's minimum or below its bound; only the
-rest are rounded exactly, and only those the brackets leave undecided, or
-that are flagged, are multiplied out.
+bounded with a proven error, and the bounds screen out the curves that
+cannot be at the audit's minimum or below its bound. On the
+four-punctured sphere the curves are slopes: a float pass of the Farey
+trace recursion bounds every slope and screens, and an integer pass in
+fixed precision brackets only the candidates, from their ancestors.
+Elsewhere a fixed-point walk of the words brackets every curve and the
+brackets screen. Only the candidates are rounded exactly, and only those
+their brackets leave undecided, or that are flagged, are multiplied out.
 
 This module holds the arithmetic only: the curve lists it reads, and the
 choice of list for an enumeration, are psltilde.curves's Curves.
@@ -203,12 +206,39 @@ def psl_type(x: IntMatrix) -> PslType:
 # u come before it: one step per slope in list order. y^2 / sigma_c^2 is
 # then the same rational number as tr^2/det of the word's integer image, so
 # the margin rounds to the same float. y itself is a ratio of integers
-# thousands of bits long at depth 6, while a margin needs about 53 bits:
-# each slope keeps an integer interval [m - r, m + r] around
-# Y = 2^PRECISION y instead, r bounding every rounding that went into it.
-
+# thousands of bits long at depth 6, while a margin needs about 53 bits.
+#
+# An audit needs few of them: at depth 6 the screen below keeps one slope of
+# 610 on a counterexample build. So the recursion runs twice. A float pass
+# (_farey_floats) runs it over every slope with a proven error bound, and
+# the screen on its intervals keeps the candidates (_farey_candidates). An
+# integer pass (_farey_brackets) then runs it for those slopes and their
+# ancestors only, each slope keeping an integer interval [m - r, m + r]
+# around Y = 2^PRECISION y, r bounding every rounding that went into it.
+#
+# The float pass divides the edge relation by sigma_c: with
+# K_c = k_c / (kappa_c sigma_c), as sigma_cl sigma_cr = kappa_c sigma_c for
+# the classes cl, cr of the parents,
+#     x_v = K_c - x_l x_r - x_u.
+# Its floats X_v carry bounds E_v >= |X_v - x_v|. A root's X and each K_c
+# are rounded from the exact integers by _sqrt_ratio, within an ulp,
+# 2^-52 |X|, in the normal range, and within 2^-1074 more below it, so
+# E = 2^-51 |X| + 2^-1000 bounds their error. A node forms P = fl(X_l X_r),
+# S = fl(K_c - P) and X_v = fl(S - X_u), each within 2^-53 of its result
+# (a product that underflows within 2^-1075 more), and
+#     |X_l X_r - x_l x_r| <= (|X_l| + E_l) E_r + |X_r| E_l,
+# so with A = fl(|X| + E) >= |x|, up to one rounding,
+#     |X_v - x_v| <= E_u + E_K + A_l E_r + A_r E_l + 2^-53 (|P| + |S| + |X_v|).
+# That sum of nonnegative floats is formed in at most 13 roundings, each of
+# which loses at most a factor 1 - 2^-53 of it or, where a product
+# underflows, 2^-1075. E_v is the sum times GROW = 1 + 2^-46, which covers
+# the factors, (1 + 2^-46) (1 - 2^-53)^14 > 1 + 2^-47, and with it, as the
+# sum is at least E_K >= 2^-1000, the underflows. A non-finite X makes its E
+# non-finite: an overflow of X_v gives 2^-53 |X_v| = inf, and every later
+# E that reads an inf or NaN is inf or NaN. The screen keeps such a slot.
 
 PRECISION = 128  # fraction bits of the Farey intervals
+GROW = 1 + 2.0 ** -46  # the rounding slack of a float node's error bound
 
 # A slot's bracket (a, b, den_lo, den_hi), 0 <= a <= b, puts tr^2/det of its
 # image in [a^2 / den_hi, b^2 / den_lo], as _bracket_margin reads it; a
@@ -216,37 +246,139 @@ PRECISION = 128  # fraction bits of the Farey intervals
 Bracket = tuple[int, int, int, int] | None
 
 
-def _farey_brackets(rep: Representation, plan) -> list[Bracket]:
-    """The bracket of each slot's tr^2/det, for plan a SlopeOrbit's farey
-    (psltilde.curves._farey_plan): the interval of its slope's node around
-    |Y|, over the den of its slope class. Slope classes are numbered 0, 1,
-    2 for (1,0), (0,1), (1,1), so that the sum of Farey neighbours of
-    classes i and j has class 3 - i - j."""
+def _fricke(rep: Representation) -> tuple[tuple[int, ...], ...]:
+    """(y, sigma^2, k, kappa) of the recursion above, each by slope class:
+    the roots' traces, sigma_c^2, k_c and kappa_c. Slope classes are
+    numbered 0, 1, 2 for (1,0), (0,1), (1,1), so that the sum of Farey
+    neighbours of classes i and j has class 3 - i - j."""
     A, B, C = (rep.image(g).int_rep for g in ("c1", "c2", "c3"))
     D = _adjugate(_mul(_mul(A, B), C))
     (tA, dA), (tB, dB), (tC, dC) = map(_trace_det, (A, B, C))
     tD = D[0] + D[3]
-    p = PRECISION
-    dens = (dA * dB << 2 * p, dB * dC << 2 * p, dA * dC << 2 * p)
-    # Y(v + w) = (k_c 2^(2p) - Y_v Y_w) / (kappa_c 2^p) - Y_u, kappa_c > 0
-    k = (tA * tB * dC + tC * tD << 2 * p, tB * tC * dA + tA * tD << 2 * p,
-         tA * tC * dB + tB * tD << 2 * p)
-    kappa = (dC << p, dA << p, dB << p)
-    # a node is (m, r, class) for Y in [m - r, m + r]; the roots' Y are exact
-    y = [(sum(_mul(x, z)[::3]) << p, 0, c)
-         for c, (x, z) in enumerate(((A, B), (B, C), (C, A)))]
-    nodes, slots = plan
+    return (tuple(sum(_mul(x, z)[::3]) for x, z in ((A, B), (B, C), (C, A))),
+            (dA * dB, dB * dC, dA * dC),
+            (tA * tB * dC + tC * tD, tB * tC * dA + tA * tD,
+             tA * tC * dB + tB * tD),
+            (dC, dA, dB))
+
+
+def _signed_root(n: int, d2: int) -> float:
+    """n / sqrt(d2), d2 > 0, within an ulp in the normal range."""
+    r = _sqrt_ratio(n * n, d2)
+    return r if n >= 0 else -r
+
+
+def _farey_floats(rep: Representation, nodes
+                  ) -> tuple[list[float], list[float], list[float]]:
+    """(X, E, A) of every node of a plan's nodes (above): x rounded, a bound
+    on its error, and fl(|X| + E), a bound on |x|."""
+    roots, sigma2, k, kappa = _fricke(rep)
+    K = [_signed_root(kc, kap * kap * s2)
+         for kc, kap, s2 in zip(k, kappa, sigma2)]
+    eK = [abs(v) * 2.0 ** -51 + 2.0 ** -1000 for v in K]
+    x = [_signed_root(y, s2) for y, s2 in zip(roots, sigma2)]
+    e = [abs(v) * 2.0 ** -51 + 2.0 ** -1000 for v in x]
+    a = [abs(v) + w for v, w in zip(x, e)]
+    cls = [0, 1, 2]
+    u53 = 2.0 ** -53
     for l, r, u in nodes:
+        c = 3 - cls[l] - cls[r]
+        p = x[l] * x[r]
+        s = K[c] - p
+        v = s - x[u]
+        w = (e[u] + eK[c] + a[l] * e[r] + a[r] * e[l]
+             + (abs(p) + abs(s) + abs(v)) * u53) * GROW
+        x.append(v)
+        e.append(w)
+        a.append(abs(v) + w)
+        cls.append(c)
+    return x, e, a
+
+
+# The screen of the float intervals is the rule above _screen_bound, in
+# |x| = sqrt(tr^2/det) in place of tr^2/det. Let H be the least
+# fl(|X| + E) over the slots, raised to fl(2 + below) when below > -2. Then
+# V = H / (1 - 2^-53) is at least |x_j| for the slot j at that least value,
+# and at least 2 + below, so X = V^2 serves that rule, and with e = 2^-40
+#     T = sqrt(V^2 (1 + e) + e) <= V (1 + 2^-41) + 2^-20.
+# The threshold t = fl(fl(H SCREEN_GROW) + 2^-19), SCREEN_GROW = 1 + 2^-39,
+# is at least (1 + 2^-53) T, so a slot with fl(|X| - E) >= t has
+# |x| >= |X| - E >= T: it is screened out. Slot j has fl(|X| - E) <= H < t
+# and is kept. t < 2^1000 keeps X below 2^2000, as that rule needs. A NaN in
+# X or E makes the comparison False and keeps the slot, and so does an inf
+# X, whose E is inf; a NaN or inf in t, as below = inf gives, keeps every
+# slot.
+
+SCREEN_GROW = 1 + 2.0 ** -39  # widens the float screen's threshold
+
+
+def _farey_candidates(rep: Representation, plan, below: float
+                      ) -> list[int]:
+    """The slots of plan, a SlopeOrbit's farey, whose float intervals
+    (_farey_floats) reach below the screen's threshold (above), in slot
+    order: every slot when the screen proves nothing."""
+    nodes, slots = plan
+    x, e, a = _farey_floats(rep, nodes)
+    h = min((a[n] for n in slots), default=math.inf)
+    if below > -2:
+        h = max(h, 2.0 + below)
+    t = h * SCREEN_GROW + 2.0 ** -19
+    if not t < 2.0 ** 1000:
+        return list(range(len(slots)))
+    return [i for i, n in enumerate(slots) if not abs(x[n]) - e[n] >= t]
+
+
+def _ancestors(nodes, targets) -> list[int]:
+    """The nodes of targets that are not roots and, recursively, their l, r
+    and u, in increasing order: each after the nodes it reads."""
+    seen = set()
+    stack = [v for v in targets if v > 2]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(w for w in nodes[v - 3] if w > 2)
+    return sorted(seen)
+
+
+def _farey_nodes(fricke, nodes, order) -> list:
+    """The interval (m, r, class) around Y, Y in [m - r, m + r], of the
+    roots and of each node in order (each after its l, r and u), for
+    fricke the _fricke tuple; None at every other node."""
+    roots, _, k, kappa = fricke
+    p = PRECISION
+    # Y(v + w) = (k_c 2^(2p) - Y_v Y_w) / (kappa_c 2^p) - Y_u, kappa_c > 0
+    k = [kc << 2 * p for kc in k]
+    kappa = [kc << p for kc in kappa]
+    y = [(t << p, 0, c) for c, t in enumerate(roots)]  # exact
+    y += [None] * len(nodes)
+    for v in order:
+        l, r, u = nodes[v - 3]
         ml, rl, cl = y[l]
         mr, rr, cr = y[r]
         c = 3 - cl - cr
         # |Y_l Y_r - ml mr| <= rad; rad // kappa + 1 bounds rad / kappa,
         # and 1 more the floor of the midpoint
         rad = abs(ml) * rr + abs(mr) * rl + rl * rr
-        y.append(((k[c] - ml * mr) // kappa[c] - y[u][0],
-                  rad // kappa[c] + 2 + y[u][1], c))
+        y[v] = ((k[c] - ml * mr) // kappa[c] - y[u][0],
+                rad // kappa[c] + 2 + y[u][1], c)
+    return y
+
+
+def _farey_brackets(rep: Representation, plan, slots=None
+                    ) -> list[Bracket]:
+    """The bracket of the tr^2/det of each of the given slots, all by
+    default, in the order given, for plan a SlopeOrbit's farey
+    (psltilde.curves._farey_plan): the interval of its slope's node around
+    |Y|, over sigma_c^2 2^(2 PRECISION) of its slope class. Only those
+    nodes and their ancestors are formed."""
+    nodes, slot_nodes = plan
+    targets = slot_nodes if slots is None else [slot_nodes[i] for i in slots]
+    fricke = _fricke(rep)
+    y = _farey_nodes(fricke, nodes, _ancestors(nodes, targets))
+    dens = [s << 2 * PRECISION for s in fricke[1]]
     brackets = []
-    for n in slots:
+    for n in targets:
         m, r, c = y[n]
         m = abs(m)
         brackets.append((max(m - r, 0), m + r, dens[c], dens[c]))
@@ -412,23 +544,27 @@ def curve_margins(rep: Representation, curves: Curves, below: float
     left to the exact walk; and (slot, integer image) of each slot whose
     margin is below `below`, in walk order.
 
-    Enumerated curves on the four-punctured sphere are bracketed by the
-    intervals of their slopes (_farey_brackets), every other list by a
-    fixed-point walk of its words (_fixed_brackets). The brackets screen
-    the slots in integers (_candidates): margins holds every slot that can
-    be at the least margin or below `below`, each rounded exactly, and
-    every other slot's margin is proven above min(margins.values()) and not
-    below `below`. One walk of curve_products takes the candidates the
-    brackets do not decide and the flagged ones, so that each flagged
-    slot's image comes with its margin."""
+    Enumerated curves on the four-punctured sphere are screened by the
+    float intervals of their slopes (_farey_candidates), and only the
+    candidates are bracketed, by the integer intervals of their slopes
+    (_farey_brackets); every other list is bracketed by a fixed-point walk
+    of its words (_fixed_brackets) and screened in integers (_candidates).
+    margins holds every slot that can be at the least margin or below
+    `below`, each rounded exactly, and every other slot's margin is proven
+    above min(margins.values()) and not below `below`. One walk of
+    curve_products takes the candidates the brackets do not decide and the
+    flagged ones, so that each flagged slot's image comes with its
+    margin."""
     _check_surface(rep, curves)
     if isinstance(curves, SlopeOrbit):
-        brackets = _farey_brackets(rep, curves.farey)
+        slots = _farey_candidates(rep, curves.farey, below)
+        brackets = _farey_brackets(rep, curves.farey, slots)
     else:
         brackets = _fixed_brackets(rep, curves)
-    margins = {i: None if brackets[i] is None
-               else _bracket_margin(*brackets[i])
-               for i in _candidates(brackets, below)}
+        slots = _candidates(brackets, below)
+        brackets = [brackets[i] for i in slots]
+    margins = {i: None if x is None else _bracket_margin(*x)
+               for i, x in zip(slots, brackets)}
     todo = [i for i, m in margins.items() if m is None or m < below]
     fallbacks = sum(m is None for m in margins.values())
     flagged = []

@@ -9,7 +9,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .errors import NonUnitDeterminant, NotConjugate, NotHyperbolic
 
@@ -96,6 +95,23 @@ def diag(m: float) -> Matrix2:
     return Matrix2(m, 0.0, 0.0, 1.0 / m)
 
 
+class _filled_once:
+    """A lazy attribute: its first read stores the method's value in the
+    instance's __dict__, where every later read finds it without a call.
+    functools.cached_property does the same, but takes a lock on each first
+    read on CPython 3.11."""
+
+    def __init__(self, method):
+        self.method, self.name, self.__doc__ = (method, method.__name__,
+                                                method.__doc__)
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ProjectiveMatrix:
     """Canonical-sign unit-determinant representative of a PSL(2,R) element.
@@ -113,7 +129,7 @@ class ProjectiveMatrix:
         if not (m.a or m.b or m.c or m.d) > 0.0:
             object.__setattr__(self, "rep", -m)
 
-    @cached_property
+    @_filled_once
     def int_rep(self) -> IntMatrix:
         """rep as an exact integer matrix (int_matrix), converted once."""
         return int_matrix(self.rep)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import UnknownGenerator
+
 Letter = tuple[str, int]  # (generator name, exponent +1 or -1)
 
 
@@ -129,7 +131,12 @@ class Alphabet:
                             for k in range(len(self.letters)))
 
     def encode(self, w: CurveWord) -> str:
-        return "".join(map(self.codes.__getitem__, w.letters))
+        """The code string of w; a generator outside the alphabet raises
+        UnknownGenerator naming it."""
+        try:
+            return "".join(map(self.codes.__getitem__, w.letters))
+        except KeyError as exc:
+            raise UnknownGenerator(exc.args[0][0]) from None
 
     def decode(self, s: str) -> CurveWord:
         """The word of a freely reduced code string."""

@@ -11,10 +11,16 @@ from psltilde.constructors import (
     pgl_flip,
 )
 from psltilde.curves import enumerate_scc
-from psltilde.errors import BoundaryElliptic, NotSupported, NotTypePreserving
+from psltilde.errors import (
+    BoundaryElliptic,
+    NotSupported,
+    NotTypePreserving,
+    UnknownGenerator,
+)
 from psltilde.mobius import Matrix2, normalize, rotation
 from psltilde.sampling import random_hyperbolic
 from psltilde.surface import Representation, SurfacePresentation
+from psltilde.words import parse_word, word
 import random
 
 
@@ -37,6 +43,17 @@ def test_audit_requires_type_preserving():
     with pytest.raises(NotTypePreserving,
                        match="^peripheral image 1 is Hyperbolic, not parabolic$"):
         audit_rep(_thrice_punctured(random_hyperbolic(rng), ell), 1)
+
+
+def test_a_caller_word_outside_the_surface_names_its_generator():
+    # as Representation.image does, and not as a bare KeyError
+    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
+    with pytest.raises(UnknownGenerator) as image:
+        rep.image("c5")
+    for words in ([word("c5")], [word("c1", "c2"), parse_word("c2 c5^-1")]):
+        with pytest.raises(UnknownGenerator) as audited:
+            audit_rep(rep, 0, curves=words)
+        assert str(audited.value) == str(image.value) == "c5"
 
 
 def test_build_and_audit_walk_each_relator_once(monkeypatch):

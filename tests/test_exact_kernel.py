@@ -896,6 +896,123 @@ def test_the_screen_at_its_edges():
     assert exact._candidates(brackets, 0.0) == [0, 1, 2]
 
 
+# -- the float pass of the Farey recursion ------------------------------------
+
+STORED_INPUTS = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "perfbench", "inputs")
+
+
+def _check_float_intervals(rep, curves) -> None:
+    """Every slot's float interval [|X| - E, |X| + E] holds |tr|/sqrt(det)
+    of its integer image, and A >= |tr|/sqrt(det), compared in integers as
+    the squares of the ends against tr^2/det."""
+    nodes, slots = curves.farey
+    x, e, a = exact._farey_floats(rep, nodes)
+    for i, image in curve_products(rep, curves.sublist(range(len(curves)))):
+        n = slots[i]
+        assert all(map(math.isfinite, (x[n], e[n], a[n]))), i
+        t, det = _trace_det(image)
+
+        def over(end: Fraction) -> int:  # the sign of end^2 - tr^2/det
+            return end.numerator ** 2 * det - t * t * end.denominator ** 2
+
+        mid, err = abs(Fraction(x[n])), Fraction(e[n])
+        assert over(max(mid - err, Fraction(0))) <= 0 <= over(mid + err), i
+        assert over(Fraction(a[n])) >= 0, i
+
+
+def test_float_intervals_hold_the_exact_traces():
+    # the 8 counterexample components at depth 6 (one negative puncture
+    # at e = 1, one positive at e = -1), two extremal builds at depth 7,
+    # Gamma(2), the negative control with its trace-0 slope, and the
+    # stored (0,4) benchmark inputs at depth 6
+    depth6, depth7 = Curves.enumerated(SPHERE4, 6), \
+        Curves.enumerated(SPHERE4, 7)
+    for euler in (1, -1):
+        for k in range(4):
+            signs = [euler] * 4
+            signs[k] = -euler
+            _check_float_intervals(
+                build_rep(BuildRequest(0, 4, euler, tuple(signs), 3)), depth6)
+    for euler, signs in SPHERE4_FAMILIES[:2]:
+        _check_float_intervals(build_rep(BuildRequest(0, 4, euler, signs, 2)),
+                               depth7)
+    _check_float_intervals(_gamma2(), depth7)
+    control = build_negative_control()
+    _check_float_intervals(control, depth6)
+    # its root (1,0), c1 c2, has trace 0, which the float pass keeps exact
+    assert exact._farey_floats(control, depth6.farey[0])[0][0] == 0.0
+    names = sorted(n for n in os.listdir(STORED_INPUTS)
+                   if n.startswith("sphere4-"))
+    assert len(names) == 16
+    for name in names:
+        with open(os.path.join(STORED_INPUTS, name)) as fh:
+            _check_float_intervals(
+                jsonio.representation_from_json(json.load(fh)), depth6)
+
+
+def test_float_overflow_keeps_the_slots():
+    # with c2 = (1 0 / -1e200 1) the roots' traces reach 1e200, and from
+    # depth 2 on the products of them pass the float range: each slot whose
+    # X or E is inf or NaN is kept, and every margin is the exact walk's
+    rep = Representation(SPHERE4, {
+        "c1": normalize(Matrix2(1.0, 2.0, 0.0, 1.0)),
+        "c2": normalize(Matrix2(1.0, 0.0, -1e200, 1.0)),
+        "c3": normalize(Matrix2(1.0, 0.0, 1.0, 1.0))})
+    curves = ENUMERATED[3]
+    nodes, slots = curves.farey
+    x, e, _ = exact._farey_floats(rep, nodes)
+    assert any(math.isinf(x[n]) for n in slots)
+    assert any(math.isnan(x[n]) for n in slots)
+    wild = {i for i, n in enumerate(slots)
+            if not (math.isfinite(x[n]) and math.isfinite(e[n]))}
+    margins = _exact_margins(rep, curves)
+    for below in (1e-6, 5.0, 0.0, -math.inf):
+        got, _, flagged = curve_margins(rep, curves, below)
+        assert wild <= set(got) != set(range(len(curves)))
+        _check_screen(margins, got, below)
+        assert sorted(i for i, _ in flagged) == \
+            [i for i, m in enumerate(margins) if m < below]
+
+
+def test_the_integer_pass_forms_only_the_candidates_ancestors():
+    # on a build of the sample-sphere4 component at depth 6 the screen
+    # keeps one slope, and the integer recursion forms that slope's node
+    # and its ancestors (l, r and u, recursively) only; with an infinite
+    # bound nothing is screened out and it forms every node
+    rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 1))
+    curves = Curves.enumerated(SPHERE4, 6)
+    nodes, slots = curves.farey
+    passes, real = [], exact._farey_nodes
+
+    def counted(fricke, nodes, order):
+        y = real(fricke, nodes, order)
+        passes.append((list(order), y))
+        return y
+
+    def ancestors(v, seen):
+        if v > 2 and v not in seen:
+            seen.add(v)
+            for w in nodes[v - 3]:
+                ancestors(w, seen)
+
+    with mock.patch.object(exact, "_farey_nodes", counted):
+        for below in (audit.DEFAULT_MARGIN, 0.5, 5.0, math.inf):
+            passes.clear()
+            got = curve_margins(rep, curves, below)[0]
+            want = set()
+            for i in got:
+                ancestors(slots[i], want)
+            ((order, y),) = passes
+            assert order == sorted(want)
+            assert [v for v, node in enumerate(y) if node is not None] == \
+                [0, 1, 2] + order
+            if below == audit.DEFAULT_MARGIN:
+                assert len(got) == 1 and len(order) < 20
+            if below == math.inf:
+                assert order == list(range(3, len(nodes) + 3))
+
+
 def test_a_slope_list_has_no_words_to_walk():
     rep = build_rep(BuildRequest(0, 4, 1, (1, 1, 1, -1), 42))
     slopes = ENUMERATED[2]

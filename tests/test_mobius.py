@@ -17,6 +17,7 @@ from psltilde.mobius import (
     conjugator,
     diag,
     fixed_directions,
+    int_matrix,
     normalize,
     rotation,
 )
@@ -69,6 +70,20 @@ def test_value_types_are_immutable_and_compare_by_value():
     assert (m.a, m.b, m.c, m.d, m.entries()) == (1.0, 2.0, 3.0, 4.0,
                                                  (1.0, 2.0, 3.0, 4.0))
     assert (x.base, x.lift_index) == (normalize(IDENTITY), -1)
+
+
+def test_int_rep_is_read_once_and_leaves_the_value_alone():
+    for m in (Matrix2(2.0, 0.5, 0.25, 0.5625), Matrix2(-1.0, 0.0, 0.0, -1.0),
+              Matrix2(0.0, -2.0, 0.5, 0.0)):
+        p, q = normalize(m), normalize(m)
+        before = hash(p)
+        first = p.int_rep
+        assert first == int_matrix(p.rep)
+        assert p.int_rep is first and p.__dict__["int_rep"] is first
+        assert p == q and hash(p) == hash(q) == before
+        assert "int_rep" not in q.__dict__ and repr(p) == repr(q)
+        with pytest.raises(AttributeError):
+            p.int_rep = (1, 0, 0, 1)
 
 
 def test_normalize_rejects_det_2():
